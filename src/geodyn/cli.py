@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,11 +20,12 @@ from geodyn.errors import ExpressionError, GeodynError, StabilityBoundaryError
 from geodyn.integrators import METHOD_IDS, run
 from geodyn.kepler import PhaseState, analytic_reference, kepler_split, orbit_elements
 from geodyn.modified import (
+    _drift_over_period,
+    _period_run,
     linear_dispersion,
     linear_measured_frequency,
     linear_modified_series,
     measured_drift_order,
-    per_period_drift,
     predicted_drift,
 )
 from geodyn.relativistic import (
@@ -69,13 +69,6 @@ def _seed_from_args(args) -> PhaseState:
     if args.x0 is None:
         return PhaseState(np.array(DEFAULT_X0), np.array(DEFAULT_V0))
     return PhaseState(np.array(args.x0), np.array(args.v0))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("GEODYN_WORKERS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return os.cpu_count() or 1
 
 
 def _write_lines(path: str | None, lines) -> None:
@@ -134,14 +127,6 @@ def cmd_run(args) -> int:
 
 # --- convergence ---
 
-def _position_error(method_id: str, seed: PhaseState, h: float, split) -> float:
-    period = orbit_elements(seed).T
-    steps = int(round(period / h))
-    rec = run(method_id, seed, h, steps, split=split, diagnostics=False)
-    ref = analytic_reference(seed, steps * h)
-    return float(np.linalg.norm(rec.xs[-1] - ref.x))
-
-
 def cmd_convergence(args) -> int:
     seed = _seed_from_args(args)
     if orbit_elements(seed).e < 1e-12:
@@ -155,13 +140,17 @@ def cmd_convergence(args) -> int:
     lines = [",".join(header)]
     slope_lines = []
     for method in methods:
-        with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-            drift_cols = {
-                m: list(pool.map(
-                    lambda h, m=m: per_period_drift(method, m, seed, h, split), hs))
-                for m in metrics
-            }
-            pos = list(pool.map(lambda h: _position_error(method, seed, h, split), hs))
+        drift_cols = {m: [] for m in metrics}
+        pos = []
+        for h in hs:
+            # one trajectory per (method, h): the position error after
+            # round(T/h) steps is read off the drift run's prefix
+            period, rec = _period_run(method, seed, h, split)
+            for m in metrics:
+                drift_cols[m].append(_drift_over_period(rec, m, period))
+            n = int(round(period / h))
+            ref = analytic_reference(seed, n * h)
+            pos.append(float(np.linalg.norm(rec.xs[n] - ref.x)))
         for i, h in enumerate(hs):
             row = [method, _fmt(h)]
             row += [_fmt(drift_cols[m][i]) for m in metrics]

@@ -10,17 +10,25 @@ the first point is seeded through the discrete Legendre transform.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from geodyn.errors import NonConvergenceError, SingularOriginError, UnknownMethodError
+from geodyn.errors import (
+    NonConvergenceError,
+    NonFiniteStateError,
+    NonPlanarStateError,
+    SingularOriginError,
+    UnknownMethodError,
+)
 from geodyn.kepler import (
-    ORIGIN_TOL,
     PhaseState,
     SplitPotential,
+    check_segment_xy,
     grad_potential,
+    grad_potential_xy,
     kepler_split,
     potential,
 )
@@ -52,8 +60,8 @@ class TrajectoryRecord:
     method_id: str
     h: float
     times: np.ndarray
-    xs: np.ndarray          # (steps+1, N)
-    vs: np.ndarray          # (steps+1, N)
+    xs: np.ndarray          # (steps+1, 2)
+    vs: np.ndarray          # (steps+1, 2)
     H: np.ndarray | None = None
     m: np.ndarray | None = None
     A: np.ndarray | None = None
@@ -68,17 +76,119 @@ class TrajectoryRecord:
         return PhaseState(self.xs[n], self.vs[n])
 
 
-# --- Elementary steps ---
+# --- Step kernels on the planar state z = (x1, x2, v1, v2) ---
+#
+# A kernel maps (z, h) to the next state tuple, on plain floats, and keeps
+# the operation order of the vector formulas, e.g. v - h*(w*(x/r**3)).
+# Every drift is segment-checked against the origin.
+
+def _sym_euler(z, h):
+    x1, x2, v1, v2 = z
+    g1, g2 = grad_potential_xy(x1, x2)
+    v1 = v1 - h * g1
+    v2 = v2 - h * g2
+    y1 = x1 + h * v1
+    y2 = x2 + h * v2
+    check_segment_xy(x1, x2, y1, y2)
+    return y1, y2, v1, v2
+
+
+def _sym_euler_adjoint(z, h):
+    x1, x2, v1, v2 = z
+    y1 = x1 + h * v1
+    y2 = x2 + h * v2
+    check_segment_xy(x1, x2, y1, y2)
+    g1, g2 = grad_potential_xy(y1, y2)
+    return y1, y2, v1 - h * g1, v2 - h * g2
+
+
+def _sv(z, h):
+    x1, x2, v1, v2 = z
+    g1, g2 = grad_potential_xy(x1, x2)
+    p1 = v1 - 0.5 * h * g1
+    p2 = v2 - 0.5 * h * g2
+    y1 = x1 + h * p1
+    y2 = x2 + h * p2
+    check_segment_xy(x1, x2, y1, y2)
+    g1, g2 = grad_potential_xy(y1, y2)
+    return y1, y2, p1 - 0.5 * h * g1, p2 - 0.5 * h * g2
+
+
+def _flow(i, z, h, w):
+    """Sub-flow of v_i^2/2 + w*phi: drift coordinate i, then kick."""
+    x1, x2, v1, v2 = z
+    y1, y2 = (x1 + h * v1, x2) if i == 1 else (x1, x2 + h * v2)
+    check_segment_xy(x1, x2, y1, y2)
+    g1, g2 = grad_potential_xy(y1, y2)
+    return y1, y2, v1 - h * (w * g1), v2 - h * (w * g2)
+
+
+def _flow_adjoint(i, z, h, w):
+    """Adjoint sub-flow: kick at the old point, then drift coordinate i."""
+    x1, x2, v1, v2 = z
+    g1, g2 = grad_potential_xy(x1, x2)
+    p1 = v1 - h * (w * g1)
+    p2 = v2 - h * (w * g2)
+    y1, y2 = (x1 + h * p1, x2) if i == 1 else (x1, x2 + h * p2)
+    check_segment_xy(x1, x2, y1, y2)
+    return y1, y2, p1, p2
+
+
+def _weights(split: SplitPotential) -> tuple[float, ...]:
+    if split.weights is None:
+        raise ValueError("the sub-flow kernels need a split built by kepler_split")
+    return split.weights
+
+
+def _vi1_kernels(split: SplitPotential):
+    """vi1 kernel and its adjoint for a split; a one-part split gives symplectic Euler."""
+    w = _weights(split)
+    if len(w) == 1:
+        return _sym_euler, _sym_euler_adjoint
+    w1, w2 = w
+
+    def step(z, h):
+        return _flow(2, _flow(1, z, h, w1), h, w2)
+
+    def adjoint(z, h):
+        return _flow_adjoint(1, _flow_adjoint(2, z, h, w2), h, w1)
+
+    return step, adjoint
+
+
+def symmetric_composition(first, second):
+    """Kernel applying ``first`` and then ``second``, each over half the step.
+
+    With ``first`` the adjoint of ``second`` this is the self-adjoint
+    second-order step behind both vi2 and k2.
+    """
+    def kernel(z, h):
+        half = 0.5 * h
+        return second(first(z, half), half)
+    return kernel
+
+
+# --- Public one-step maps: PhaseState wrappers over the kernels ---
+
+def _planar(s: PhaseState) -> tuple[float, float, float, float]:
+    if s.n != 2:
+        raise NonPlanarStateError(f"the step kernels are planar; got a state with N = {s.n}")
+    x1, x2 = s.x.tolist()
+    v1, v2 = s.v.tolist()
+    return x1, x2, v1, v2
+
+
+def _phase(z) -> PhaseState:
+    return PhaseState(np.array(z[:2]), np.array(z[2:]))
+
 
 def step_sym_euler(s: PhaseState, h: float) -> PhaseState:
     """Kick-then-drift symplectic Euler: p+ = p - h grad(x); x+ = x + h p+."""
-    p = s.v - h * grad_potential(s.x)
-    return PhaseState(s.x + h * p, p)
+    return _phase(_sym_euler(_planar(s), h))
 
 
 def step_sym_euler_adjoint(s: PhaseState, h: float) -> PhaseState:
-    x = s.x + h * s.v
-    return PhaseState(x, s.v - h * grad_potential(x))
+    return _phase(_sym_euler_adjoint(_planar(s), h))
 
 
 def step_stormer_verlet(ts: TwoStepState, grad: Callable = grad_potential) -> np.ndarray:
@@ -92,40 +202,23 @@ def step_stormer_verlet(ts: TwoStepState, grad: Callable = grad_potential) -> np
 
 def step_sv_one_step(s: PhaseState, h: float) -> PhaseState:
     """Kick-drift-kick Stormer-Verlet, consistent with the recurrence to round-off."""
-    p_half = s.v - 0.5 * h * grad_potential(s.x)
-    x = s.x + h * p_half
-    return PhaseState(x, p_half - 0.5 * h * grad_potential(x))
+    return _phase(_sv(_planar(s), h))
 
 
-def _check_segment(x0: np.ndarray, x1: np.ndarray):
-    """Reject a drift segment passing within ORIGIN_TOL of the origin."""
-    d = x1 - x0
-    dd = float(d @ d)
-    t = 0.0 if dd == 0.0 else min(1.0, max(0.0, -float(x0 @ d) / dd))
-    nearest = x0 + t * d
-    if float(nearest @ nearest) < ORIGIN_TOL**2:
-        raise SingularOriginError("drift segment crosses the origin")
+def _part_weight(i: int, split: SplitPotential) -> float:
+    if not 1 <= i <= len(split):
+        raise ValueError(f"sub-flow index {i} out of range 1..{len(split)}")
+    return _weights(split)[i - 1]
 
 
 def substep_flow(i: int, s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
     """Sub-map of H(i) = p_i^2/2 + phi^(i): drift coordinate i, then kick."""
-    if not 1 <= i <= len(split):
-        raise ValueError(f"sub-flow index {i} out of range 1..{len(split)}")
-    x = s.x.copy()
-    x[i - 1] += h * s.v[i - 1]
-    _check_segment(s.x, x)
-    return PhaseState(x, s.v - h * split.parts[i - 1].grad(x))
+    return _phase(_flow(i, _planar(s), h, _part_weight(i, split)))
 
 
 def substep_flow_adjoint(i: int, s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
     """Adjoint sub-map: kick with phi^(i) at the old point, then drift coordinate i."""
-    if not 1 <= i <= len(split):
-        raise ValueError(f"sub-flow index {i} out of range 1..{len(split)}")
-    p = s.v - h * split.parts[i - 1].grad(s.x)
-    x = s.x.copy()
-    x[i - 1] += h * p[i - 1]
-    _check_segment(s.x, x)
-    return PhaseState(x, p)
+    return _phase(_flow_adjoint(i, _planar(s), h, _part_weight(i, split)))
 
 
 def step_vi1(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
@@ -133,20 +226,12 @@ def step_vi1(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
 
     A single-part (degenerate) split collapses to symplectic Euler.
     """
-    if len(split) == 1:
-        return step_sym_euler(s, h)
-    for i in range(1, len(split) + 1):
-        s = substep_flow(i, s, split, h)
-    return s
+    return _phase(_vi1_kernels(split)[0](_planar(s), h))
 
 
 def step_vi1_adjoint(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
     """Reversed composition of adjoint sub-maps; inverse of the h -> -h map."""
-    if len(split) == 1:
-        return step_sym_euler_adjoint(s, h)
-    for i in range(len(split), 0, -1):
-        s = substep_flow_adjoint(i, s, split, h)
-    return s
+    return _phase(_vi1_kernels(split)[1](_planar(s), h))
 
 
 def step_vi2(s: PhaseState, split: SplitPotential, h: float, variant: str = "adjoint-last") -> PhaseState:
@@ -156,12 +241,14 @@ def step_vi2(s: PhaseState, split: SplitPotential, h: float, variant: str = "adj
     which is exactly the map generated by the second-order discrete
     Lagrangian; ``variant="adjoint-first"`` uses the reversed pairing.
     """
-    half = 0.5 * h
+    step, adjoint = _vi1_kernels(split)
     if variant == "adjoint-first":
-        return step_vi1_adjoint(step_vi1(s, split, half), split, half)
-    if variant == "adjoint-last":
-        return step_vi1(step_vi1_adjoint(s, split, half), split, half)
-    raise UnknownMethodError(f"unknown vi2 variant {variant!r}")
+        kernel = symmetric_composition(step, adjoint)
+    elif variant == "adjoint-last":
+        kernel = symmetric_composition(adjoint, step)
+    else:
+        raise UnknownMethodError(f"unknown vi2 variant {variant!r}")
+    return _phase(kernel(_planar(s), h))
 
 
 # --- Discrete Lagrangians and Legendre transforms ---
@@ -377,8 +464,51 @@ def del_two_step_vi1(ts: TwoStepState, split: SplitPotential) -> np.ndarray:
 
 # --- Trajectory running ---
 
+def _kernel(method_id: str, split: SplitPotential | None):
+    if method_id == "sym-euler":
+        return _sym_euler
+    if method_id == "sv":
+        return _sv
+    if method_id not in ("vi1", "vi2"):
+        raise UnknownMethodError(f"unknown method {method_id!r}")
+    step, adjoint = _vi1_kernels(split if split is not None else kepler_split())
+    return step if method_id == "vi1" else symmetric_composition(adjoint, step)
+
+
+def trajectory(kernel, z0: tuple[float, ...], h: float, steps: int) -> np.ndarray:
+    """States z_0 .. z_steps of z_{k+1} = kernel(z_k, h), one row each.
+
+    A singular drift or force raises SingularOriginError, and a non-finite
+    state or a float overflow raises NonFiniteStateError; both name the step.
+    """
+    width = len(z0)
+    out = np.empty((steps + 1, width))
+    flat = memoryview(out.reshape(-1))
+    flat[:width] = array("d", z0)
+    z = z0
+    try:
+        for k in range(1, steps + 1):
+            z = kernel(z, h)
+            j = k * width
+            flat[j:j + width] = array("d", z)
+    except SingularOriginError as exc:
+        raise SingularOriginError(f"step {k}: {exc}") from exc
+    except OverflowError as exc:
+        _check_finite(out[:k])
+        raise NonFiniteStateError(f"step {k}: float overflow ({exc})") from exc
+    _check_finite(out)
+    return out
+
+
+def _check_finite(states: np.ndarray) -> None:
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteStateError(f"step {k}: state {states[k].tolist()} is not finite")
+
+
 def one_step_map(method_id: str, split: SplitPotential | None = None):
-    """One-step phase-space map for a method id; used by run() and the tests."""
+    """One-step PhaseState map for a method id; run() steps the same kernels on floats."""
     if method_id == "sym-euler":
         return lambda s, h: step_sym_euler(s, h)
     if method_id == "sv":
@@ -402,18 +532,9 @@ def run(method_id: str, s0: PhaseState, h: float, steps: int,
         raise ValueError("steps must be >= 1")
     if h <= 0:
         raise ValueError("step size must be positive")
-    step = one_step_map(method_id, split)
-    n = s0.n
-    xs = np.empty((steps + 1, n))
-    vs = np.empty((steps + 1, n))
-    xs[0], vs[0] = s0.x, s0.v
-    s = s0
-    for k in range(1, steps + 1):
-        try:
-            s = step(s, h)
-        except SingularOriginError as exc:
-            raise SingularOriginError(f"step {k}: {exc}") from exc
-        xs[k], vs[k] = s.x, s.v
+    kernel = _kernel(method_id, split)
+    z = trajectory(kernel, _planar(s0), h, steps)
+    xs, vs = z[:, :2], z[:, 2:]
     times = h * np.arange(steps + 1)
     if not diagnostics:
         return TrajectoryRecord(method_id, h, times, xs, vs)
@@ -422,11 +543,8 @@ def run(method_id: str, s0: PhaseState, h: float, steps: int,
     v2 = np.einsum("ij,ij->i", vs, vs)
     xv = np.einsum("ij,ij->i", xs, vs)
     H = 0.5 * v2 - 1.0 / r
-    if n == 2:
-        m = xs[:, 0] * vs[:, 1] - xs[:, 1] * vs[:, 0]
-        A = xs * v2[:, None] - vs * xv[:, None] - xs / r[:, None]
-        ecc = np.hypot(A[:, 0], A[:, 1])
-        angle = np.arctan2(A[:, 1], A[:, 0])
-    else:
-        m = A = ecc = angle = None
+    m = xs[:, 0] * vs[:, 1] - xs[:, 1] * vs[:, 0]
+    A = xs * v2[:, None] - vs * xv[:, None] - xs / r[:, None]
+    ecc = np.hypot(A[:, 0], A[:, 1])
+    angle = np.arctan2(A[:, 1], A[:, 0])
     return TrajectoryRecord(method_id, h, times, xs, vs, H=H, m=m, A=A, ecc=ecc, angle=angle)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,12 +60,19 @@ class PotentialPart:
 
 @dataclass(frozen=True)
 class SplitPotential:
-    """Ordered potential parts phi^(i) summing to the full potential."""
+    """Ordered potential parts phi^(i) summing to the full potential.
+
+    ``weights`` are the shares w_i with phi^(i) = w_i * phi when the split
+    was built by ``kepler_split``; the vi1/vi2 step kernels read them.
+    """
     parts: tuple[PotentialPart, ...]
+    weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if len(self.parts) < 1:
             raise ValueError("a split needs at least one part")
+        if self.weights is not None and len(self.weights) != len(self.parts):
+            raise ValueError("a split needs one weight per part")
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -127,8 +135,47 @@ def hess_potential(x: np.ndarray) -> np.ndarray:
     return np.eye(x.size) / r**3 - 3.0 * np.outer(x, x) / r**5
 
 
+# --- Planar float forms for the step kernels ---
+
+def potential_xy(x1: float, x2: float) -> float:
+    """Kepler potential at the planar point (x1, x2), on plain floats."""
+    r = sqrt(x1 * x1 + x2 * x2)
+    if r < ORIGIN_TOL:
+        raise SingularOriginError(f"|x| = {r:.3e} too close to the origin")
+    return -1.0 / r
+
+
+def grad_potential_xy(x1: float, x2: float) -> tuple[float, float]:
+    """Gradient x/|x|^3 at the planar point (x1, x2), on plain floats.
+
+    ``r**3`` raises OverflowError for |x| beyond about 1e102.
+    """
+    r = sqrt(x1 * x1 + x2 * x2)
+    if r < ORIGIN_TOL:
+        raise SingularOriginError(f"|x| = {r:.3e} too close to the origin")
+    r3 = r**3
+    return x1 / r3, x2 / r3
+
+
+def check_segment_xy(a1: float, a2: float, b1: float, b2: float) -> None:
+    """Reject a drift from (a1, a2) to (b1, b2) passing within ORIGIN_TOL of the origin."""
+    d1 = b1 - a1
+    d2 = b2 - a2
+    # nearest point a + t*d, t in [0, 1]; t = 0 unless the drift heads inward
+    ad = a1 * d1 + a2 * d2
+    t = 0.0
+    if ad < 0.0:
+        t = -ad / (d1 * d1 + d2 * d2)
+        if t > 1.0:
+            t = 1.0
+    n1 = a1 + t * d1
+    n2 = a2 + t * d2
+    if n1 * n1 + n2 * n2 < ORIGIN_TOL * ORIGIN_TOL:
+        raise SingularOriginError("drift segment crosses the origin")
+
+
 def kepler_split(weights: Sequence[float] = (0.5, 0.5)) -> SplitPotential:
-    """Split the Kepler potential as phi^(i) = w_i * phi.
+    """Split the planar Kepler potential as phi^(i) = w_i * phi, one part per coordinate.
 
     Degenerate weights (a single nonzero entry) collapse to a one-part split.
     """
@@ -137,7 +184,10 @@ def kepler_split(weights: Sequence[float] = (0.5, 0.5)) -> SplitPotential:
         raise ValueError("split weights must sum to 1")
     nonzero = [wi for wi in w if wi != 0.0]
     if len(nonzero) == 1:
-        return SplitPotential((PotentialPart(potential, grad_potential, hess_potential),))
+        return SplitPotential((PotentialPart(potential, grad_potential, hess_potential),),
+                              weights=(1.0,))
+    if len(w) != 2:
+        raise ValueError(f"a planar split needs 2 weights, one per coordinate; got {len(w)}")
 
     def make(wi: float) -> PotentialPart:
         return PotentialPart(
@@ -146,7 +196,7 @@ def kepler_split(weights: Sequence[float] = (0.5, 0.5)) -> SplitPotential:
             hess=lambda x, wi=wi: wi * hess_potential(x),
         )
 
-    return SplitPotential(tuple(make(wi) for wi in w))
+    return SplitPotential(tuple(make(wi) for wi in w), weights=w)
 
 
 # --- Conserved quantities ---

@@ -9,15 +9,19 @@ and the measured drift orders that confirm them.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from geodyn.errors import CircularOrbitError, StabilityBoundaryError, UnknownMethodError
-from geodyn.integrators import METHOD_IDS, TwoStepState, run, step_stormer_verlet
+from geodyn.integrators import (
+    METHOD_IDS,
+    TrajectoryRecord,
+    TwoStepState,
+    run,
+    step_stormer_verlet,
+)
 from geodyn.kepler import (
     CIRCULAR_TOL,
     LagrangianField,
@@ -221,23 +225,31 @@ def per_period_drift(method_id: str, metric: str, seed: PhaseState, h: float,
     """
     if metric not in ("ecc", "angle"):
         raise ValueError(f"unknown drift metric {metric!r}")
+    period, rec = _period_run(method_id, seed, h, split)
+    return _drift_over_period(rec, metric, period)
+
+
+def _period_run(method_id: str, seed: PhaseState, h: float,
+                split: SplitPotential | None = None) -> tuple[float, TrajectoryRecord]:
+    """(T, trajectory) with diagnostics, run ceil(T/h) + 3 steps from the seed.
+
+    Its first round(T/h) steps are the one-period run, so one record serves
+    both the drifts and the position error of a convergence sweep.
+    """
     period = orbit_elements(seed).T
     steps = int(math.ceil(period / h)) + 3
-    rec = run(method_id, seed, h, steps, split=split, diagnostics=True)
+    return period, run(method_id, seed, h, steps, split=split, diagnostics=True)
+
+
+def _drift_over_period(rec: TrajectoryRecord, metric: str, period: float) -> float:
+    """Change of ``metric`` from t = 0 to t = period, interpolated on ``rec``."""
     series = rec.ecc if metric == "ecc" else rec.angle
     # interpolate at t = T over the 8 nearest samples
-    idx = int(round(period / h))
-    lo = max(0, min(idx - 4, steps + 1 - 8))
+    idx = int(round(period / rec.h))
+    lo = max(0, min(idx - 4, rec.steps + 1 - 8))
     window = slice(lo, lo + 8)
     poly = np.polynomial.Polynomial.fit(rec.times[window], series[window], deg=7)
     return float(poly(period) - series[0])
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("GEODYN_WORKERS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return os.cpu_count() or 1
 
 
 def measured_drift_order(method_id: str, metric: str, seed: PhaseState,
@@ -248,9 +260,7 @@ def measured_drift_order(method_id: str, metric: str, seed: PhaseState,
         raise ValueError("need at least 4 step sizes for a credible fit")
     if orbit_elements(seed).e < CIRCULAR_TOL:
         raise CircularOrbitError("drift metrics are undefined for circular orbits")
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        drifts = list(pool.map(
-            lambda h: abs(per_period_drift(method_id, metric, seed, h, split)), hs))
+    drifts = [abs(per_period_drift(method_id, metric, seed, h, split)) for h in hs]
     slope = float(np.polyfit(np.log(hs), np.log(drifts), 1)[0])
     return DriftEstimate(
         method_id=method_id, metric=metric, hs=tuple(hs), drifts=tuple(drifts),

@@ -4,7 +4,7 @@ The extended state (t, x, gamma, u) evolves in proper time tau with
 dt/dtau = gamma, dx/dtau = u, dgamma/dtau = -grad(phi).u, du/dtau = -gamma grad(phi).
 The extended Hamiltonian splits into exactly solvable one-variable pieces,
 composed here in first- and second-order (palindromic) order. Units use c = 1
-internally; the CLI rescales on input/output.
+throughout; the CLI passes its inputs and outputs through unscaled.
 """
 
 from __future__ import annotations
@@ -13,9 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geodyn.errors import SingularOriginError
-from geodyn.integrators import _check_segment
-from geodyn.kepler import grad_potential, potential
+from geodyn.errors import NonPlanarStateError
+from geodyn.integrators import symmetric_composition, trajectory
+from geodyn.kepler import (
+    check_segment_xy,
+    grad_potential,
+    grad_potential_xy,
+    potential,
+    potential_xy,
+)
 
 REL_METHOD_IDS = ("k1", "k2")
 
@@ -50,12 +56,49 @@ def extended_hamiltonian(s: ExtPhaseState) -> float:
     return 0.5 * (float(s.u @ s.u) - s.gamma**2)
 
 
+# --- Kernels on the planar state z = (t, x1, x2, gamma, u1, u2) ---
+
+def _flow_ht(z, h):
+    t, x1, x2, gamma, u1, u2 = z
+    g1, g2 = grad_potential_xy(x1, x2)
+    return t + h * gamma, x1, x2, gamma, u1 - h * gamma * g1, u2 - h * gamma * g2
+
+
+def _flow_hi(i, z, h):
+    t, x1, x2, gamma, u1, u2 = z
+    y1, y2 = (x1 + h * u1, x2) if i == 1 else (x1, x2 + h * u2)
+    check_segment_xy(x1, x2, y1, y2)
+    return t, y1, y2, gamma - (potential_xy(y1, y2) - potential_xy(x1, x2)), u1, u2
+
+
+def _k1(z, h):
+    return _flow_hi(2, _flow_hi(1, _flow_ht(z, h), h), h)
+
+
+def _k1_adjoint(z, h):
+    return _flow_ht(_flow_hi(1, _flow_hi(2, z, h), h), h)
+
+
+_k2 = symmetric_composition(_k1_adjoint, _k1)
+
+
+def _planar(s: ExtPhaseState) -> tuple[float, ...]:
+    if s.n != 2:
+        raise NonPlanarStateError(f"the step kernels are planar; got a state with N = {s.n}")
+    x1, x2 = s.x.tolist()
+    u1, u2 = s.u.tolist()
+    return float(s.t), x1, x2, float(s.gamma), u1, u2
+
+
+def _ext(z) -> ExtPhaseState:
+    return ExtPhaseState(z[0], np.array(z[1:3]), z[3], np.array(z[4:]))
+
+
 # --- Exact subflows ---
 
 def flow_ht(s: ExtPhaseState, h: float) -> ExtPhaseState:
     """Exact flow of the -gamma^2/2 piece: advance t, kick u; x and gamma fixed."""
-    g = grad_potential(s.x)
-    return ExtPhaseState(s.t + h * s.gamma, s.x, s.gamma, s.u - h * s.gamma * g)
+    return _ext(_flow_ht(_planar(s), h))
 
 
 def flow_hi(i: int, s: ExtPhaseState, h: float) -> ExtPhaseState:
@@ -65,28 +108,19 @@ def flow_hi(i: int, s: ExtPhaseState, h: float) -> ExtPhaseState:
     """
     if not 1 <= i <= s.n:
         raise ValueError(f"sub-flow index {i} out of range 1..{s.n}")
-    x = s.x.copy()
-    x[i - 1] += h * s.u[i - 1]
-    _check_segment(s.x, x)
-    gamma = s.gamma - (potential(x) - potential(s.x))
-    return ExtPhaseState(s.t, x, gamma, s.u)
+    return _ext(_flow_hi(i, _planar(s), h))
 
 
 # --- Composed one-step maps ---
 
 def step_k1(s: ExtPhaseState, h: float) -> ExtPhaseState:
     """First-order K-symplectic step: coordinate drifts after the time/kick flow."""
-    s = flow_ht(s, h)
-    for i in range(1, s.n + 1):
-        s = flow_hi(i, s, h)
-    return s
+    return _ext(_k1(_planar(s), h))
 
 
 def step_k1_adjoint(s: ExtPhaseState, h: float) -> ExtPhaseState:
     """Reversed composition; each subflow is exact, hence self-adjoint."""
-    for i in range(s.n, 0, -1):
-        s = flow_hi(i, s, h)
-    return flow_ht(s, h)
+    return _ext(_k1_adjoint(_planar(s), h))
 
 
 def step_k2(s: ExtPhaseState, h: float, variant: str = "adjoint-last") -> ExtPhaseState:
@@ -96,12 +130,13 @@ def step_k2(s: ExtPhaseState, h: float, variant: str = "adjoint-last") -> ExtPha
     generated by the second-order extended discrete Lagrangian;
     ``adjoint-first`` is the reversed pairing.
     """
-    half = 0.5 * h
     if variant == "adjoint-first":
-        return step_k1_adjoint(step_k1(s, half), half)
-    if variant == "adjoint-last":
-        return step_k1(step_k1_adjoint(s, half), half)
-    raise ValueError(f"unknown k2 variant {variant!r}")
+        kernel = symmetric_composition(_k1, _k1_adjoint)
+    elif variant == "adjoint-last":
+        kernel = _k2
+    else:
+        raise ValueError(f"unknown k2 variant {variant!r}")
+    return _ext(kernel(_planar(s), h))
 
 
 # --- Two-step variational form ---
@@ -150,24 +185,13 @@ def run_relativistic(method_id: str, s0: ExtPhaseState, h: float, steps: int) ->
     if h <= 0:
         raise ValueError("step size must be positive")
     if method_id == "k1":
-        step = step_k1
+        kernel = _k1
     elif method_id == "k2":
-        step = step_k2
+        kernel = _k2
     else:
         raise ValueError(f"unknown relativistic method {method_id!r}")
-    n = s0.n
-    ts = np.empty(steps + 1)
-    xs = np.empty((steps + 1, n))
-    gs = np.empty(steps + 1)
-    us = np.empty((steps + 1, n))
-    ts[0], xs[0], gs[0], us[0] = s0.t, s0.x, s0.gamma, s0.u
-    s = s0
-    for k in range(1, steps + 1):
-        try:
-            s = step(s, h)
-        except SingularOriginError as exc:
-            raise SingularOriginError(f"step {k}: {exc}") from exc
-        ts[k], xs[k], gs[k], us[k] = s.t, s.x, s.gamma, s.u
+    z = trajectory(kernel, _planar(s0), h, steps)
+    ts, xs, gs, us = z[:, 0], z[:, 1:3], z[:, 3], z[:, 4:]
     taus = h * np.arange(steps + 1)
     H = 0.5 * (np.einsum("ij,ij->i", us, us) - gs**2)
     return ExtTrajectoryRecord(method_id, h, taus, ts, xs, gs, us, H)

@@ -3,9 +3,13 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from geodyn.cli import KEPLER_HEADER, RELATIVISTIC_HEADER, canonical_seed, main
+from geodyn.integrators import run
+from geodyn.kepler import PhaseState, analytic_reference, kepler_split, orbit_elements
+from geodyn.modified import per_period_drift
 from geodyn.svgplot import emit_svg
 
 
@@ -63,6 +67,21 @@ class TestRunCommand:
         assert proc.returncode == 1
         assert "step" in proc.stderr
 
+    @pytest.mark.parametrize("method", ["sym-euler", "sv"])
+    def test_radial_infall_exits_1(self, method):
+        proc = cli("run", "--method", method, "--h", "0.5", "--steps", "6",
+                   "--x0", "1", "0", "--v0", "0", "0")
+        assert proc.returncode == 1
+        assert "crosses the origin" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_non_finite_state_exits_1(self):
+        proc = cli("run", "--method", "sv", "--h", "1e200", "--steps", "3",
+                   "--x0", "1", "0", "--v0", "0", "1e200")
+        assert proc.returncode == 1
+        assert "step 1" in proc.stderr and "not finite" in proc.stderr
+        assert proc.stdout == ""
+
     def test_svg_output(self, tmp_path):
         out = tmp_path / "orbit.svg"
         assert main(["run", "--method", "vi1", "--ecc", "0.6", "--h", "0.05",
@@ -96,6 +115,36 @@ class TestConvergenceCommand:
                    "-o", str(tmp_path / "one.csv"))
         assert proc.returncode == 0
         assert "warning" in proc.stderr
+
+    def test_one_run_per_step_size_matches_separate_runs(self, tmp_path):
+        # the table from one trajectory per (method, h) equals the one built
+        # from separate ecc-drift, angle-drift and position-error runs
+        out = tmp_path / "conv.csv"
+        x0, v0 = (-2.49779468, 1.27168501), (0.3360784, 0.36937149)
+        methods, hs = ("sym-euler", "vi2"), (0.5, 0.25, 0.125)
+        assert main(["convergence", "--methods", *methods, "--levels", str(len(hs)),
+                     "--x0", *map(str, x0), "--v0", *map(str, v0), "-o", str(out)]) == 0
+
+        seed, split = PhaseState(np.array(x0), np.array(v0)), kepler_split()
+        period = orbit_elements(seed).T
+        rows, slope_lines = ["method,h,decc,dangle,poserr"], []
+        for method in methods:
+            cols = {m: [per_period_drift(method, m, seed, h, split) for h in hs]
+                    for m in ("ecc", "angle")}
+            pos = []
+            for h in hs:
+                steps = int(round(period / h))
+                rec = run(method, seed, h, steps, split=split, diagnostics=False)
+                ref = analytic_reference(seed, steps * h)
+                pos.append(float(np.linalg.norm(rec.xs[-1] - ref.x)))
+            for i, h in enumerate(hs):
+                rows.append(",".join([method, repr(h), repr(cols["ecc"][i]),
+                                      repr(cols["angle"][i]), repr(pos[i])]))
+            fits = [(m, np.polyfit(np.log(hs), np.log(np.abs(v)), 1)[0])
+                    for m, v in (("ecc", cols["ecc"]), ("angle", cols["angle"]), ("pos", pos))]
+            slope_lines.append(f"# slopes {method}: "
+                               + " ".join(f"{m}={float(v):.3f}" for m, v in fits))
+        assert out.read_bytes() == ("\n".join(rows + slope_lines) + "\n").encode()
 
     def test_metric_projection(self, tmp_path):
         out = tmp_path / "conv.csv"

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from geodyn.errors import SingularOriginError, UnknownMethodError
+from geodyn.errors import (
+    NonFiniteStateError,
+    NonPlanarStateError,
+    SingularOriginError,
+    UnknownMethodError,
+)
 from geodyn.integrators import (
     LAGRANGIAN_IDS,
     METHOD_IDS,
@@ -28,7 +33,14 @@ from geodyn.integrators import (
     substep_flow,
     substep_flow_adjoint,
 )
-from geodyn.kepler import PhaseState, analytic_reference, energy, kepler_split, orbit_elements
+from geodyn.kepler import (
+    PhaseState,
+    SplitPotential,
+    analytic_reference,
+    energy,
+    kepler_split,
+    orbit_elements,
+)
 
 S0 = PhaseState(np.array([0.4, 0.0]), np.array([0.0, 2.0]))
 S_WIDE = PhaseState(np.array([-3.0, 0.0]), np.array([0.0, 0.45]))
@@ -224,6 +236,34 @@ class TestRun:
         s = PhaseState(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
         with pytest.raises(SingularOriginError, match=r"step \d+"):
             run("vi1", s, 2.0, 5, split=SPLIT)
+
+    @pytest.mark.parametrize("method", ["sym-euler", "sv"])
+    def test_radial_infall_stops_at_origin(self, method):
+        # falls straight through the origin unless the drift is segment-checked
+        s = PhaseState(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+        with pytest.raises(SingularOriginError, match=r"step \d+"):
+            run(method, s, 0.5, 6)
+
+    @pytest.mark.parametrize("method", METHOD_IDS)
+    def test_non_finite_state_reports_step(self, method):
+        s = PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1e200]))
+        with pytest.raises(NonFiniteStateError, match=r"step \d+"):
+            run(method, s, 1e200, 3, split=SPLIT)
+
+    def test_float_overflow_reports_step(self):
+        # |x| = 1e150 is finite, but r**3 overflows
+        s = PhaseState(np.array([1e150, 0.0]), np.array([0.0, 0.0]))
+        with pytest.raises(NonFiniteStateError, match=r"step 1: float overflow"):
+            run("sv", s, 0.1, 3)
+
+    def test_non_planar_state_rejected(self):
+        s = PhaseState(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(NonPlanarStateError):
+            run("sv", s, 0.1, 3)
+
+    def test_split_without_weights_rejected(self):
+        with pytest.raises(ValueError, match="kepler_split"):
+            run("vi1", S_WIDE, 0.1, 3, split=SplitPotential(SPLIT.parts))
 
     @pytest.mark.parametrize("method,order", [
         ("sym-euler", 1), ("vi1", 1), ("sv", 2), ("vi2", 2),

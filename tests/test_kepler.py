@@ -16,10 +16,12 @@ from geodyn.kepler import (
     PhaseState,
     analytic_reference,
     characteristics,
+    check_segment_xy,
     conserved,
     energy,
     euler_lagrange_on_orbit,
     grad_potential,
+    grad_potential_xy,
     hess_potential,
     kepler_split,
     lrl_vector,
@@ -28,6 +30,7 @@ from geodyn.kepler import (
     periapsis_state,
     perturbation_average,
     potential,
+    potential_xy,
     solve_kepler_equation,
 )
 
@@ -63,6 +66,28 @@ class TestPotential:
         with pytest.raises(SingularOriginError):
             grad_potential(np.array([1e-13, 0.0]))
 
+    def test_float_forms_match_vector_forms(self):
+        # |x| is rounded differently (sqrt of a sum vs a BLAS dot), and r**3
+        # triples that relative error, so allow a few ulps
+        tol = 8 * np.finfo(float).eps
+        rng = np.random.default_rng(7)
+        for x in rng.uniform(-3.0, 3.0, size=(200, 2)):
+            g = np.array(grad_potential_xy(*x.tolist()))
+            assert np.max(np.abs(g - grad_potential(x))) <= tol * np.max(np.abs(g))
+            assert abs(potential_xy(*x.tolist()) - potential(x)) <= tol * abs(potential(x))
+        with pytest.raises(SingularOriginError):
+            potential_xy(0.0, 0.0)
+        with pytest.raises(SingularOriginError):
+            grad_potential_xy(1e-13, 0.0)
+
+    def test_segment_check(self):
+        check_segment_xy(1.0, 0.5, -1.0, 0.5)      # passes 0.5 from the origin
+        check_segment_xy(1.0, 0.0, 0.5, 0.0)       # stops short of it
+        with pytest.raises(SingularOriginError):
+            check_segment_xy(1.0, 0.0, -1.0, 0.0)
+        with pytest.raises(SingularOriginError):
+            check_segment_xy(0.0, 1.0, 0.0, 0.0)   # ends on it
+
 
 class TestSplit:
     def test_parts_sum_to_total(self):
@@ -78,6 +103,11 @@ class TestSplit:
     def test_degenerate_weight_collapses_to_one_part(self):
         assert len(kepler_split((1.0, 0.0)).parts) == 1
         assert len(kepler_split((0.5, 0.5)).parts) == 2
+
+    def test_split_arity_is_planar(self):
+        with pytest.raises(ValueError, match="2 weights"):
+            kepler_split((0.3, 0.3, 0.4))
+        assert len(kepler_split((0.0, 0.0, 1.0)).parts) == 1
 
 
 class TestConserved:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from geodyn.errors import NonFiniteStateError, NonPlanarStateError
 from geodyn.kepler import potential
 from geodyn.relativistic import (
     ExtPhaseState,
@@ -145,6 +146,19 @@ class TestRun:
         # and no secular trend
         slope = abs(np.polyfit(np.arange(rec.H.size), rec.H - rec.H[0], 1)[0])
         assert slope < 1e-8
+
+    @pytest.mark.parametrize("method", ["k1", "k2"])
+    def test_non_finite_state_reports_step(self, method):
+        u = np.array([0.0, 1e150])
+        s = ExtPhaseState(0.0, np.array([1.0, 0.0]), mass_shell_gamma(u), u)
+        with pytest.raises(NonFiniteStateError, match=r"step 1"):
+            run_relativistic(method, s, 1e200, 3)
+
+    def test_non_planar_state_rejected(self):
+        u = np.array([0.0, 0.45, 0.0])
+        s = ExtPhaseState(0.0, np.array([-3.0, 0.0, 0.0]), mass_shell_gamma(u), u)
+        with pytest.raises(NonPlanarStateError):
+            run_relativistic("k1", s, H, 3)
 
     def test_coordinate_time_is_monotone(self):
         rec = run_relativistic("k2", S0, H, 500)
