@@ -68,7 +68,14 @@ def _seed_from_args(args) -> PhaseState:
         raise UsageError("--x0 and --v0 must be given together")
     if args.x0 is None:
         return PhaseState(np.array(DEFAULT_X0), np.array(DEFAULT_V0))
+    if not all(map(math.isfinite, args.x0 + args.v0)):
+        raise UsageError(f"--x0/--v0 must be finite, got {args.x0} {args.v0}")
     return PhaseState(np.array(args.x0), np.array(args.v0))
+
+
+def _check_step(h: float) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise UsageError(f"--h must be positive and finite, got {h}")
 
 
 def _write_lines(path: str | None, lines) -> None:
@@ -85,8 +92,7 @@ def _write_lines(path: str | None, lines) -> None:
 def cmd_run(args) -> int:
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
-    if args.h <= 0:
-        raise UsageError("--h must be positive")
+    _check_step(args.h)
 
     if args.model == "kepler":
         if args.method not in METHOD_IDS:
@@ -109,7 +115,10 @@ def cmd_run(args) -> int:
     if args.method not in REL_METHOD_IDS:
         raise UsageError(f"unknown relativistic method {args.method!r}")
     seed = _seed_from_args(args)
-    s0 = ExtPhaseState(0.0, seed.x, mass_shell_gamma(seed.v), seed.v)
+    gamma = mass_shell_gamma(seed.v)
+    if not math.isfinite(gamma):
+        raise UsageError(f"Lorentz factor of --v0 {seed.v.tolist()} is not finite")
+    s0 = ExtPhaseState(0.0, seed.x, gamma, seed.v)
     rec = run_relativistic(args.method, s0, args.h, args.steps)
     if args.format == "svg":
         series = list(zip(rec.taus, rec.H - rec.H[0]))
@@ -195,6 +204,7 @@ def cmd_check(args) -> int:
 # --- modified ---
 
 def cmd_modified(args) -> int:
+    _check_step(args.h)
     if args.linear:
         series = linear_modified_series(args.lam, args.h, k_max=20)
         omega = linear_dispersion(args.lam, args.h)

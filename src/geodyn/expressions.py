@@ -14,6 +14,7 @@ Functions: sqrt, abs. Variables: t, x1..xN, v1..vN. ``^`` is exponentiation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -44,9 +45,11 @@ def _tokenize(text: str, line: int) -> list[_Token]:
                                      or (text[j] in "+-" and text[j - 1] in "eE")):
                 j += 1
             try:
-                float(text[i:j])
+                value = float(text[i:j])
             except ValueError:
                 raise ExpressionError(f"bad number {text[i:j]!r}", line, col)
+            if not math.isfinite(value):
+                raise ExpressionError(f"number {text[i:j]!r} is out of range", line, col)
             tokens.append(_Token("num", text[i:j], line, col))
             i = j
         elif c.isalpha() or c == "_":
@@ -75,10 +78,11 @@ class Expression:
 
     def __init__(self, ast, source: str):
         self._ast = ast
+        self._fn = _compile(ast)
         self.source = source
 
     def __call__(self, env: Mapping[str, float]) -> float:
-        return _eval(self._ast, env)
+        return self._fn(env)
 
     def variables(self) -> set[str]:
         out: set[str] = set()
@@ -86,39 +90,74 @@ class Expression:
         return out
 
 
-def _eval(node, env):
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
+
+
+def _compile(node):
+    """Closure evaluating ``node`` against a variable mapping.
+
+    Every operator and function call checks its result, so a division by
+    zero, an overflow, a complex or non-finite value, or sqrt of a negative
+    number raises ExpressionError at that node's line and column.
+    """
     kind = node[0]
     if kind == "num":
-        return node[1]
+        value = node[1]
+        return lambda env: value
     if kind == "var":
-        try:
-            return float(env[node[1]])
-        except KeyError:
-            raise ExpressionError(f"unknown variable {node[1]!r}")
-    if kind == "call":
-        return _FUNCTIONS[node[1]](_eval(node[2], env))
+        name = node[1]
+
+        def var(env):
+            try:
+                return float(env[name])
+            except KeyError:
+                raise ExpressionError(f"unknown variable {name!r}")
+        return var
     if kind == "neg":
-        return -_eval(node[1], env)
-    a = _eval(node[1], env)
-    b = _eval(node[2], env)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        return a / b
-    return a ** b   # "^"
+        arg = _compile(node[1])
+        return lambda env: -arg(env)
+    if kind == "call":
+        _, name, arg_node, pos = node
+        fn, arg = _FUNCTIONS[name], _compile(arg_node)
+
+        def call(env):
+            x = arg(env)
+            try:
+                return fn(x)
+            except ValueError:
+                raise ExpressionError(f"{name}({x!r}) is undefined", *pos)
+        return call
+    _, left_node, right_node, pos = node
+    op, left, right = _BINARY[kind], _compile(left_node), _compile(right_node)
+    isfinite = math.isfinite
+
+    def binary(env):
+        a = left(env)
+        b = right(env)
+        try:
+            value = op(a, b)
+        except ZeroDivisionError:
+            raise ExpressionError(f"division by zero in {a!r} {kind} {b!r}", *pos)
+        except OverflowError:
+            raise ExpressionError(f"overflow in {a!r} {kind} {b!r}", *pos)
+        if type(value) is not float:   # a negative number to a fractional power
+            raise ExpressionError(f"complex result of {a!r} {kind} {b!r}", *pos)
+        if not isfinite(value):
+            raise ExpressionError(f"non-finite result of {a!r} {kind} {b!r}", *pos)
+        return value
+    return binary
 
 
 def _collect(node, out):
     kind = node[0]
     if kind == "var":
         out.add(node[1])
-    elif kind in ("call", "neg"):
-        _collect(node[-1], out)
-    elif kind in "+-*/^":
+    elif kind == "neg":
+        _collect(node[1], out)
+    elif kind == "call":
+        _collect(node[2], out)
+    elif kind in _BINARY:
         _collect(node[1], out)
         _collect(node[2], out)
 
@@ -145,15 +184,15 @@ class _Parser:
     def parse_expr(self):
         node = self.parse_term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            node = (op, node, self.parse_term())
+            op = self.next()
+            node = (op.text, node, self.parse_term(), (op.line, op.column))
         return node
 
     def parse_term(self):
         node = self.parse_unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            node = (op, node, self.parse_unary())
+            op = self.next()
+            node = (op.text, node, self.parse_unary(), (op.line, op.column))
         return node
 
     def parse_unary(self):
@@ -171,7 +210,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.next()
-            return ("^", base, self.parse_unary())
+            return ("^", base, self.parse_unary(), (tok.line, tok.column))
         return base
 
     def parse_atom(self):
@@ -185,7 +224,7 @@ class _Parser:
                 self.next()
                 arg = self.parse_expr()
                 self.expect("rparen")
-                return ("call", tok.text, arg)
+                return ("call", tok.text, arg, (tok.line, tok.column))
             return ("var", tok.text)
         if tok.kind == "lparen":
             node = self.parse_expr()

@@ -440,33 +440,46 @@ def perturbation_average(
     """Period average [<EL(lbar), char>] by composite Simpson quadrature.
 
     ``char`` is a quantity id ("H", "m", "A1", "A2") or a callable mapping a
-    PhaseState to a vector. Successive Simpson refinements must agree to
-    ``refine_tol``, otherwise NonConvergenceError is raised.
+    PhaseState to a vector. The rule with ``2*nodes`` intervals is compared
+    with the one with ``nodes`` intervals, whose nodes are every other fine
+    node, so each node's EL vector is evaluated once; if the two disagree by
+    more than ``refine_tol``, NonConvergenceError is raised.
     """
     s0 = periapsis_state(orbit) if isinstance(orbit, OrbitElements) else orbit
+    return _period_averages(lbar, (char,), s0, nodes, refine_tol)[0]
+
+
+def _period_averages(lbar: LagrangianField, chars, s0: PhaseState, nodes: int,
+                     refine_tol: float) -> list[float]:
+    """Fine Simpson averages of <EL(lbar), char> for each char, one EL per node.
+
+    The coarse rule reuses the even fine nodes: linspace(0, T, 2n+1)[::2]
+    equals linspace(0, T, n+1) bit for bit.
+    """
     period = orbit_elements(s0).T
-
-    if callable(char):
-        char_fn = char
-    else:
-        char_fn = lambda s, key=char: characteristics(s)[key]
-
-    def integrand(t: float) -> float:
+    fine_n = 2 * nodes
+    ts = np.linspace(0.0, period, fine_n + 1)
+    ys = np.empty((len(chars), fine_n + 1))
+    for i, t in enumerate(ts):
         el_vec = euler_lagrange_on_orbit(lbar, s0, t)
-        return float(el_vec @ char_fn(analytic_reference(s0, t)))
+        s = analytic_reference(s0, t)
+        named = characteristics(s)
+        for c, char in enumerate(chars):
+            ys[c, i] = float(el_vec @ (char(s) if callable(char) else named[char]))
 
-    def simpson(n: int) -> float:
-        ts = np.linspace(0.0, period, n + 1)
-        ys = np.array([integrand(t) for t in ts])
+    def simpson(ys: np.ndarray, n: int) -> float:
         w = np.ones(n + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         return float((ys * w).sum() * (period / n) / 3.0) / period
 
-    coarse = simpson(nodes)
-    fine = simpson(2 * nodes)
-    if abs(fine - coarse) > refine_tol:
-        raise NonConvergenceError(
-            f"period-average quadrature did not settle: {coarse:.3e} vs {fine:.3e}"
-        )
-    return fine
+    out = []
+    for row in ys:
+        coarse = simpson(row[::2], nodes)
+        fine = simpson(row, fine_n)
+        if abs(fine - coarse) > refine_tol:
+            raise NonConvergenceError(
+                f"period-average quadrature did not settle: {coarse:.3e} vs {fine:.3e}"
+            )
+        out.append(fine)
+    return out

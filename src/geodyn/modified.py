@@ -11,10 +11,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
-from geodyn.errors import CircularOrbitError, StabilityBoundaryError, UnknownMethodError
+from geodyn.errors import (
+    CircularOrbitError,
+    NonConvergenceError,
+    StabilityBoundaryError,
+    UnknownMethodError,
+)
 from geodyn.integrators import (
     METHOD_IDS,
     TrajectoryRecord,
@@ -28,10 +34,10 @@ from geodyn.kepler import (
     OrbitElements,
     PhaseState,
     SplitPotential,
+    _period_averages,
     grad_potential,
     kepler_split,
     orbit_elements,
-    perturbation_average,
     potential,
 )
 
@@ -209,8 +215,7 @@ def predicted_drift(method_id: str, elements: OrbitElements, h: float,
     rp = elements.a * (1.0 - elements.e)
     vp = math.sqrt((1.0 + elements.e) / rp)
     s0 = PhaseState(np.array([0.0, rp]), np.array([-vp, 0.0]))
-    avg_a2 = perturbation_average(lbar, "A2", s0, nodes=nodes)
-    avg_a1 = perturbation_average(lbar, "A1", s0, nodes=nodes)
+    avg_a2, avg_a1 = _period_averages(lbar, ("A2", "A1"), s0, nodes, refine_tol=1e-8)
     decc = -eps(h) * elements.T * avg_a2
     dangle = eps(h) * elements.T / elements.e * avg_a1
     return decc, dangle
@@ -270,31 +275,55 @@ def measured_drift_order(method_id: str, metric: str, seed: PhaseState,
 
 # --- Modified-flow shadowing for the first-order coordinate composition ---
 
+def _modified_accel_vi1(x1: float, x2: float, v1: float, v2: float,
+                        h: float) -> tuple[float, float]:
+    """Acceleration of the order-h truncated modified equation, on plain floats."""
+    r = sqrt(x1 * x1 + x2 * x2)
+    r3 = r**3
+    f = -1.5 * h * x1 * x2 / r**5
+    return -x1 / r3 + f * v2, -x2 / r3 + f * -v1
+
+
 def modified_rhs_vi1(x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
     """Acceleration of the order-h truncated modified equation (equal split)."""
-    r = float(np.linalg.norm(x))
-    base = -x / r**3
-    factor = -1.5 * h * x[0] * x[1] / r**5
-    return base + factor * np.array([v[1], -v[0]])
+    x1, x2 = np.asarray(x, dtype=float).tolist()
+    v1, v2 = np.asarray(v, dtype=float).tolist()
+    return np.array(_modified_accel_vi1(x1, x2, v1, v2, h))
 
 
-def _rk4(x0: np.ndarray, v0: np.ndarray, h: float, t_span: float, substeps: int):
-    """Fixed-step classical 4th-order integration of the modified flow."""
+def _rk4(z, h: float, t_span: float, substeps: int) -> tuple[float, float, float, float]:
+    """Fixed-step classical 4th-order integration of the modified flow.
+
+    ``z`` is the planar state (x1, x2, v1, v2); the stages keep the order of
+    the vector form x + (0.5*dt)*k and dt/6*(k1 + 2*k2 + 2*k3 + k4).
+    """
     n = max(1, int(round(t_span / h * substeps)))
     dt = t_span / n
-    x, v = x0.astype(float).copy(), v0.astype(float).copy()
-
-    def deriv(x, v):
-        return v, modified_rhs_vi1(x, v, h)
-
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    accel = _modified_accel_vi1
+    x1, x2, v1, v2 = z
     for _ in range(n):
-        k1x, k1v = deriv(x, v)
-        k2x, k2v = deriv(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
-        k3x, k3v = deriv(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
-        k4x, k4v = deriv(x + dt * k3x, v + dt * k3v)
-        x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return x, v
+        # k1 = (v, a1), k2 = (p, a2), k3 = (q, a3), k4 = (s, a4)
+        a11, a12 = accel(x1, x2, v1, v2, h)
+        p1 = v1 + half * a11
+        p2 = v2 + half * a12
+        a21, a22 = accel(x1 + half * v1, x2 + half * v2, p1, p2, h)
+        q1 = v1 + half * a21
+        q2 = v2 + half * a22
+        a31, a32 = accel(x1 + half * p1, x2 + half * p2, q1, q2, h)
+        s1 = v1 + dt * a31
+        s2 = v2 + dt * a32
+        a41, a42 = accel(x1 + dt * q1, x2 + dt * q2, s1, s2, h)
+        x1 = x1 + sixth * (v1 + 2 * p1 + 2 * q1 + s1)
+        x2 = x2 + sixth * (v2 + 2 * p2 + 2 * q2 + s2)
+        v1 = v1 + sixth * (a11 + 2 * a21 + 2 * a31 + a41)
+        v2 = v2 + sixth * (a12 + 2 * a22 + 2 * a32 + a42)
+    return x1, x2, v1, v2
+
+
+_SHOOT_TOL = 1e-13
+_SHOOT_MAXITER = 20
 
 
 def shadowing_error(seed: PhaseState, h: float,
@@ -304,33 +333,44 @@ def shadowing_error(seed: PhaseState, h: float,
 
     The modified trajectory starts at the seed position with its initial
     velocity adjusted (2-d shooting) so the flow passes through the first
-    iterate; the gap over one period is then O(h^2).
+    iterate; the gap over one period is then O(h^2). A shoot that does not
+    settle raises NonConvergenceError.
     """
     split = split if split is not None else kepler_split()
     period = orbit_elements(seed).T
     steps = int(round(period / h))
     rec = run(method_id="vi1", s0=seed, h=h, steps=steps, split=split)
 
+    x0 = tuple(seed.x.tolist())
     target = rec.xs[1]
     v = seed.v.copy()
-    for _ in range(20):
-        x1, _ = _rk4(seed.x, v, h, h, substeps)
+
+    def shoot(v):
+        return np.array(_rk4(x0 + tuple(v.tolist()), h, h, substeps)[:2])
+
+    for _ in range(_SHOOT_MAXITER):
+        x1 = shoot(v)
         res = x1 - target
-        if float(np.linalg.norm(res)) < 1e-13:
+        gap = float(np.linalg.norm(res))
+        if gap < _SHOOT_TOL:
             break
         jac = np.empty((2, 2))
         for j in range(2):
             dv = v.copy()
             dv[j] += 1e-7
-            xj, _ = _rk4(seed.x, dv, h, h, substeps)
-            jac[:, j] = (xj - x1) / 1e-7
+            jac[:, j] = (shoot(dv) - x1) / 1e-7
         v = v - np.linalg.solve(jac, res)
+    else:
+        raise NonConvergenceError(
+            f"shadowing shoot did not settle in {_SHOOT_MAXITER} iterations: "
+            f"residual {gap:.3e}"
+        )
 
     worst = 0.0
-    x, vv = seed.x.astype(float).copy(), v
+    z = x0 + tuple(v.tolist())
     for n in range(1, steps + 1):
-        x, vv = _rk4(x, vv, h, h, substeps)
-        worst = max(worst, float(np.linalg.norm(x - rec.xs[n])))
+        z = _rk4(z, h, h, substeps)
+        worst = max(worst, float(np.linalg.norm(np.array(z[:2]) - rec.xs[n])))
     return worst
 
 

@@ -46,9 +46,10 @@ class ExtPhaseState:
 
 
 def mass_shell_gamma(u: np.ndarray) -> float:
-    """On-shell Lorentz factor gamma = sqrt(1 + |u|^2) with c = 1."""
+    """On-shell Lorentz factor gamma = sqrt(1 + |u|^2) with c = 1; inf if |u|^2 overflows."""
     u = np.asarray(u, dtype=float)
-    return float(np.sqrt(1.0 + u @ u))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(1.0 + u @ u))
 
 
 def extended_hamiltonian(s: ExtPhaseState) -> float:

@@ -2,10 +2,12 @@
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from geodyn import cli as cli_module
 from geodyn.cli import KEPLER_HEADER, RELATIVISTIC_HEADER, canonical_seed, main
 from geodyn.integrators import run
 from geodyn.kepler import PhaseState, analytic_reference, kepler_split, orbit_elements
@@ -81,6 +83,38 @@ class TestRunCommand:
         assert proc.returncode == 1
         assert "step 1" in proc.stderr and "not finite" in proc.stderr
         assert proc.stdout == ""
+
+    @staticmethod
+    def rejected_before_any_step(monkeypatch, capsys, *args):
+        # a usage error (exit 2) raised before any trajectory is integrated,
+        # with no numpy warning on the way
+        def no_steps(*a, **k):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli_module, "run", no_steps)
+        monkeypatch.setattr(cli_module, "run_relativistic", no_steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--steps", "3", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_nan_step_size_is_usage_error(self, monkeypatch, capsys):
+        err = self.rejected_before_any_step(monkeypatch, capsys,
+                                            "--method", "sv", "--h", "nan", "--ecc", "0.5")
+        assert "--h" in err
+
+    def test_nan_seed_is_usage_error(self, monkeypatch, capsys):
+        err = self.rejected_before_any_step(monkeypatch, capsys, "--method", "sv",
+                                            "--h", "0.05", "--x0", "nan", "0", "--v0", "0", "1")
+        assert "--x0" in err
+
+    def test_overflowing_lorentz_factor_is_usage_error(self, monkeypatch, capsys):
+        err = self.rejected_before_any_step(monkeypatch, capsys, "--model", "relativistic",
+                                            "--method", "k1", "--h", "1e200",
+                                            "--x0", "1", "0", "--v0", "0", "1e200")
+        assert "Lorentz factor" in err
 
     def test_svg_output(self, tmp_path):
         out = tmp_path / "orbit.svg"
@@ -178,6 +212,19 @@ class TestCheckCommand:
     def test_unknown_system(self):
         assert cli("check", "nosuchsystem").returncode == 2
 
+    @pytest.mark.parametrize("force,message,column", [
+        ("1/(x1-x1)", "division by zero", 2),
+        ("(-x1)^0.5", "complex result", 6),
+    ])
+    def test_evaluation_error_exit_status(self, tmp_path, force, message, column):
+        path = tmp_path / "bad.sys"
+        path.write_text(f"n = 2\nf1 = {force}\nf2 = -x2\n")
+        proc = cli("check", str(path))
+        assert proc.returncode == 2
+        assert f"line 2, column {column}: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert "PASS" not in proc.stdout
+
 
 class TestModifiedCommand:
     def test_linear_frequencies_agree(self):
@@ -195,6 +242,11 @@ class TestModifiedCommand:
 
     def test_usage_without_mode(self):
         assert main(["modified"]) == 2
+
+    @pytest.mark.parametrize("mode", [["--linear"], ["--drift", "sv", "--ecc", "0.1"]])
+    @pytest.mark.parametrize("h", ["nan", "0"])
+    def test_bad_step_size_is_usage_error(self, mode, h):
+        assert main(["modified", *mode, "--h", h]) == 2
 
 
 class TestConfigAndPlumbing:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodyn.errors import ExpressionError
 from geodyn.expressions import parse_expression
@@ -64,3 +66,60 @@ class TestErrors:
     def test_empty_expression(self):
         with pytest.raises(ExpressionError):
             parse_expression("")
+
+
+class TestEvaluationErrors:
+    @pytest.mark.parametrize("text,env,message,column", [
+        ("1/(x1-x1)", {"x1": 2.0}, "division by zero", 2),
+        ("0 ^ (0 - 1)", {}, "division by zero", 3),
+        ("(-x1)^0.5", {"x1": 0.25}, "complex result", 6),
+        ("x1 * 1e200 * 1e200", {"x1": 3.0}, "non-finite result", 12),
+        ("10 ^ 400", {}, "overflow", 4),
+        ("1 + sqrt(x1)", {"x1": -1.0}, "undefined", 5),
+    ])
+    def test_error_names_operator_position(self, text, env, message, column):
+        expr = parse_expression(text, line=4)
+        with pytest.raises(ExpressionError, match=message) as info:
+            expr(env)
+        assert (info.value.line, info.value.column) == (4, column)
+
+    def test_out_of_range_literal(self):
+        with pytest.raises(ExpressionError, match="out of range") as info:
+            parse_expression("x1 + 1e400")
+        assert info.value.column == 6
+
+
+_VARIABLES = ("x1", "x2", "v1", "v2")
+_LEAVES = st.one_of(
+    st.sampled_from(_VARIABLES),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False).map(repr),
+    st.sampled_from(("0", "1", "2", "0.5", "1e300")),
+)
+
+
+def _combine(children):
+    binary = st.tuples(children, st.sampled_from("+-*/^"), children).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})")
+    unary = st.tuples(st.sampled_from(("-", "sqrt", "abs")), children).map(
+        lambda t: f"-({t[1]})" if t[0] == "-" else f"{t[0]}({t[1]})")
+    return binary | unary
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _combine, max_leaves=12)
+_POINTS = st.fixed_dictionaries({name: st.floats(min_value=-1e3, max_value=1e3,
+                                                 allow_nan=False)
+                                 for name in _VARIABLES})
+
+
+class TestEvaluationProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=_EXPRESSIONS, env=_POINTS)
+    def test_finite_float_or_expression_error(self, text, env):
+        expr = parse_expression(text)
+        try:
+            value = expr(env)
+        except ExpressionError as exc:
+            assert exc.line == 1 and exc.column >= 1
+            return
+        assert type(value) is float
+        assert math.isfinite(value)

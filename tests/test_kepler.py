@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from geodyn import kepler
 from geodyn.errors import (
     CircularOrbitError,
+    NonConvergenceError,
     NonNegativeEnergyError,
     SingularOriginError,
     TrajectoryTooShortError,
@@ -238,3 +240,31 @@ class TestPerturbationAverage:
         field = LagrangianField(lambda x, v: 0.5 * float(v @ v) - potential(x))
         el = euler_lagrange_on_orbit(field, S_WIDE, 2.0)
         assert np.max(np.abs(el)) < 1e-7
+
+    def test_one_euler_lagrange_evaluation_per_node(self, monkeypatch):
+        # the coarse Simpson rule reuses the even nodes of the fine one
+        calls = []
+        original = kepler.euler_lagrange_on_orbit
+
+        def counting(lbar, s0, t):
+            calls.append(t)
+            return original(lbar, s0, t)
+
+        monkeypatch.setattr(kepler, "euler_lagrange_on_orbit", counting)
+        field = LagrangianField(lambda x, v: -float(v @ grad_potential(x)))
+        n = 8
+        perturbation_average(field, "A2", S_CANONICAL, nodes=n, refine_tol=1.0)
+        assert len(calls) == 2 * n + 1
+        assert len(set(calls)) == 2 * n + 1
+
+    def test_callable_characteristic_matches_named(self):
+        field = LagrangianField(lambda x, v: 1.0 / float(np.linalg.norm(x)) ** 4)
+        named = perturbation_average(field, "A1", S_WIDE, nodes=16, refine_tol=1.0)
+        fn = perturbation_average(field, lambda s: characteristics(s)["A1"], S_WIDE,
+                                  nodes=16, refine_tol=1.0)
+        assert fn == named
+
+    def test_unsettled_refinement_raises(self):
+        field = LagrangianField(lambda x, v: 1.0 / float(np.linalg.norm(x)) ** 4)
+        with pytest.raises(NonConvergenceError, match="did not settle"):
+            perturbation_average(field, "A1", S_WIDE, nodes=4, refine_tol=1e-14)

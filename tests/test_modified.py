@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from geodyn.errors import CircularOrbitError, StabilityBoundaryError, UnknownMethodError
+from geodyn import kepler, modified
+from geodyn.errors import (
+    CircularOrbitError,
+    NonConvergenceError,
+    StabilityBoundaryError,
+    UnknownMethodError,
+)
 from geodyn.kepler import (
+    OrbitElements,
     PhaseState,
     analytic_reference,
     euler_lagrange_on_orbit,
@@ -116,6 +123,23 @@ class TestModifiedLagrangian:
         rhs = -grad_potential(s.x) - eps(h) * el_vec
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
+    def test_vi1_rhs_matches_float_kernel(self):
+        # the numpy wrapper and the vector formula -x/r^3 + f*(v2, -v1),
+        # f = -1.5 h x1 x2 / r^5, against the float kernel the RK4 loop steps;
+        # |x| rounds differently through np.linalg.norm, so allow a few ulps
+        tol = 8 * np.finfo(float).eps
+        rng = np.random.default_rng(11)
+        for x, v, h in zip(rng.uniform(-3.0, 3.0, size=(200, 2)),
+                           rng.uniform(-1.0, 1.0, size=(200, 2)),
+                           rng.uniform(0.01, 0.5, size=200)):
+            kernel = np.array(modified._modified_accel_vi1(*x.tolist(), *v.tolist(), h))
+            r = float(np.linalg.norm(x))
+            f = -1.5 * h * x[0] * x[1] / r**5
+            vector = -x / r**3 + f * np.array([v[1], -v[0]])
+            scale = 1.0 / r**2 + abs(f) * float(np.linalg.norm(v))
+            assert np.max(np.abs(modified_rhs_vi1(x, v, h) - kernel)) <= tol * scale
+            assert np.max(np.abs(vector - kernel)) <= tol * scale
+
 
 class TestPredictedDrift:
     EL = orbit_elements(BASE)
@@ -131,6 +155,39 @@ class TestPredictedDrift:
         assert abs(decc) < 1e-10
         measured = per_period_drift("sv", "angle", CCW, 0.05)
         assert abs(dangle - measured) / abs(measured) < 0.02
+
+    # periapsis on +x2, a = 2, e = 0.1; float.hex of (decc, dangle) from the
+    # quadrature that evaluated the coarse and fine Simpson rules and the A1
+    # and A2 averages separately, so sharing the EL evaluations kept every bit
+    PINNED = {
+        "sv": ("-0x1.443f2abe57c4dp-52", "-0x1.09e6717e4c07ap-11"),
+        "vi1": ("0x1.6064bdc90bac1p-43", "0x1.e1c677f958c46p-39"),
+    }
+
+    @staticmethod
+    def pinned_orbit() -> OrbitElements:
+        a, e = 2.0, 0.1
+        rp = a * (1.0 - e)
+        vp = math.sqrt((1.0 + e) / rp)
+        return orbit_elements(PhaseState(np.array([0.0, rp]), np.array([-vp, 0.0])))
+
+    @pytest.mark.parametrize("method", sorted(PINNED))
+    def test_bits_pinned(self, method):
+        decc, dangle = predicted_drift(method, self.pinned_orbit(), 0.05, nodes=32)
+        assert (decc.hex(), dangle.hex()) == self.PINNED[method]
+
+    def test_one_euler_lagrange_evaluation_per_node(self, monkeypatch):
+        calls = []
+        original = kepler.euler_lagrange_on_orbit
+
+        def counting(lbar, s0, t):
+            calls.append(t)
+            return original(lbar, s0, t)
+
+        monkeypatch.setattr(kepler, "euler_lagrange_on_orbit", counting)
+        n = 32
+        predicted_drift("sv", self.pinned_orbit(), 0.05, nodes=n)
+        assert len(calls) == 2 * n + 1
 
     def test_circular_orbit_rejected(self):
         circ = orbit_elements(PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
@@ -165,3 +222,18 @@ class TestShadowing:
         # dropping the O(h) correction would leave an O(h) gap ~0.05 here
         err = shadowing_error(BASE, 0.05)
         assert err < 0.01
+
+    def test_unsettled_shoot_raises(self, monkeypatch):
+        # a modified flow whose end point keeps moving: the 2-d shoot cannot
+        # bring the residual under its tolerance and must say so
+        original = modified._rk4
+        calls = []
+
+        def drifting(z, h, t_span, substeps):
+            calls.append(1)
+            x1, x2, v1, v2 = original(z, h, t_span, substeps)
+            return x1 + 1e-6 * len(calls), x2, v1, v2
+
+        monkeypatch.setattr(modified, "_rk4", drifting)
+        with pytest.raises(NonConvergenceError, match="residual"):
+            shadowing_error(BASE, 0.2, substeps=2)
