@@ -3,7 +3,7 @@
 Outputs are deterministic: CSV floats use the shortest round-trip decimal via
 ``repr``, newlines are ``\\n``, and no timestamps or locale-dependent
 formatting appear anywhere. Exit statuses: 0 success, 1 computation/check
-failure, 2 usage or parse error.
+failure, 2 usage, parse or expression-evaluation error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,12 @@ import sys
 import numpy as np
 
 from geodyn import helmholtz
-from geodyn.errors import ExpressionError, GeodynError, StabilityBoundaryError
+from geodyn.errors import (
+    EvaluationError,
+    ExpressionError,
+    GeodynError,
+    StabilityBoundaryError,
+)
 from geodyn.integrators import METHOD_IDS, run
 from geodyn.kepler import PhaseState, analytic_reference, kepler_split, orbit_elements
 from geodyn.modified import (
@@ -327,6 +332,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except EvaluationError as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
         return 2
     except ExpressionError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

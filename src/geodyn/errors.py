@@ -50,3 +50,7 @@ class ExpressionError(GeodynError):
         if line:
             message = f"line {line}, column {column}: {message}"
         super().__init__(message)
+
+
+class EvaluationError(ExpressionError):
+    """An expression that parsed failed while being evaluated."""

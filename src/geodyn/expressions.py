@@ -14,13 +14,14 @@ Functions: sqrt, abs. Variables: t, x1..xN, v1..vN. ``^`` is exponentiation.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping
 
-from geodyn.errors import ExpressionError
+import numpy as np
 
-_FUNCTIONS = {"sqrt": math.sqrt, "abs": abs}
+from geodyn.errors import EvaluationError, ExpressionError
+
+_FUNCTIONS = {"sqrt": np.sqrt, "abs": np.abs}
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,49 @@ def _tokenize(text: str, line: int) -> list[_Token]:
 
 
 class Expression:
-    """Parsed arithmetic expression, evaluable against a variable mapping."""
+    """Parsed arithmetic expression, evaluable at one point or over a batch."""
 
     def __init__(self, ast, source: str):
         self._ast = ast
         self._fn = _compile(ast)
         self.source = source
 
-    def __call__(self, env: Mapping[str, float]) -> float:
-        return self._fn(env)
+    def __call__(self, env: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
+        """Value of the expression for the variables in ``env``.
+
+        Each variable is a float or a 1-D array, the arrays all of one
+        length S (a batch of S samples). With floats only the result is a
+        float; otherwise it is an array over the samples, or a float when
+        the expression does not depend on them. A failed operator raises
+        EvaluationError at its line and column; over a batch the message
+        names the first sample that fails and its variables, and the error
+        is the one that sample alone would raise.
+        """
+        with np.errstate(all="ignore"):
+            try:
+                value = self._fn(env)
+            except _Failure as failure:
+                raise self._error(env, failure) from None
+        return float(value) if np.ndim(value) == 0 else value
+
+    def _error(self, env, failure: _Failure) -> EvaluationError:
+        # every operator runs over all samples before the next one, so the
+        # first operator that fails need not be where the lowest failing
+        # sample fails: rerun the samples before the one it names
+        while failure.index:
+            head = {name: value[:failure.index] if np.ndim(value) else value
+                    for name, value in env.items()}
+            try:
+                self._fn(head)
+                break
+            except _Failure as earlier:
+                failure = earlier
+        message = failure.message
+        if failure.index is not None:
+            point = ", ".join(f"{name}={_at(env[name], failure.index)!r}"
+                              for name in sorted(self.variables()))
+            message += f" at sample {failure.index} ({point})"
+        return EvaluationError(message, *failure.pos)
 
     def variables(self) -> set[str]:
         out: set[str] = set()
@@ -90,16 +125,51 @@ class Expression:
         return out
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "^": operator.pow}
+class _Failure(Exception):
+    """An operator failed at batch sample ``index`` (None when unbatched)."""
+
+    def __init__(self, message: str, pos: tuple[int, int], index: int | None):
+        super().__init__(message)
+        self.message = message
+        self.pos = pos
+        self.index = index
+
+
+def _at(value, index):
+    """Sample ``index`` of a batched value as a float; unbatched values are shared."""
+    return float(value) if np.ndim(value) == 0 else float(value[index])
+
+
+def _first(mask) -> int | None:
+    return int(np.argmax(mask)) if np.ndim(mask) else None
+
+
+# np.float_power, not np.power: it rounds exactly as operator.pow does, where
+# np.power's vectorised loops differ from it in the last bit
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply,
+           "/": np.true_divide, "^": np.float_power}
+
+
+def _cause(kind: str, a: float, b: float) -> str:
+    """Why ``a kind b`` is not finite, in the terms Python's float arithmetic uses."""
+    if kind == "/" and b == 0:
+        return "division by zero in"
+    if kind == "^" and math.isfinite(a) and math.isfinite(b):
+        if a == 0 and b < 0:
+            return "division by zero in"
+        if a < 0 and b != math.floor(b) and math.isfinite(np.float_power(-a, b)):
+            return "complex result of"
+        return "overflow in"
+    return "non-finite result of"
 
 
 def _compile(node):
-    """Closure evaluating ``node`` against a variable mapping.
+    """Closure evaluating ``node`` over the floats or arrays of a variable mapping.
 
-    Every operator and function call checks its result, so a division by
-    zero, an overflow, a complex or non-finite value, or sqrt of a negative
-    number raises ExpressionError at that node's line and column.
+    The closures run inside ``Expression.__call__``'s np.errstate. Every
+    operator and function call checks its result, so a division by zero, an
+    overflow, a complex or non-finite value, or sqrt of a negative number at
+    any sample raises _Failure at that node's line and column.
     """
     kind = node[0]
     if kind == "num":
@@ -110,9 +180,9 @@ def _compile(node):
 
         def var(env):
             try:
-                return float(env[name])
+                return np.asarray(env[name], dtype=float)
             except KeyError:
-                raise ExpressionError(f"unknown variable {name!r}")
+                raise EvaluationError(f"unknown variable {name!r}")
         return var
     if kind == "neg":
         arg = _compile(node[1])
@@ -120,31 +190,29 @@ def _compile(node):
     if kind == "call":
         _, name, arg_node, pos = node
         fn, arg = _FUNCTIONS[name], _compile(arg_node)
+        if name == "abs":
+            return lambda env: fn(arg(env))
 
-        def call(env):
+        def sqrt(env):
             x = arg(env)
-            try:
-                return fn(x)
-            except ValueError:
-                raise ExpressionError(f"{name}({x!r}) is undefined", *pos)
-        return call
+            negative = np.less(x, 0)
+            if negative.any():
+                index = _first(negative)
+                raise _Failure(f"{name}({_at(x, index)!r}) is undefined", pos, index)
+            return fn(x)
+        return sqrt
     _, left_node, right_node, pos = node
     op, left, right = _BINARY[kind], _compile(left_node), _compile(right_node)
-    isfinite = math.isfinite
+    isfinite = np.isfinite
 
     def binary(env):
         a = left(env)
         b = right(env)
-        try:
-            value = op(a, b)
-        except ZeroDivisionError:
-            raise ExpressionError(f"division by zero in {a!r} {kind} {b!r}", *pos)
-        except OverflowError:
-            raise ExpressionError(f"overflow in {a!r} {kind} {b!r}", *pos)
-        if type(value) is not float:   # a negative number to a fractional power
-            raise ExpressionError(f"complex result of {a!r} {kind} {b!r}", *pos)
-        if not isfinite(value):
-            raise ExpressionError(f"non-finite result of {a!r} {kind} {b!r}", *pos)
+        value = op(a, b)
+        if not isfinite(value).all():
+            index = _first(~isfinite(value))
+            ai, bi = _at(a, index), _at(b, index)
+            raise _Failure(f"{_cause(kind, ai, bi)} {ai!r} {kind} {bi!r}", pos, index)
         return value
     return binary
 

@@ -31,7 +31,7 @@ KEPLER_EQ_MAXITER = 50
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Position/velocity pair in R^N (N >= 2)."""
+    """Position/velocity pair in R^N (N >= 2); every component finite."""
     x: np.ndarray
     v: np.ndarray
 
@@ -40,6 +40,9 @@ class PhaseState:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         if self.x.shape != self.v.shape or self.x.ndim != 1 or self.x.size < 2:
             raise ValueError("position and velocity must be equal-length vectors, N >= 2")
+        x, v = self.x.tolist(), self.v.tolist()
+        if not all(map(math.isfinite, x + v)):
+            raise ValueError(f"state components must be finite, got x={x}, v={v}")
 
     @property
     def n(self) -> int:

@@ -24,9 +24,7 @@ from geodyn.errors import (
 from geodyn.integrators import (
     METHOD_IDS,
     TrajectoryRecord,
-    TwoStepState,
     run,
-    step_stormer_verlet,
 )
 from geodyn.kepler import (
     CIRCULAR_TOL,
@@ -81,12 +79,15 @@ def linear_measured_frequency(lam: float, h: float, steps: int = 10_000) -> floa
     """Oscillation frequency of the iterates from interpolated zero crossings."""
     if lam * h * h >= STABILITY_LIMIT:
         raise StabilityBoundaryError("scheme is unstable for lambda*h^2 >= 4")
-    grad = lambda x: lam * x
-    xs = np.empty(steps + 1)
-    xs[0], xs[1] = 0.0, h
-    for n in range(1, steps):
-        ts = TwoStepState(np.array([xs[n - 1]]), np.array([xs[n]]), h)
-        xs[n + 1] = step_stormer_verlet(ts, grad=grad)[0]
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    # the central-difference recurrence x+ = 2x - x_prev - h^2 (lam x), on floats
+    h2 = h**2
+    xs = [0.0, h]
+    x_prev, x = xs
+    for _ in range(1, steps):
+        x_prev, x = x, 2.0 * x - x_prev - h2 * (lam * x)
+        xs.append(x)
     crossings = []
     for n in range(steps):
         if xs[n] != 0.0 and (xs[n] > 0) != (xs[n + 1] > 0):

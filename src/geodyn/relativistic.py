@@ -9,6 +9,7 @@ throughout; the CLI passes its inputs and outputs through unscaled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ REL_METHOD_IDS = ("k1", "k2")
 
 @dataclass(frozen=True)
 class ExtPhaseState:
-    """Extended relativistic state (t, x, gamma, u) in proper time."""
+    """Extended relativistic state (t, x, gamma, u) in proper time; every component finite."""
     t: float
     x: np.ndarray
     gamma: float
@@ -39,6 +40,10 @@ class ExtPhaseState:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         if self.x.shape != self.u.shape or self.x.ndim != 1:
             raise ValueError("x and u must be equal-length vectors")
+        x, u = self.x.tolist(), self.u.tolist()
+        if not all(map(math.isfinite, [self.t, self.gamma] + x + u)):
+            raise ValueError(f"state components must be finite, got t={self.t!r}, "
+                             f"x={x}, gamma={self.gamma!r}, u={u}")
 
     @property
     def n(self) -> int:

@@ -226,6 +226,70 @@ class TestCheckCommand:
         assert "PASS" not in proc.stdout
 
 
+_POLY_FORCE = (
+    "f1 = 0.896 * x1^0 * x2^1 + -1.136 * x1^1 * x2^0 + 0.577 * x1^0 * x2^2"
+    " + 0.944 * x1^1 * x2^1 + 1.092 * x1^2 * x2^0 + 0.344 * x1^0 * x2^3"
+    " + -1.484 * x1^1 * x2^2 + -0.636 * x1^2 * x2^1 + 2.816 * x1^3 * x2^0{d1}\n"
+    "f2 = 0.754 * x1^0 * x2^1 + 0.896 * x1^1 * x2^0 + 0.006 * x1^0 * x2^2"
+    " + 1.154 * x1^1 * x2^1 + 0.472 * x1^2 * x2^0 + -0.784 * x1^0 * x2^3"
+    " + 1.032 * x1^1 * x2^2 + -1.484 * x1^2 * x2^1 + -0.212 * x1^3 * x2^0{d2}\n"
+)
+_CONSTANT_MASS = ("condition (a) df_i/dv_j + df_j/dv_i = 0: residual={a}\n"
+                  "condition (b) df_i/dx_j - df_j/dx_i + d/dt df_i/dv_j = 0: residual={b}\n")
+# stdout of `geodyn check`, as printed before the checks were batched over the cloud
+_CHECK_STDOUT = {
+    "kepler": "system: kepler (structure: constant-mass)\n" + _CONSTANT_MASS.format(
+        a="0.000000e+00 PASS", b="3.996803e-09 PASS") + "PASS\n",
+    "damped": "system: damped (structure: constant-mass)\n" + _CONSTANT_MASS.format(
+        a="2.000000e+00 FAIL", b="1.110229e-07 PASS") + "FAIL\n",
+    "magnetic": "system: magnetic (structure: velocity-mass)\n"
+    "condition (a) velocity-mass contraction symmetric: residual=0.000000e+00 PASS\n"
+    "condition (b) A skew-symmetric: residual=0.000000e+00 PASS\n"
+    "condition (c) cyclic closedness of A: residual=0.000000e+00 PASS\n"
+    "condition (d) curl(phi) = dA/dt: residual=0.000000e+00 PASS\n"
+    "PASS\n",
+    "relativistic": "system: relativistic (structure: velocity-mass)\n"
+    "condition (a) velocity-mass contraction symmetric: residual=1.324418e-11 PASS\n"
+    "condition (b) A skew-symmetric: residual=0.000000e+00 PASS\n"
+    "condition (c) cyclic closedness of A: residual=0.000000e+00 PASS\n"
+    "condition (d) curl(phi) = dA/dt: residual=3.996803e-09 PASS\n"
+    "PASS\n",
+    "poly.sys": "system: {path} (structure: constant-mass)\n" + _CONSTANT_MASS.format(
+        a="0.000000e+00 PASS", b="1.776357e-10 PASS") + "PASS\n",
+    "damped.sys": "system: {path} (structure: constant-mass)\n" + _CONSTANT_MASS.format(
+        a="1.580000e+00 FAIL", b="4.440892e-07 PASS") + "FAIL\n",
+}
+_SYSTEM_FILES = {
+    "poly.sys": "n = 2\nstructure = constant-mass\n" + _POLY_FORCE.format(d1="", d2=""),
+    "damped.sys": "n = 2\nstructure = constant-mass\n"
+    + _POLY_FORCE.format(d1=" - 0.79 * v1", d2=" - 0.79 * v2"),
+}
+
+
+class TestCheckOutputBytes:
+    @pytest.mark.parametrize("system", sorted(_CHECK_STDOUT))
+    def test_stdout_is_pinned(self, tmp_path, capsys, system):
+        arg = system
+        if system in _SYSTEM_FILES:
+            arg = str(tmp_path / system)
+            (tmp_path / system).write_text(_SYSTEM_FILES[system])
+        status = main(["check", arg])
+        expected = _CHECK_STDOUT[system].replace("{path}", arg)
+        assert capsys.readouterr().out == expected
+        assert status == (0 if expected.endswith("PASS\n") else 1)
+
+
+class TestEvaluationErrorPrefix:
+    def test_evaluation_error_is_not_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.sys"
+        path.write_text("n = 2\nf1 = 1/(x1-x1)\nf2 = -x2\n")
+        proc = cli("check", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("evaluation error: line 2, column 2: division by zero")
+        assert "at sample 0 (x1=" in proc.stderr
+        assert "parse error" not in proc.stderr
+
+
 class TestModifiedCommand:
     def test_linear_frequencies_agree(self):
         proc = cli("modified", "--linear", "--lambda", "1", "--h", "0.1")

@@ -6,6 +6,7 @@ import pytest
 from geodyn.errors import ExpressionError, GeodynError, NonConvergenceError
 from geodyn.helmholtz import (
     SecondOrderSystem,
+    _accelerations,
     acceleration,
     builtin_systems,
     check,
@@ -61,6 +62,14 @@ class TestBuiltinVerdicts:
     def test_damped_also_fails_general_checker(self):
         assert not check_general(SYSTEMS["damped"]).passed
 
+    def test_nan_residual_fails(self):
+        # a force undefined on part of the cloud must not pass unnoticed
+        sys_ = SecondOrderSystem(name="holey", n=1, structure="constant-mass",
+                                 force=lambda t, x, v: np.where(x > 1.5, np.nan, -x))
+        report = check(sys_)
+        assert not report.passed
+        assert np.isnan(report.residual("a"))
+
     def test_structure_dispatch_guards(self):
         with pytest.raises(ValueError):
             check_constant_mass(SYSTEMS["magnetic"])
@@ -86,6 +95,28 @@ class TestMassHandling:
         f = sys_.force(0.0, x, v)
         assert np.max(np.abs(lhs - f)) < 1e-6
 
+    def test_batched_acceleration_equals_per_sample(self):
+        # M = g(t, v) I with g = 1 + 0.1 t + 1.5 |v|^2: the fixed point contracts
+        # by about 3|v|^2/g, so the samples settle after 6 to 40 iterations
+        sys_ = SecondOrderSystem(
+            name="speed-mass", n=2, structure="general",
+            force=lambda t, x, v: -x,
+            mass=lambda t, x, v: (1.0 + 0.1 * t + 1.5 * np.vecdot(v, v))[..., None, None]
+            * np.eye(2),
+            v_box=(-0.45, 0.45),
+        )
+        samples = sample_cloud(sys_, count=32)
+        t = np.array([s[0] for s in samples])
+        x = np.array([s[1] for s in samples])
+        v = np.array([s[2] for s in samples])
+        batched = _accelerations(sys_, t, x, v)
+        single = np.array([_reference_acceleration(sys_, *s) for s in samples])
+        assert batched.tobytes() == single.tobytes()
+        assert np.array([acceleration(sys_, *s) for s in samples]).tobytes() == single.tobytes()
+        early = np.array([_reference_acceleration(sys_, *s, max_iter=20) for s in samples])
+        settled = np.all(early == single, axis=1)
+        assert settled.any() and not settled.all()
+
     def test_asymmetric_mass_rejected(self):
         bad = SecondOrderSystem(
             name="bad", n=2, structure="general",
@@ -99,6 +130,40 @@ class TestMassHandling:
         with pytest.raises(ValueError):
             SecondOrderSystem(name="x", n=1, structure="weird",
                               force=lambda t, x, v: -x)
+
+
+def _reference_acceleration(system, t, x, v, delta=1e-5, max_iter=40):
+    """Fixed-point solve of M a = f - (dM/dt) v at one sample, one mass call per stencil point."""
+    def at_sample(fn, tt, xx, vv):
+        return fn(np.array([tt]), xx[None], vv[None])[0]
+
+    def mass(tt, xx, vv):
+        return at_sample(system.mass, tt, xx, vv)
+
+    def partial(wrt, j):
+        plus = {"t": t, "x": x.copy(), "v": v.copy()}
+        minus = {"t": t, "x": x.copy(), "v": v.copy()}
+        if wrt == "t":
+            plus["t"], minus["t"] = t + delta, t - delta
+        else:
+            plus[wrt][j] += delta
+            minus[wrt][j] -= delta
+        return (mass(plus["t"], plus["x"], plus["v"])
+                - mass(minus["t"], minus["x"], minus["v"])) / (2 * delta)
+
+    m = mass(t, x, v)
+    f = at_sample(system.force, t, x, v)
+    a = np.linalg.solve(m, f)
+    for _ in range(max_iter):
+        mdot = partial("t", 0)
+        for l in range(system.n):
+            mdot = mdot + partial("x", l) * v[l]
+            mdot = mdot + partial("v", l) * a[l]
+        a_new = np.linalg.solve(m, f - mdot @ v)
+        if np.max(np.abs(a_new - a)) < 1e-13:
+            return a_new
+        a = a_new
+    return a
 
 
 class TestVainberg:
@@ -155,6 +220,14 @@ class TestSystemFiles:
         path.write_text("f1 = -x1\n")
         with pytest.raises(ExpressionError, match="'n'"):
             load_system_file(str(path))
+
+    @pytest.mark.parametrize("n", ["0", "-1", "1.7", "two", "inf"])
+    def test_dimension_must_be_a_positive_integer(self, tmp_path, n):
+        path = tmp_path / "bad.sys"
+        path.write_text(f"n = {n}\nf1 = -x1\n")
+        with pytest.raises(ExpressionError, match="positive integer") as info:
+            load_system_file(str(path))
+        assert info.value.line == 1
 
     def test_missing_force(self, tmp_path):
         path = tmp_path / "bad.sys"

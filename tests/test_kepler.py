@@ -40,6 +40,16 @@ S_CANONICAL = PhaseState(np.array([0.4, 0.0]), np.array([0.0, 2.0]))
 S_WIDE = PhaseState(np.array([-3.0, 0.0]), np.array([0.0, 0.45]))
 
 
+class TestPhaseState:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", ["x", "v"])
+    def test_non_finite_component_rejected(self, bad, slot):
+        parts = {"x": np.array([1.0, 0.0]), "v": np.array([0.0, 1.0])}
+        parts[slot] = np.array([0.5, bad])
+        with pytest.raises(ValueError, match="finite"):
+            PhaseState(**parts)
+
+
 class TestPotential:
     def test_value(self):
         assert potential(np.array([2.0, 0.0])) == -0.5

@@ -45,6 +45,17 @@ class TestStateAndInvariants:
         with pytest.raises(ValueError):
             ExtPhaseState(0.0, np.array([1.0, 0.0]), 1.0, np.array([0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", ["t", "x", "gamma", "u"])
+    def test_non_finite_component_rejected(self, bad, slot):
+        parts = {"t": 0.0, "x": np.array([1.0, 0.0]), "gamma": 1.0, "u": np.array([0.0, 0.1])}
+        if slot in ("x", "u"):
+            parts[slot] = np.array([0.5, bad])
+        else:
+            parts[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ExtPhaseState(**parts)
+
 
 class TestSubflows:
     def test_time_flow(self):
