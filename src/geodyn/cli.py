@@ -21,8 +21,9 @@ from geodyn.errors import (
     ExpressionError,
     GeodynError,
     StabilityBoundaryError,
+    UnknownMethodError,
 )
-from geodyn.integrators import METHOD_IDS, run
+from geodyn.integrators import METHOD_IDS, method, run
 from geodyn.kepler import PhaseState, analytic_reference, kepler_split, orbit_elements
 from geodyn.modified import (
     _drift_over_period,
@@ -33,12 +34,7 @@ from geodyn.modified import (
     measured_drift_order,
     predicted_drift,
 )
-from geodyn.relativistic import (
-    REL_METHOD_IDS,
-    ExtPhaseState,
-    mass_shell_gamma,
-    run_relativistic,
-)
+from geodyn.relativistic import ExtPhaseState, mass_shell_gamma, run_relativistic
 from geodyn.svgplot import emit_svg
 
 KEPLER_HEADER = "step,t,x1,x2,v1,v2,H,m,A1,A2,ecc,angle"
@@ -98,44 +94,32 @@ def cmd_run(args) -> int:
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
     _check_step(args.h)
+    try:
+        method(args.method, args.model)
+    except UnknownMethodError as exc:
+        raise UsageError(str(exc)) from exc
 
     if args.model == "kepler":
-        if args.method not in METHOD_IDS:
-            raise UsageError(f"unknown kepler method {args.method!r}")
         split = kepler_split(tuple(args.split))
         rec = run(args.method, _seed_from_args(args), args.h, args.steps, split=split)
-        if args.format == "svg":
-            series = list(zip(rec.times, rec.H - rec.H[0]))
-            emit_svg(series, args.output or "run.svg", title=f"{args.method} energy error")
-            return 0
-        lines = [KEPLER_HEADER]
-        for n in range(args.steps + 1):
-            row = [str(n), _fmt(rec.times[n]), _fmt(rec.xs[n, 0]), _fmt(rec.xs[n, 1]),
-                   _fmt(rec.vs[n, 0]), _fmt(rec.vs[n, 1]), _fmt(rec.H[n]), _fmt(rec.m[n]),
-                   _fmt(rec.A[n, 0]), _fmt(rec.A[n, 1]), _fmt(rec.ecc[n]), _fmt(rec.angle[n])]
-            lines.append(",".join(row))
-        _write_lines(args.output, lines)
-        return 0
-
-    if args.method not in REL_METHOD_IDS:
-        raise UsageError(f"unknown relativistic method {args.method!r}")
-    seed = _seed_from_args(args)
-    gamma = mass_shell_gamma(seed.v)
-    if not math.isfinite(gamma):
-        raise UsageError(f"Lorentz factor of --v0 {seed.v.tolist()} is not finite")
-    s0 = ExtPhaseState(0.0, seed.x, gamma, seed.v)
-    rec = run_relativistic(args.method, s0, args.h, args.steps)
+        header = KEPLER_HEADER
+        cols = [rec.times, rec.xs, rec.vs, rec.H, rec.m, rec.A, rec.ecc, rec.angle]
+    else:
+        seed = _seed_from_args(args)
+        gamma = mass_shell_gamma(seed.v)
+        if not math.isfinite(gamma):
+            raise UsageError(f"Lorentz factor of --v0 {seed.v.tolist()} is not finite")
+        rec = run_relativistic(args.method, ExtPhaseState(0.0, seed.x, gamma, seed.v),
+                               args.h, args.steps)
+        header = RELATIVISTIC_HEADER
+        cols = [rec.taus, rec.ts, rec.xs, rec.gammas, rec.us, rec.H]
     if args.format == "svg":
-        series = list(zip(rec.taus, rec.H - rec.H[0]))
+        series = list(zip(cols[0], rec.H - rec.H[0]))
         emit_svg(series, args.output or "run.svg", title=f"{args.method} energy error")
         return 0
-    lines = [RELATIVISTIC_HEADER]
-    for n in range(args.steps + 1):
-        row = [str(n), _fmt(rec.taus[n]), _fmt(rec.ts[n]), _fmt(rec.xs[n, 0]),
-               _fmt(rec.xs[n, 1]), _fmt(rec.gammas[n]), _fmt(rec.us[n, 0]),
-               _fmt(rec.us[n, 1]), _fmt(rec.H[n])]
-        lines.append(",".join(row))
-    _write_lines(args.output, lines)
+    rows = np.column_stack(cols).tolist()
+    _write_lines(args.output, [header] + [",".join([str(n)] + list(map(repr, row)))
+                                          for n, row in enumerate(rows)])
     return 0
 
 

@@ -37,8 +37,8 @@ class CircularOrbitError(GeodynError):
     """Angle-of-LRL diagnostics are undefined for (near-)circular orbits."""
 
 
-class UnknownMethodError(GeodynError):
-    """Unrecognized integrator or discrete-Lagrangian identifier."""
+class UnknownMethodError(GeodynError, ValueError):
+    """Unrecognized integrator, composition variant or discrete-Lagrangian identifier."""
 
 
 class ExpressionError(GeodynError):

@@ -1,17 +1,21 @@
-"""One-step and two-step integrators for the Kepler problem.
+"""One-step and two-step integrators, and the table of all six methods.
 
-Four methods are provided: the symplectic Euler and Stormer-Verlet baselines
-and the two splitting-based integrators vi1 (order 1) and vi2 (order 2).
-vi1 composes per-coordinate sub-maps of the split potential; vi2 is the
-palindromic composition of a half step with its adjoint. Both also exist in
-two-step discrete Euler-Lagrange form, equivalent to the compositions once
-the first point is seeded through the discrete Legendre transform.
+``METHODS`` is the one place that knows the methods: symplectic Euler,
+Stormer-Verlet, vi1 (order 1) and vi2 (order 2) for the Kepler problem, and
+k1 (order 1) and k2 (order 2) for the relativistic system of
+``geodyn.relativistic``. Each entry gives the model, the plain-float step
+kernel and its adjoint, and the predicted drift orders. vi1 and k1 compose
+exact sub-flows; vi2 and k2 pair a half step with its adjoint (``paired``).
+vi1 and vi2 also exist in two-step discrete Euler-Lagrange form, equivalent
+to the compositions once the first point is seeded through the discrete
+Legendre transform.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -31,9 +35,9 @@ from geodyn.kepler import (
     grad_potential_xy,
     kepler_split,
     potential,
+    potential_xy,
 )
 
-METHOD_IDS = ("sym-euler", "sv", "vi1", "vi2")
 LAGRANGIAN_IDS = ("L1", "L2", "L1st", "Lstar", "L2nd")
 
 
@@ -140,9 +144,12 @@ def _weights(split: SplitPotential) -> tuple[float, ...]:
     return split.weights
 
 
-def _vi1_kernels(split: SplitPotential):
-    """vi1 kernel and its adjoint for a split; a one-part split gives symplectic Euler."""
-    w = _weights(split)
+def _vi1_kernels(split: SplitPotential | None):
+    """vi1 kernel and its adjoint for a split (default: the equal Kepler split).
+
+    A one-part split gives symplectic Euler.
+    """
+    w = _weights(split if split is not None else kepler_split())
     if len(w) == 1:
         return _sym_euler, _sym_euler_adjoint
     w1, w2 = w
@@ -156,16 +163,92 @@ def _vi1_kernels(split: SplitPotential):
     return step, adjoint
 
 
-def symmetric_composition(first, second):
-    """Kernel applying ``first`` and then ``second``, each over half the step.
+# --- Kernels on the relativistic planar state z = (t, x1, x2, gamma, u1, u2) ---
 
-    With ``first`` the adjoint of ``second`` this is the self-adjoint
-    second-order step behind both vi2 and k2.
+def _flow_ht(z, h):
+    t, x1, x2, gamma, u1, u2 = z
+    g1, g2 = grad_potential_xy(x1, x2)
+    return t + h * gamma, x1, x2, gamma, u1 - h * gamma * g1, u2 - h * gamma * g2
+
+
+def _flow_hi(i, z, h):
+    t, x1, x2, gamma, u1, u2 = z
+    y1, y2 = (x1 + h * u1, x2) if i == 1 else (x1, x2 + h * u2)
+    check_segment_xy(x1, x2, y1, y2)
+    return t, y1, y2, gamma - (potential_xy(y1, y2) - potential_xy(x1, x2)), u1, u2
+
+
+def _k1(z, h):
+    return _flow_hi(2, _flow_hi(1, _flow_ht(z, h), h), h)
+
+
+def _k1_adjoint(z, h):
+    return _flow_ht(_flow_hi(1, _flow_hi(2, z, h), h), h)
+
+
+def paired(step, adjoint, variant: str = "adjoint-last"):
+    """Self-adjoint kernel from a kernel and its adjoint, each over half the step.
+
+    ``"adjoint-last"`` is Phi_{h/2} o Phi*_{h/2}: the adjoint half step runs
+    first. It is the map generated by the second-order discrete Lagrangian,
+    and the pairing behind vi2 and k2. ``"adjoint-first"`` is the reversed
+    pairing Phi*_{h/2} o Phi_{h/2}.
     """
+    if variant == "adjoint-last":
+        first, second = adjoint, step
+    elif variant == "adjoint-first":
+        first, second = step, adjoint
+    else:
+        raise UnknownMethodError(f"unknown symmetric-composition variant {variant!r}")
+
     def kernel(z, h):
         half = 0.5 * h
         return second(first(z, half), half)
     return kernel
+
+
+def _self_adjoint(kernel):
+    return kernel, kernel
+
+
+# --- The method table ---
+
+@dataclass(frozen=True)
+class Method:
+    """One integrator of the table.
+
+    ``model`` is "kepler" or "relativistic". ``kernels(split)`` returns the
+    (step, adjoint) float kernels, each a (z, h) -> z map; the relativistic
+    methods ignore the split, and a split of None is the equal Kepler split.
+    ``drift_order`` maps "ecc" and "angle" to the predicted order of the
+    per-period LRL drift; it is None for the relativistic methods.
+    """
+    id: str
+    model: str
+    kernels: Callable[[SplitPotential | None], tuple[Callable, Callable]]
+    drift_order: dict[str, float] | None
+
+
+METHODS = MappingProxyType({m.id: m for m in (
+    Method("sym-euler", "kepler", lambda split: (_sym_euler, _sym_euler_adjoint),
+           {"ecc": 2.0, "angle": 2.0}),
+    Method("sv", "kepler", lambda split: _self_adjoint(_sv), {"ecc": 4.0, "angle": 2.0}),
+    Method("vi1", "kepler", _vi1_kernels, {"ecc": 2.0, "angle": 2.0}),
+    Method("vi2", "kepler", lambda split: _self_adjoint(paired(*_vi1_kernels(split))),
+           {"ecc": 4.0, "angle": 2.0}),
+    Method("k1", "relativistic", lambda split: (_k1, _k1_adjoint), None),
+    Method("k2", "relativistic", lambda split: _self_adjoint(paired(_k1, _k1_adjoint)), None),
+)})
+METHOD_IDS = tuple(m.id for m in METHODS.values() if m.model == "kepler")
+REL_METHOD_IDS = tuple(m.id for m in METHODS.values() if m.model == "relativistic")
+
+
+def method(method_id: str, model: str = "kepler") -> Method:
+    """The table entry of a method of ``model``; UnknownMethodError otherwise."""
+    entry = METHODS.get(method_id)
+    if entry is None or entry.model != model:
+        raise UnknownMethodError(f"unknown {model} method {method_id!r}")
+    return entry
 
 
 # --- Public one-step maps: PhaseState wrappers over the kernels ---
@@ -192,11 +275,7 @@ def step_sym_euler_adjoint(s: PhaseState, h: float) -> PhaseState:
 
 
 def step_stormer_verlet(ts: TwoStepState, grad: Callable = grad_potential) -> np.ndarray:
-    """Central-difference recurrence x+ = 2x - x_prev - h^2 grad(x).
-
-    ``grad`` is pluggable so the same recurrence drives the linear
-    modified-equation demo.
-    """
+    """Central-difference recurrence x+ = 2x - x_prev - h^2 grad(x) for any force ``grad``."""
     return 2.0 * ts.x_curr - ts.x_prev - ts.h**2 * grad(ts.x_curr)
 
 
@@ -235,20 +314,13 @@ def step_vi1_adjoint(s: PhaseState, split: SplitPotential, h: float) -> PhaseSta
 
 
 def step_vi2(s: PhaseState, split: SplitPotential, h: float, variant: str = "adjoint-last") -> PhaseState:
-    """Self-adjoint second-order step.
+    """Self-adjoint second-order step: the vi1 half steps ``paired`` by ``variant``.
 
     The default applies the adjoint half step first (Phi_{h/2} o Phi*_{h/2}),
     which is exactly the map generated by the second-order discrete
     Lagrangian; ``variant="adjoint-first"`` uses the reversed pairing.
     """
-    step, adjoint = _vi1_kernels(split)
-    if variant == "adjoint-first":
-        kernel = symmetric_composition(step, adjoint)
-    elif variant == "adjoint-last":
-        kernel = symmetric_composition(adjoint, step)
-    else:
-        raise UnknownMethodError(f"unknown vi2 variant {variant!r}")
-    return _phase(kernel(_planar(s), h))
+    return _phase(paired(*_vi1_kernels(split), variant)(_planar(s), h))
 
 
 # --- Discrete Lagrangians and Legendre transforms ---
@@ -367,21 +439,24 @@ def legendre_fd(lag_id: str, x0, x1, h, split=None, delta: float = 1e-6):
     """Finite-difference cross-check of both Legendre transforms."""
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    n = x0.size
-    p_minus = np.zeros(n)
-    p_plus = np.zeros(n)
+    p_minus = -h * central_diff(lambda x: discrete_lagrangian(lag_id, x, x1, h, split), x0, delta)
+    p_plus = h * central_diff(lambda x: discrete_lagrangian(lag_id, x0, x, h, split), x1, delta)
+    return p_minus, p_plus
+
+
+def central_diff(fn, x: np.ndarray, delta: float) -> np.ndarray:
+    """(fn(x + delta e_i) - fn(x - delta e_i)) / (2 delta) for each coordinate i.
+
+    The differences are stacked along the last axis, so for a vector-valued
+    ``fn`` the result is its Jacobian, column i the derivative along e_i.
+    """
+    n = x.size
+    cols = []
     for i in range(n):
         e = np.zeros(n)
         e[i] = delta
-        p_minus[i] = -h * (
-            discrete_lagrangian(lag_id, x0 + e, x1, h, split)
-            - discrete_lagrangian(lag_id, x0 - e, x1, h, split)
-        ) / (2 * delta)
-        p_plus[i] = h * (
-            discrete_lagrangian(lag_id, x0, x1 + e, h, split)
-            - discrete_lagrangian(lag_id, x0, x1 - e, h, split)
-        ) / (2 * delta)
-    return p_minus, p_plus
+        cols.append((fn(x + e) - fn(x - e)) / (2 * delta))
+    return np.stack(cols, axis=-1)
 
 
 def _midpoint_stage(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotential,
@@ -400,17 +475,12 @@ def _newton(residual, guess: np.ndarray, tol: float, what: str, max_iter: int = 
             fd_delta: float = 1e-7) -> np.ndarray:
     """Damped Newton with a finite-difference Jacobian."""
     x = guess.astype(float).copy()
-    n = x.size
     for _ in range(max_iter):
         r = residual(x)
         norm = float(np.max(np.abs(r)))
         if norm < tol:
             return x
-        jac = np.empty((n, n))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = fd_delta
-            jac[:, i] = (residual(x + e) - residual(x - e)) / (2 * fd_delta)
+        jac = central_diff(residual, x, fd_delta)
         try:
             dx = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as exc:
@@ -464,17 +534,6 @@ def del_two_step_vi1(ts: TwoStepState, split: SplitPotential) -> np.ndarray:
 
 # --- Trajectory running ---
 
-def _kernel(method_id: str, split: SplitPotential | None):
-    if method_id == "sym-euler":
-        return _sym_euler
-    if method_id == "sv":
-        return _sv
-    if method_id not in ("vi1", "vi2"):
-        raise UnknownMethodError(f"unknown method {method_id!r}")
-    step, adjoint = _vi1_kernels(split if split is not None else kepler_split())
-    return step if method_id == "vi1" else symmetric_composition(adjoint, step)
-
-
 def trajectory(kernel, z0: tuple[float, ...], h: float, steps: int) -> np.ndarray:
     """States z_0 .. z_steps of z_{k+1} = kernel(z_k, h), one row each.
 
@@ -508,17 +567,19 @@ def _check_finite(states: np.ndarray) -> None:
 
 
 def one_step_map(method_id: str, split: SplitPotential | None = None):
-    """One-step PhaseState map for a method id; run() steps the same kernels on floats."""
-    if method_id == "sym-euler":
-        return lambda s, h: step_sym_euler(s, h)
-    if method_id == "sv":
-        return lambda s, h: step_sv_one_step(s, h)
-    split = split if split is not None else kepler_split()
-    if method_id == "vi1":
-        return lambda s, h: step_vi1(s, split, h)
-    if method_id == "vi2":
-        return lambda s, h: step_vi2(s, split, h)
-    raise UnknownMethodError(f"unknown method {method_id!r}")
+    """One-step PhaseState map of a Kepler method; run() steps the same kernel on floats."""
+    step = method(method_id).kernels(split)[0]
+    return lambda s, h: _phase(step(_planar(s), h))
+
+
+def _run_kernel(method_id: str, model: str, h: float, steps: int,
+                split: SplitPotential | None = None):
+    """The step kernel of a ``steps``-step run, after checking ``steps`` and ``h``."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    return method(method_id, model).kernels(split)[0]
 
 
 def run(method_id: str, s0: PhaseState, h: float, steps: int,
@@ -528,11 +589,7 @@ def run(method_id: str, s0: PhaseState, h: float, steps: int,
     Conserved-quantity columns are evaluated vectorized after the run; the
     output is deterministic for a given configuration.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    kernel = _kernel(method_id, split)
+    kernel = _run_kernel(method_id, "kepler", h, steps, split)
     z = trajectory(kernel, _planar(s0), h, steps)
     xs, vs = z[:, :2], z[:, 2:]
     times = h * np.arange(steps + 1)

@@ -21,11 +21,7 @@ from geodyn.errors import (
     StabilityBoundaryError,
     UnknownMethodError,
 )
-from geodyn.integrators import (
-    METHOD_IDS,
-    TrajectoryRecord,
-    run,
-)
+from geodyn.integrators import TrajectoryRecord, method, run
 from geodyn.kepler import (
     CIRCULAR_TOL,
     LagrangianField,
@@ -120,8 +116,7 @@ def modified_lagrangian(method_id: str, s: PhaseState, h: float,
     term; higher-order tails are dropped. ``split`` defaults to the equal
     Kepler split and must have two coordinate parts for vi1/vi2.
     """
-    if method_id not in METHOD_IDS:
-        raise UnknownMethodError(f"unknown method id {method_id!r}")
+    method(method_id)      # UnknownMethodError for all but the Kepler methods
     split = split if split is not None else kepler_split()
     eps, lbar = perturbation_field(method_id, split)
     return _classical_lagrangian(s) + eps(h) * lbar.value(s.x, s.v)
@@ -192,14 +187,6 @@ class DriftEstimate:
     predicted_order: float
 
 
-_PREDICTED_ORDER = {
-    ("sym-euler", "ecc"): 2.0, ("sym-euler", "angle"): 2.0,
-    ("vi1", "ecc"): 2.0, ("vi1", "angle"): 2.0,
-    ("sv", "ecc"): 4.0, ("sv", "angle"): 2.0,
-    ("vi2", "ecc"): 4.0, ("vi2", "angle"): 2.0,
-}
-
-
 def predicted_drift(method_id: str, elements: OrbitElements, h: float,
                     split: SplitPotential | None = None,
                     nodes: int = 1024) -> tuple[float, float]:
@@ -266,11 +253,12 @@ def measured_drift_order(method_id: str, metric: str, seed: PhaseState,
         raise ValueError("need at least 4 step sizes for a credible fit")
     if orbit_elements(seed).e < CIRCULAR_TOL:
         raise CircularOrbitError("drift metrics are undefined for circular orbits")
+    orders = method(method_id).drift_order
     drifts = [abs(per_period_drift(method_id, metric, seed, h, split)) for h in hs]
     slope = float(np.polyfit(np.log(hs), np.log(drifts), 1)[0])
     return DriftEstimate(
         method_id=method_id, metric=metric, hs=tuple(hs), drifts=tuple(drifts),
-        fitted_order=slope, predicted_order=_PREDICTED_ORDER[(method_id, metric)],
+        fitted_order=slope, predicted_order=orders[metric],
     )
 
 

@@ -3,8 +3,11 @@
 The extended state (t, x, gamma, u) evolves in proper time tau with
 dt/dtau = gamma, dx/dtau = u, dgamma/dtau = -grad(phi).u, du/dtau = -gamma grad(phi).
 The extended Hamiltonian splits into exactly solvable one-variable pieces,
-composed here in first- and second-order (palindromic) order. Units use c = 1
-throughout; the CLI passes its inputs and outputs through unscaled.
+composed in first- and second-order (palindromic) order. The plain-float
+kernels of k1 and k2 and their entries in the method table live in
+``geodyn.integrators``; this module holds the state, the public step
+functions over it and the relativistic driver. Units use c = 1 throughout;
+the CLI passes its inputs and outputs through unscaled.
 """
 
 from __future__ import annotations
@@ -15,16 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from geodyn.errors import NonPlanarStateError
-from geodyn.integrators import symmetric_composition, trajectory
-from geodyn.kepler import (
-    check_segment_xy,
-    grad_potential,
-    grad_potential_xy,
-    potential,
-    potential_xy,
+from geodyn.integrators import (
+    REL_METHOD_IDS,
+    _flow_hi,
+    _flow_ht,
+    _k1,
+    _k1_adjoint,
+    _run_kernel,
+    paired,
+    trajectory,
 )
-
-REL_METHOD_IDS = ("k1", "k2")
+from geodyn.kepler import grad_potential, potential
 
 
 @dataclass(frozen=True)
@@ -62,31 +66,7 @@ def extended_hamiltonian(s: ExtPhaseState) -> float:
     return 0.5 * (float(s.u @ s.u) - s.gamma**2)
 
 
-# --- Kernels on the planar state z = (t, x1, x2, gamma, u1, u2) ---
-
-def _flow_ht(z, h):
-    t, x1, x2, gamma, u1, u2 = z
-    g1, g2 = grad_potential_xy(x1, x2)
-    return t + h * gamma, x1, x2, gamma, u1 - h * gamma * g1, u2 - h * gamma * g2
-
-
-def _flow_hi(i, z, h):
-    t, x1, x2, gamma, u1, u2 = z
-    y1, y2 = (x1 + h * u1, x2) if i == 1 else (x1, x2 + h * u2)
-    check_segment_xy(x1, x2, y1, y2)
-    return t, y1, y2, gamma - (potential_xy(y1, y2) - potential_xy(x1, x2)), u1, u2
-
-
-def _k1(z, h):
-    return _flow_hi(2, _flow_hi(1, _flow_ht(z, h), h), h)
-
-
-def _k1_adjoint(z, h):
-    return _flow_ht(_flow_hi(1, _flow_hi(2, z, h), h), h)
-
-
-_k2 = symmetric_composition(_k1_adjoint, _k1)
-
+# --- Public one-step maps: ExtPhaseState wrappers over the kernels ---
 
 def _planar(s: ExtPhaseState) -> tuple[float, ...]:
     if s.n != 2:
@@ -99,8 +79,6 @@ def _planar(s: ExtPhaseState) -> tuple[float, ...]:
 def _ext(z) -> ExtPhaseState:
     return ExtPhaseState(z[0], np.array(z[1:3]), z[3], np.array(z[4:]))
 
-
-# --- Exact subflows ---
 
 def flow_ht(s: ExtPhaseState, h: float) -> ExtPhaseState:
     """Exact flow of the -gamma^2/2 piece: advance t, kick u; x and gamma fixed."""
@@ -117,8 +95,6 @@ def flow_hi(i: int, s: ExtPhaseState, h: float) -> ExtPhaseState:
     return _ext(_flow_hi(i, _planar(s), h))
 
 
-# --- Composed one-step maps ---
-
 def step_k1(s: ExtPhaseState, h: float) -> ExtPhaseState:
     """First-order K-symplectic step: coordinate drifts after the time/kick flow."""
     return _ext(_k1(_planar(s), h))
@@ -130,19 +106,13 @@ def step_k1_adjoint(s: ExtPhaseState, h: float) -> ExtPhaseState:
 
 
 def step_k2(s: ExtPhaseState, h: float, variant: str = "adjoint-last") -> ExtPhaseState:
-    """Palindromic second-order step; self-adjoint in either variant.
+    """Palindromic second-order step: the k1 half steps ``paired`` by ``variant``.
 
     The default applies the adjoint half step first, mirroring the pairing
     generated by the second-order extended discrete Lagrangian;
-    ``adjoint-first`` is the reversed pairing.
+    ``adjoint-first`` is the reversed pairing. Self-adjoint in either variant.
     """
-    if variant == "adjoint-first":
-        kernel = symmetric_composition(_k1, _k1_adjoint)
-    elif variant == "adjoint-last":
-        kernel = _k2
-    else:
-        raise ValueError(f"unknown k2 variant {variant!r}")
-    return _ext(kernel(_planar(s), h))
+    return _ext(paired(_k1, _k1_adjoint, variant)(_planar(s), h))
 
 
 # --- Two-step variational form ---
@@ -186,16 +156,7 @@ class ExtTrajectoryRecord:
 
 def run_relativistic(method_id: str, s0: ExtPhaseState, h: float, steps: int) -> ExtTrajectoryRecord:
     """Integrate the extended system over uniform proper-time steps."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if method_id == "k1":
-        kernel = _k1
-    elif method_id == "k2":
-        kernel = _k2
-    else:
-        raise ValueError(f"unknown relativistic method {method_id!r}")
+    kernel = _run_kernel(method_id, "relativistic", h, steps)
     z = trajectory(kernel, _planar(s0), h, steps)
     ts, xs, gs, us = z[:, 0], z[:, 1:3], z[:, 3], z[:, 4:]
     taus = h * np.arange(steps + 1)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: headers, determinism, exit statuses."""
 
+import hashlib
 import subprocess
 import sys
 import warnings
@@ -341,3 +342,35 @@ class TestConfigAndPlumbing:
     def test_svg_log_axis_rejects_nonpositive(self, tmp_path):
         with pytest.raises(ValueError):
             emit_svg([(0.0, 1.0), (1.0, -2.0)], str(tmp_path / "x.svg"), log_y=True)
+
+
+# SHA-256 of the output files, captured before the methods were gathered into
+# one table; the default seed (-3, 0), (0, 0.45) throughout
+_GOLDEN_ARGS = {
+    **{f"run {m}": ["run", "--method", m, "--h", "0.05", "--steps", "200"]
+       for m in ("sym-euler", "sv", "vi1", "vi2")},
+    **{f"run {m}": ["run", "--model", "relativistic", "--method", m,
+                    "--h", "0.05", "--steps", "200"] for m in ("k1", "k2")},
+    **{f"run {m} split": ["run", "--method", m, "--split", "0.3", "0.7",
+                          "--h", "0.05", "--steps", "200"] for m in ("vi1", "vi2")},
+    "convergence": ["convergence", "--levels", "3"],
+}
+_GOLDEN_SHA256 = {
+    "run sym-euler": "cee1ffa1af36972366f90cf4037245eec3d93251e96638a8a4139fc35b964397",
+    "run sv": "689ba0d4a7102ee4d9982cfd89cd5444ad59c3b6e7cbe0e3da3e37b0e695a0db",
+    "run vi1": "eb532cff1f3ab3243bda2896e285ecf15e9f8801aafbdd7ea02d3cdc947bc36c",
+    "run vi2": "6a13f6318fc12e7115f7ed3871096829b7e3e032a7b2f1f85dcd18b9ef40ad11",
+    "run k1": "1ae4a04497c12477b8035bdf5581191fce8dc6311065098d7566c429e765bde7",
+    "run k2": "456ccb00fe433c16d58fdbb623f6d620ced05abd74c654e86aaea89003fa06f2",
+    "run vi1 split": "06a1be496eaf485914c8809357f588eead7a6d029391c83939c462b5c95e5f02",
+    "run vi2 split": "964ac3dddf1793d3774eb837c9fddd23ea6197d9b6fb18b027da9d81f063faad",
+    "convergence": "aced527de3d3a387494a1f006dbe0e0e0c6e9b363416737a4624c6ff98b3efae",
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("case", sorted(_GOLDEN_ARGS))
+    def test_output_bytes_are_pinned(self, tmp_path, case):
+        out = tmp_path / "out.csv"
+        assert main(_GOLDEN_ARGS[case] + ["-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_SHA256[case]

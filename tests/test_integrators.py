@@ -1,10 +1,12 @@
 """Integrator tests: elementary steps, Legendre transforms, DEL equivalence."""
 
+import argparse
 import math
 
 import numpy as np
 import pytest
 
+from geodyn.cli import build_parser
 from geodyn.errors import (
     NonFiniteStateError,
     NonPlanarStateError,
@@ -14,6 +16,8 @@ from geodyn.errors import (
 from geodyn.integrators import (
     LAGRANGIAN_IDS,
     METHOD_IDS,
+    METHODS,
+    REL_METHOD_IDS,
     TwoStepState,
     bootstrap_first_point,
     del_two_step_vi1,
@@ -40,6 +44,14 @@ from geodyn.kepler import (
     energy,
     kepler_split,
     orbit_elements,
+)
+from geodyn.modified import modified_lagrangian
+from geodyn.relativistic import (
+    ExtPhaseState,
+    mass_shell_gamma,
+    run_relativistic,
+    step_k1,
+    step_k2,
 )
 
 S0 = PhaseState(np.array([0.4, 0.0]), np.array([0.0, 2.0]))
@@ -285,3 +297,54 @@ class TestRun:
         for method in METHOD_IDS:
             rec = run(method, S_WIDE, 0.05, steps, split=SPLIT)
             assert np.max(np.abs(rec.H - rec.H[0])) < 0.01
+
+
+class TestMethodTable:
+    SEED = PhaseState(np.array([0.7, 0.2]), np.array([-0.3, 1.1]))
+    EXT_SEED = ExtPhaseState(0.0, SEED.x, mass_shell_gamma(SEED.v), SEED.v)
+
+    @pytest.mark.parametrize("method_id", list(METHODS))
+    def test_adjoint_inverts_the_reversed_step(self, method_id):
+        step, adjoint = METHODS[method_id].kernels(SPLIT)
+        s = self.SEED if METHODS[method_id].model == "kepler" else self.EXT_SEED
+        z = _flat(s)
+        back = step(adjoint(z, H), -H)
+        assert max(abs(a - b) for a, b in zip(back, z)) < 1e-13
+
+    @pytest.mark.parametrize("method_id", list(METHODS))
+    def test_public_step_is_row_one_of_a_run(self, method_id):
+        if METHODS[method_id].model == "kepler":
+            one = one_step_map(method_id, SPLIT)(self.SEED, H)
+            rec = run(method_id, self.SEED, H, 1, split=SPLIT)
+        else:
+            one = {"k1": step_k1, "k2": step_k2}[method_id](self.EXT_SEED, H)
+            rec = run_relativistic(method_id, self.EXT_SEED, H, 1)
+        assert _flat(one) == _flat(rec.state(1))
+
+    def test_ids_come_from_the_table(self):
+        assert METHOD_IDS + REL_METHOD_IDS == tuple(METHODS)
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        conv = sub.choices["convergence"]
+        methods = next(a for a in conv._actions if a.dest == "methods")
+        assert tuple(methods.choices) == METHOD_IDS
+
+    @pytest.mark.parametrize("call", [
+        lambda: run("k1", S_WIDE, H, 3),
+        lambda: run_relativistic("sv", TestMethodTable.EXT_SEED, H, 3),
+        lambda: one_step_map("k2"),
+        lambda: step_k2(TestMethodTable.EXT_SEED, H, variant="bogus"),
+        lambda: step_vi2(S0, SPLIT, H, variant="bogus"),
+        lambda: modified_lagrangian("k1", S0, H),
+    ], ids=["run", "run_relativistic", "one_step_map", "step_k2", "step_vi2",
+            "modified_lagrangian"])
+    def test_one_unknown_method_error(self, call):
+        with pytest.raises(UnknownMethodError):
+            call()
+
+
+def _flat(s):
+    """A PhaseState or ExtPhaseState as the tuple of floats the kernels step."""
+    if isinstance(s, PhaseState):
+        return tuple(s.x.tolist() + s.v.tolist())
+    return (s.t, *s.x.tolist(), s.gamma, *s.u.tolist())
