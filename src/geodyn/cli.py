@@ -98,9 +98,9 @@ def cmd_run(args) -> int:
         method(args.method, args.model)
     except UnknownMethodError as exc:
         raise UsageError(str(exc)) from exc
+    split = kepler_split(tuple(args.split))   # validated for every model; k1/k2 ignore it
 
     if args.model == "kepler":
-        split = kepler_split(tuple(args.split))
         rec = run(args.method, _seed_from_args(args), args.h, args.steps, split=split)
         header = KEPLER_HEADER
         cols = [rec.times, rec.xs, rec.vs, rec.H, rec.m, rec.A, rec.ecc, rec.angle]

@@ -138,18 +138,12 @@ def _flow_adjoint(i, z, h, w):
     return y1, y2, p1, p2
 
 
-def _weights(split: SplitPotential) -> tuple[float, ...]:
-    if split.weights is None:
-        raise ValueError("the sub-flow kernels need a split built by kepler_split")
-    return split.weights
-
-
 def _vi1_kernels(split: SplitPotential | None):
     """vi1 kernel and its adjoint for a split (default: the equal Kepler split).
 
     A one-part split gives symplectic Euler.
     """
-    w = _weights(split if split is not None else kepler_split())
+    w = (split if split is not None else kepler_split()).weights
     if len(w) == 1:
         return _sym_euler, _sym_euler_adjoint
     w1, w2 = w
@@ -287,7 +281,7 @@ def step_sv_one_step(s: PhaseState, h: float) -> PhaseState:
 def _part_weight(i: int, split: SplitPotential) -> float:
     if not 1 <= i <= len(split):
         raise ValueError(f"sub-flow index {i} out of range 1..{len(split)}")
-    return _weights(split)[i - 1]
+    return split.weights[i - 1]
 
 
 def substep_flow(i: int, s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
@@ -346,9 +340,9 @@ def discrete_lagrangian(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
     split = _require_split(lag_id, split, x0.size)
     if lag_id == "L1st":
         if len(split) == 1:
-            return kinetic - split.parts[0].value(x0)
+            return kinetic - split.value(0, x0)
         return kinetic - sum(
-            split.parts[j].value(_hat(x0, x1, j + 1)) for j in range(len(split))
+            split.value(j, _hat(x0, x1, j + 1)) for j in range(len(split))
         )
     if lag_id == "Lstar":
         return discrete_lagrangian("L1st", x1, x0, -h, split)
@@ -370,12 +364,12 @@ def _require_split(lag_id, split, n):
 def _l1st_minus(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotential) -> np.ndarray:
     """p_n = -h dL1st/dx_n in closed form."""
     if len(split) == 1:
-        return (x1 - x0) / h + h * split.parts[0].grad(x0)
+        return (x1 - x0) / h + h * split.grad(0, x0)
     p = (x1 - x0) / h
     for i in range(1, len(split)):      # coordinates 2..N (0-based i)
         acc = 0.0
         for j in range(i):              # parts 1..i-1
-            acc += split.parts[j].grad(_hat(x0, x1, j + 1))[i]
+            acc += split.grad(j, _hat(x0, x1, j + 1))[i]
         p[i] += h * acc
     return p
 
@@ -388,7 +382,7 @@ def _l1st_plus(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotential) 
     for i in range(len(split)):
         acc = 0.0
         for j in range(i, len(split)):  # parts i..N
-            acc += split.parts[j].grad(_hat(x0, x1, j + 1))[i]
+            acc += split.grad(j, _hat(x0, x1, j + 1))[i]
         p[i] -= h * acc
     return p
 
@@ -518,16 +512,16 @@ def del_two_step_vi1(ts: TwoStepState, split: SplitPotential) -> np.ndarray:
     x_prev, x, h = ts.x_prev, ts.x_curr, ts.h
     n = x.size
     if len(split) == 1:
-        return 2.0 * x - x_prev - h**2 * split.parts[0].grad(x)
+        return 2.0 * x - x_prev - h**2 * split.grad(0, x)
     if len(split) != n:
         raise ValueError("coordinate split must have one part per dimension")
     x_next = np.empty(n)
     for i in range(n):
         force = 0.0
         for j in range(i):
-            force += split.parts[j].grad(_hat(x, x_next, j + 1))[i]
+            force += split.grad(j, _hat(x, x_next, j + 1))[i]
         for j in range(i, n):
-            force += split.parts[j].grad(_hat(x_prev, x, j + 1))[i]
+            force += split.grad(j, _hat(x_prev, x, j + 1))[i]
         x_next[i] = 2.0 * x[i] - x_prev[i] - h**2 * force
     return x_next
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import sqrt
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,44 +50,25 @@ class PhaseState:
 
 
 @dataclass(frozen=True)
-class PotentialPart:
-    """One scalar summand of a split potential, with its gradient.
-
-    ``hess`` is optional; it is only needed by the modified-Lagrangian
-    evaluations, which fall back to finite differences without it.
-    """
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-@dataclass(frozen=True)
 class SplitPotential:
-    """Ordered potential parts phi^(i) summing to the full potential.
+    """Proportional split of the Kepler potential: phi^(i) = w_i * phi.
 
-    ``weights`` are the shares w_i with phi^(i) = w_i * phi when the split
-    was built by ``kepler_split``; the vi1/vi2 step kernels read them.
+    ``weights`` are the shares w_i, one per part; ``kepler_split`` builds
+    and checks them. Part i is 0-based in ``value``/``grad``/``hess``.
     """
-    parts: tuple[PotentialPart, ...]
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if len(self.parts) < 1:
-            raise ValueError("a split needs at least one part")
-        if self.weights is not None and len(self.weights) != len(self.parts):
-            raise ValueError("a split needs one weight per part")
+    weights: tuple[float, ...]
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return len(self.weights)
 
-    def total(self, x: np.ndarray) -> float:
-        return sum(p.value(x) for p in self.parts)
+    def value(self, i: int, x: np.ndarray) -> float:
+        return self.weights[i] * potential(x)
 
-    def total_grad(self, x: np.ndarray) -> np.ndarray:
-        g = self.parts[0].grad(x).copy()
-        for p in self.parts[1:]:
-            g += p.grad(x)
-        return g
+    def grad(self, i: int, x: np.ndarray) -> np.ndarray:
+        return self.weights[i] * grad_potential(x)
+
+    def hess(self, i: int, x: np.ndarray) -> np.ndarray:
+        return self.weights[i] * hess_potential(x)
 
 
 @dataclass(frozen=True)
@@ -187,19 +168,10 @@ def kepler_split(weights: Sequence[float] = (0.5, 0.5)) -> SplitPotential:
         raise ValueError("split weights must sum to 1")
     nonzero = [wi for wi in w if wi != 0.0]
     if len(nonzero) == 1:
-        return SplitPotential((PotentialPart(potential, grad_potential, hess_potential),),
-                              weights=(1.0,))
+        return SplitPotential((1.0,))
     if len(w) != 2:
         raise ValueError(f"a planar split needs 2 weights, one per coordinate; got {len(w)}")
-
-    def make(wi: float) -> PotentialPart:
-        return PotentialPart(
-            value=lambda x, wi=wi: wi * potential(x),
-            grad=lambda x, wi=wi: wi * grad_potential(x),
-            hess=lambda x, wi=wi: wi * hess_potential(x),
-        )
-
-    return SplitPotential(tuple(make(wi) for wi in w), weights=w)
+    return SplitPotential(w)
 
 
 # --- Conserved quantities ---
@@ -385,21 +357,15 @@ _TIME_DELTA = 2e-2
 
 
 class LagrangianField:
-    """Scalar field L(x, v) with optional closed-form gradients."""
+    """Scalar field L(x, v); its gradients are 4th-order central differences."""
 
-    def __init__(self, value, grad_x=None, grad_v=None):
+    def __init__(self, value):
         self.value = value
-        self._grad_x = grad_x
-        self._grad_v = grad_v
 
     def grad_x(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self._grad_x is not None:
-            return np.asarray(self._grad_x(x, v), dtype=float)
         return self._fd_grad(x, v, wrt="x")
 
     def grad_v(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self._grad_v is not None:
-            return np.asarray(self._grad_v(x, v), dtype=float)
         return self._fd_grad(x, v, wrt="v")
 
     def _fd_grad(self, x, v, wrt):

@@ -19,7 +19,6 @@ from geodyn.errors import (
     CircularOrbitError,
     NonConvergenceError,
     StabilityBoundaryError,
-    UnknownMethodError,
 )
 from geodyn.integrators import TrajectoryRecord, method, run
 from geodyn.kepler import (
@@ -96,11 +95,8 @@ def linear_measured_frequency(lam: float, h: float, steps: int = 10_000) -> floa
 # --- Modified Lagrangians (truncated at the leading displayed order) ---
 
 def _split_grads(split: SplitPotential, x: np.ndarray):
-    if len(split.parts) == 1:
-        g = split.parts[0].grad(x)
-        return g, g * 0.5, g * 0.5   # equal-split convention for the collapsed case
-    g1 = split.parts[0].grad(x)
-    g2 = split.parts[1].grad(x)
+    g1 = split.grad(0, x)
+    g2 = split.grad(1, x)
     return g1 + g2, g1, g2
 
 
@@ -116,8 +112,6 @@ def modified_lagrangian(method_id: str, s: PhaseState, h: float,
     term; higher-order tails are dropped. ``split`` defaults to the equal
     Kepler split and must have two coordinate parts for vi1/vi2.
     """
-    method(method_id)      # UnknownMethodError for all but the Kepler methods
-    split = split if split is not None else kepler_split()
     eps, lbar = perturbation_field(method_id, split)
     return _classical_lagrangian(s) + eps(h) * lbar.value(s.x, s.v)
 
@@ -127,8 +121,10 @@ def perturbation_field(method_id: str, split: SplitPotential | None = None):
 
     The epsilon factor is the size of the leading perturbation: h/2 for the first-order
     methods, h^2/24 for Stormer-Verlet, h^2 for the second-order coordinate
-    composition (whose bracket carries its own 1/96 and 1/24 weights).
+    composition (whose bracket carries its own 1/96 and 1/24 weights). vi1
+    and vi2 need a two-part split; a one-part split raises ValueError.
     """
+    method(method_id)      # UnknownMethodError for all but the Kepler methods
     split = split if split is not None else kepler_split()
 
     if method_id == "sym-euler":
@@ -143,6 +139,10 @@ def perturbation_field(method_id: str, split: SplitPotential | None = None):
             return 1.0 / r**4 - 2.0 * float(v @ v) / r**3 + 6.0 * xv * xv / r**5
         return (lambda h: h * h / 24.0), LagrangianField(value)
 
+    if len(split) != 2:
+        raise ValueError(f"the {method_id} modified Lagrangian needs a two-part split, "
+                         f"got {len(split)} part(s)")
+
     if method_id == "vi1":
         # The composition implemented here is the adjoint of the one behind
         # the displayed order-h formula, which flips the sign of the h term.
@@ -151,27 +151,20 @@ def perturbation_field(method_id: str, split: SplitPotential | None = None):
             return -float(g[0] * v[0] + (g2[1] - g1[1]) * v[1])
         return (lambda h: 0.5 * h), LagrangianField(value)
 
-    if method_id == "vi2":
-        def value(x, v):
-            g, g1, g2 = _split_grads(split, x)
-            if len(split.parts) == 1:
-                hess = split.parts[0].hess(np.asarray(x, dtype=float))
-                hess1 = hess2 = 0.5 * hess
-            else:
-                hess1 = split.parts[0].hess(np.asarray(x, dtype=float))
-                hess2 = split.parts[1].hess(np.asarray(x, dtype=float))
-            quad = (7.0 * g[0] ** 2 - 5.0 * g1[1] ** 2 + 2.0 * g1[1] * g2[1]
-                    + 7.0 * g2[1] ** 2)
-            hh = hess1 + hess2
-            kin = (-2.0 * hh[0, 0] * v[0] ** 2
-                   + 2.0 * hess1[0, 1] * v[0] * v[1]
-                   + hess1[1, 1] * v[1] ** 2
-                   - 4.0 * hess2[0, 1] * v[0] * v[1]
-                   - 2.0 * hess2[1, 1] * v[1] ** 2)
-            return quad / 96.0 + kin / 24.0
-        return (lambda h: h * h), LagrangianField(value)
-
-    raise UnknownMethodError(f"unknown method id {method_id!r}")
+    def value(x, v):       # vi2
+        g, g1, g2 = _split_grads(split, x)
+        hess1 = split.hess(0, x)
+        hess2 = split.hess(1, x)
+        quad = (7.0 * g[0] ** 2 - 5.0 * g1[1] ** 2 + 2.0 * g1[1] * g2[1]
+                + 7.0 * g2[1] ** 2)
+        hh = hess1 + hess2
+        kin = (-2.0 * hh[0, 0] * v[0] ** 2
+               + 2.0 * hess1[0, 1] * v[0] * v[1]
+               + hess1[1, 1] * v[1] ** 2
+               - 4.0 * hess2[0, 1] * v[0] * v[1]
+               - 2.0 * hess2[1, 1] * v[1] ** 2)
+        return quad / 96.0 + kin / 24.0
+    return (lambda h: h * h), LagrangianField(value)
 
 
 # --- Per-period LRL drift: prediction and measurement ---
@@ -193,8 +186,10 @@ def predicted_drift(method_id: str, elements: OrbitElements, h: float,
     """Leading-order (delta ecc, delta angle) per period from the drift formulas.
 
     The orbit is rotated internally so the LRL vector lies along the +x2
-    axis (the frame the averaging formulas assume); the angle drift is
-    frame-independent and reported as-is.
+    axis, the frame the averaging formulas assume. For sym-euler and sv the
+    angle drift is frame-independent. The coordinate splits of vi1 and vi2
+    are not rotation-invariant, so their drift is the one of an orbit with
+    periapsis on +x2; other orientations drift differently.
     """
     if elements.e < CIRCULAR_TOL:
         raise CircularOrbitError("angle drift is undefined for circular orbits")
@@ -235,14 +230,20 @@ def _period_run(method_id: str, seed: PhaseState, h: float,
 
 
 def _drift_over_period(rec: TrajectoryRecord, metric: str, period: float) -> float:
-    """Change of ``metric`` from t = 0 to t = period, interpolated on ``rec``."""
+    """Change of ``metric`` from t = 0 to t = period, interpolated on ``rec``.
+
+    The angle window is unwrapped and its change reduced to [-pi, pi], so a
+    drift across the arctan2 branch cut reads as the small drift it is.
+    """
     series = rec.ecc if metric == "ecc" else rec.angle
     # interpolate at t = T over the 8 nearest samples
     idx = int(round(period / rec.h))
     lo = max(0, min(idx - 4, rec.steps + 1 - 8))
     window = slice(lo, lo + 8)
-    poly = np.polynomial.Polynomial.fit(rec.times[window], series[window], deg=7)
-    return float(poly(period) - series[0])
+    ys = series[window] if metric == "ecc" else np.unwrap(series[window])
+    poly = np.polynomial.Polynomial.fit(rec.times[window], ys, deg=7)
+    drift = float(poly(period) - series[0])
+    return drift if metric == "ecc" else math.remainder(drift, 2.0 * math.pi)
 
 
 def measured_drift_order(method_id: str, metric: str, seed: PhaseState,

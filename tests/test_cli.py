@@ -117,6 +117,12 @@ class TestRunCommand:
                                             "--x0", "1", "0", "--v0", "0", "1e200")
         assert "Lorentz factor" in err
 
+    def test_bad_split_is_usage_error_for_every_model(self, monkeypatch, capsys):
+        # k1/k2 ignore the split, but a split that does not sum to 1 is still bad usage
+        err = self.rejected_before_any_step(monkeypatch, capsys, "--model", "relativistic",
+                                            "--method", "k1", "--h", "0.05", "--split", "5", "5")
+        assert "sum to 1" in err
+
     def test_svg_output(self, tmp_path):
         out = tmp_path / "orbit.svg"
         assert main(["run", "--method", "vi1", "--ecc", "0.6", "--h", "0.05",
@@ -307,6 +313,10 @@ class TestModifiedCommand:
 
     def test_usage_without_mode(self):
         assert main(["modified"]) == 2
+
+    def test_split_drift_needs_two_part_split(self, capsys):
+        assert main(["modified", "--drift", "vi2", "--split", "1", "0"]) == 2
+        assert "two-part split" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", [["--linear"], ["--drift", "sv", "--ecc", "0.1"]])
     @pytest.mark.parametrize("h", ["nan", "0"])

@@ -39,7 +39,6 @@ from geodyn.integrators import (
 )
 from geodyn.kepler import (
     PhaseState,
-    SplitPotential,
     analytic_reference,
     energy,
     kepler_split,
@@ -272,10 +271,6 @@ class TestRun:
         s = PhaseState(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
         with pytest.raises(NonPlanarStateError):
             run("sv", s, 0.1, 3)
-
-    def test_split_without_weights_rejected(self):
-        with pytest.raises(ValueError, match="kepler_split"):
-            run("vi1", S_WIDE, 0.1, 3, split=SplitPotential(SPLIT.parts))
 
     @pytest.mark.parametrize("method,order", [
         ("sym-euler", 1), ("vi1", 1), ("sv", 2), ("vi2", 2),

@@ -105,21 +105,21 @@ class TestSplit:
     def test_parts_sum_to_total(self):
         split = kepler_split((0.3, 0.7))
         x = np.array([1.1, -0.4])
-        assert abs(split.total(x) - potential(x)) < 1e-14
-        assert np.max(np.abs(split.total_grad(x) - grad_potential(x))) < 1e-14
+        assert abs(sum(split.value(i, x) for i in range(len(split))) - potential(x)) < 1e-14
+        assert np.max(np.abs(split.grad(0, x) + split.grad(1, x) - grad_potential(x))) < 1e-14
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             kepler_split((0.5, 0.6))
 
     def test_degenerate_weight_collapses_to_one_part(self):
-        assert len(kepler_split((1.0, 0.0)).parts) == 1
-        assert len(kepler_split((0.5, 0.5)).parts) == 2
+        assert len(kepler_split((1.0, 0.0))) == 1
+        assert len(kepler_split((0.5, 0.5))) == 2
 
     def test_split_arity_is_planar(self):
         with pytest.raises(ValueError, match="2 weights"):
             kepler_split((0.3, 0.3, 0.4))
-        assert len(kepler_split((0.0, 0.0, 1.0)).parts) == 1
+        assert len(kepler_split((0.0, 0.0, 1.0))) == 1
 
 
 class TestConserved:
