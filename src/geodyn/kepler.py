@@ -54,7 +54,7 @@ class SplitPotential:
     """Proportional split of the Kepler potential: phi^(i) = w_i * phi.
 
     ``weights`` are the shares w_i, one per part; ``kepler_split`` builds
-    and checks them. Part i is 0-based in ``value``/``grad``/``hess``.
+    and checks them. Part i is 0-based in ``value``/``grad``.
     """
     weights: tuple[float, ...]
 
@@ -66,9 +66,6 @@ class SplitPotential:
 
     def grad(self, i: int, x: np.ndarray) -> np.ndarray:
         return self.weights[i] * grad_potential(x)
-
-    def hess(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.weights[i] * hess_potential(x)
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,10 @@ def conserved(s: PhaseState) -> ConservedSet:
 
 def orbit_elements(s: PhaseState) -> OrbitElements:
     """Elliptic elements from a state; raises for H >= 0."""
-    cs = conserved(s)
+    return _elements(conserved(s))
+
+
+def _elements(cs: ConservedSet) -> OrbitElements:
     if cs.H >= 0.0:
         raise NonNegativeEnergyError(f"H = {cs.H:.6g} is not a bound orbit")
     a = -1.0 / (2.0 * cs.H)
@@ -255,56 +255,99 @@ def _rot(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _orbit_frame(s0: PhaseState):
+    """Per-orbit set-up of the analytic reference: (sign, x0, v0, elements, omega, m0).
+
+    A clockwise orbit is mirrored: sign = (1, -1), (x0, v0) the mirrored seed. omega
+    and m0, its periapsis angle and mean anomaly at t = 0, are 0 if circular.
+    """
+    cs = conserved(s0)
+    if cs.H >= 0.0:
+        raise NonNegativeEnergyError("analytic reference requires H < 0")
+    el = _elements(cs)
+    sign = np.array([1.0, -1.0]) if cs.m < 0.0 else np.array([1.0, 1.0])
+    x0, v0 = s0.x * sign, s0.v * sign
+    if cs.circular:
+        return sign, x0, v0, el, 0.0, 0.0
+    # mirroring negates A2 exactly, so this is the mirrored state's LRL angle
+    omega = math.atan2(cs.A[1] * sign[1], cs.A[0])
+    back = _rot(-omega)
+    xp, vp = back @ x0, back @ v0
+    a, e = el.a, el.e
+    r0 = float(np.linalg.norm(xp))
+    cos_e0 = (1.0 - r0 / a) / e
+    sin_e0 = float(xp @ vp) / (e * math.sqrt(a))
+    e0 = math.atan2(sin_e0, cos_e0)
+    return sign, x0, v0, el, omega, e0 - e * math.sin(e0)
+
+
 def analytic_reference(s0: PhaseState, t: float) -> PhaseState:
     """Exact elliptic-orbit state at time t from the state s0 at time 0.
 
     Propagates via the eccentric anomaly; clockwise orbits are handled by
     mirroring across the x1-axis.
     """
-    cs = conserved(s0)
-    if cs.H >= 0.0:
-        raise NonNegativeEnergyError("analytic reference requires H < 0")
-    el = orbit_elements(s0)
-    mirror = cs.m < 0.0
-    sign = np.array([1.0, -1.0]) if mirror else np.array([1.0, 1.0])
-    x0 = s0.x * sign
-    v0 = s0.v * sign
-
+    sign, x0, v0, el, omega, m0 = _orbit_frame(s0)
     a, b, e = el.a, el.b, el.e
     mean_motion = a**-1.5
-
-    if cs.circular:
+    if e < CIRCULAR_TOL:
         rot = _rot(mean_motion * t)
-        x, v = rot @ x0, rot @ v0
-        return PhaseState(x * sign, v * sign)
-
-    ax_mirror = lrl_vector(PhaseState(x0, v0))
-    omega = math.atan2(ax_mirror[1], ax_mirror[0])
-    back = _rot(-omega)
-    xp, vp = back @ x0, back @ v0
-
-    r0 = float(np.linalg.norm(xp))
-    cos_e0 = (1.0 - r0 / a) / e
-    sin_e0 = float(xp @ vp) / (e * math.sqrt(a))
-    e0 = math.atan2(sin_e0, cos_e0)
-    m0 = e0 - e * math.sin(e0)
-
+        return PhaseState((rot @ x0) * sign, (rot @ v0) * sign)
     ecc_anom = solve_kepler_equation(m0 + mean_motion * t, e)
     ce, se = math.cos(ecc_anom), math.sin(ecc_anom)
     edot = mean_motion / (1.0 - e * ce)
     xp_t = np.array([a * (ce - e), b * se])
     vp_t = np.array([-a * se * edot, b * ce * edot])
-
     fwd = _rot(omega)
     return PhaseState((fwd @ xp_t) * sign, (fwd @ vp_t) * sign)
+
+
+def _analytic_states(s0: PhaseState, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and velocities, each of shape (2,) + ts.shape, at the times ts.
+
+    One vectorised Newton iteration solves the Kepler equation at all nodes;
+    nodes unsettled after KEPLER_EQ_MAXITER iterations go to solve_kepler_equation.
+    """
+    sign, x0, v0, el, omega, m0 = _orbit_frame(s0)
+    a, b, e = el.a, el.b, el.e
+    mean_motion = a**-1.5
+    ts = np.asarray(ts, dtype=float)
+    if e < CIRCULAR_TOL:
+        c, s = np.cos(mean_motion * ts), np.sin(mean_motion * ts)
+        xp, vp = x0, v0
+    else:
+        mean = m0 + mean_motion * ts
+        m = np.fmod(mean, 2.0 * math.pi)
+        m -= 2.0 * math.pi * np.round(m / (2.0 * math.pi))     # exact, as math.remainder
+        ecc_anom = m if e < 0.8 else np.where(m >= 0, math.pi, -math.pi)
+        for _ in range(KEPLER_EQ_MAXITER):
+            res = ecc_anom - e * np.sin(ecc_anom) - m
+            todo = ~(np.abs(res) < KEPLER_EQ_TOL)
+            if not todo.any():
+                break
+            ecc_anom = np.where(todo, ecc_anom - res / (1.0 - e * np.cos(ecc_anom)), ecc_anom)
+        ecc_anom = np.array(ecc_anom + (mean - m))
+        for i in np.flatnonzero(todo):      # Newton stalled at these nodes
+            ecc_anom.flat[i] = solve_kepler_equation(float(np.ravel(mean)[i]), e)
+        ce, se = np.cos(ecc_anom), np.sin(ecc_anom)
+        edot = mean_motion / (1.0 - e * ce)
+        xp, vp = (a * (ce - e), b * se), (-a * se * edot, b * ce * edot)
+        c, s = math.cos(omega), math.sin(omega)
+    return tuple(np.stack(np.broadcast_arrays(c * p[0] - s * p[1], sign[1] * (s * p[0] + c * p[1])))
+                 for p in (xp, vp))
 
 
 # --- Noether characteristics and residual ---
 
 def characteristics(s: PhaseState) -> dict[str, np.ndarray]:
     """Characteristics of the four conservation laws (N = 2)."""
-    x1, x2 = s.x
-    v1, v2 = s.v
+    return _characteristics(s.x, s.v)
+
+
+def _characteristics(x: np.ndarray, v: np.ndarray) -> dict[str, np.ndarray]:
+    """Characteristics at (2, ...) arrays of positions and velocities."""
+    x1, x2 = x
+    v1, v2 = v
     return {
         "H": np.array([v1, v2]),
         "m": np.array([-x2, x1]),
@@ -346,10 +389,10 @@ def noether_residual(times: np.ndarray, states: Sequence[PhaseState], which: str
 
 # --- Perturbation averages along the analytic orbit ---
 
-# 4th-order central-difference stencil for space, 6th-order for the on-orbit
-# time derivative; the time stencil rides on exact states so the wider stencil
-# costs only extra Kepler-equation solves.
-_D1_5 = (np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, (-2, -1, 0, 1, 2))
+# 4th-order central-difference stencil for space (zero-weight centre left
+# out), 6th-order for the on-orbit time derivative; the time stencil rides on
+# exact states so the wider stencil costs only extra Kepler-equation solves.
+_D1_4 = (np.array([1.0, -8.0, 8.0, -1.0]) / 12.0, (-2, -1, 1, 2))
 _D1_7 = (np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0, (-3, -2, -1, 0, 1, 2, 3))
 
 _SPACE_DELTA = 1e-4
@@ -357,7 +400,7 @@ _TIME_DELTA = 2e-2
 
 
 class LagrangianField:
-    """Scalar field L(x, v); its gradients are 4th-order central differences."""
+    """Scalar field L(x, v) on (2, ...) arrays; its gradients are 4th-order central differences."""
 
     def __init__(self, value):
         self.value = value
@@ -369,34 +412,31 @@ class LagrangianField:
         return self._fd_grad(x, v, wrt="v")
 
     def _fd_grad(self, x, v, wrt):
-        base = x if wrt == "x" else v
-        coeffs, offsets = _D1_5
-        out = np.zeros_like(base)
-        for i in range(base.size):
-            acc = 0.0
-            for c, k in zip(coeffs, offsets):
-                if k == 0:
-                    continue
-                pert = base.copy()
-                pert[i] += k * _SPACE_DELTA
-                args = (pert, v) if wrt == "x" else (x, pert)
-                acc += c * self.value(*args)
-            out[i] = acc / _SPACE_DELTA
-        return out
+        """Gradient of shape (2, ...) from one value call on every stencil point."""
+        coeffs, offsets = _D1_4
+        n, trail = x.shape[0], (1,) * (x.ndim - 1)
+        # shift[j, k, i]: coordinate j moved by offsets[k] * delta at stencil point (k, i) if i == j
+        shift = np.eye(n)[:, None, :] * (np.array(offsets) * _SPACE_DELTA)[:, None]
+        pert = (x if wrt == "x" else v)[:, None, None] + shift.reshape(shift.shape + trail)
+        other = np.broadcast_to((v if wrt == "x" else x)[:, None, None], pert.shape)
+        vals = self.value(pert, other) if wrt == "x" else self.value(other, pert)
+        return sum(c * vals[k] for k, c in enumerate(coeffs)) / _SPACE_DELTA
 
 
-def euler_lagrange_on_orbit(lbar: LagrangianField, s0: PhaseState, t: float) -> np.ndarray:
-    """EL(lbar) = d/dt(dL/dv) - dL/dx evaluated on the analytic orbit at time t."""
-    s = analytic_reference(s0, t)
+def euler_lagrange_on_orbit(lbar: LagrangianField, s0: PhaseState, t) -> np.ndarray:
+    """EL(lbar) = d/dt(dL/dv) - dL/dx on the analytic orbit, shape (2,) + shape(t)."""
+    return _euler_lagrange(lbar, s0, t)[0]
+
+
+def _euler_lagrange(lbar: LagrangianField, s0: PhaseState, ts):
+    """(EL vectors, positions, velocities) at the times ts, from one analytic-orbit call."""
+    ts = np.asarray(ts, dtype=float)
     coeffs, offsets = _D1_7
-    ddt = np.zeros_like(s.x)
-    for c, k in zip(coeffs, offsets):
-        if k == 0:
-            continue
-        sk = analytic_reference(s0, t + k * _TIME_DELTA)
-        ddt += c * lbar.grad_v(sk.x, sk.v)
-    ddt /= _TIME_DELTA
-    return ddt - lbar.grad_x(s.x, s.v)
+    x, v = _analytic_states(s0, ts + np.array(offsets).reshape((7,) + (1,) * ts.ndim) * _TIME_DELTA)
+    gv = lbar.grad_v(x, v)
+    ddt = sum(c * gv[:, k] for k, c in enumerate(coeffs) if c) / _TIME_DELTA
+    x, v = x[:, 3], v[:, 3]     # the offset-0 row: the nodes themselves
+    return ddt - lbar.grad_x(x, v), x, v
 
 
 def perturbation_average(
@@ -408,11 +448,12 @@ def perturbation_average(
 ) -> float:
     """Period average [<EL(lbar), char>] by composite Simpson quadrature.
 
-    ``char`` is a quantity id ("H", "m", "A1", "A2") or a callable mapping a
-    PhaseState to a vector. The rule with ``2*nodes`` intervals is compared
-    with the one with ``nodes`` intervals, whose nodes are every other fine
-    node, so each node's EL vector is evaluated once; if the two disagree by
-    more than ``refine_tol``, NonConvergenceError is raised.
+    ``char`` is a quantity id ("H", "m", "A1", "A2") or a callable mapping
+    (2, M) arrays of positions and velocities to the (2, M) characteristic.
+    The rule with ``2*nodes`` intervals is compared with the one with
+    ``nodes`` intervals, whose nodes are every other fine node, so each
+    node's EL vector is evaluated once; if the two disagree by more than
+    ``refine_tol``, NonConvergenceError is raised.
     """
     s0 = periapsis_state(orbit) if isinstance(orbit, OrbitElements) else orbit
     return _period_averages(lbar, (char,), s0, nodes, refine_tol)[0]
@@ -425,16 +466,15 @@ def _period_averages(lbar: LagrangianField, chars, s0: PhaseState, nodes: int,
     The coarse rule reuses the even fine nodes: linspace(0, T, 2n+1)[::2]
     equals linspace(0, T, n+1) bit for bit.
     """
+    if isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer)) or nodes < 1:
+        raise ValueError(f"nodes must be a positive int, got {nodes!r}")
     period = orbit_elements(s0).T
     fine_n = 2 * nodes
     ts = np.linspace(0.0, period, fine_n + 1)
-    ys = np.empty((len(chars), fine_n + 1))
-    for i, t in enumerate(ts):
-        el_vec = euler_lagrange_on_orbit(lbar, s0, t)
-        s = analytic_reference(s0, t)
-        named = characteristics(s)
-        for c, char in enumerate(chars):
-            ys[c, i] = float(el_vec @ (char(s) if callable(char) else named[char]))
+    el_vec, x, v = _euler_lagrange(lbar, s0, ts)
+    named = _characteristics(x, v)
+    qs = [char(x, v) if callable(char) else named[char] for char in chars]
+    ys = [el_vec[0] * q[0] + el_vec[1] * q[1] for q in qs]
 
     def simpson(ys: np.ndarray, n: int) -> float:
         w = np.ones(n + 1)

@@ -28,7 +28,6 @@ from geodyn.kepler import (
     PhaseState,
     SplitPotential,
     _period_averages,
-    grad_potential,
     kepler_split,
     orbit_elements,
     potential,
@@ -94,14 +93,11 @@ def linear_measured_frequency(lam: float, h: float, steps: int = 10_000) -> floa
 
 # --- Modified Lagrangians (truncated at the leading displayed order) ---
 
-def _split_grads(split: SplitPotential, x: np.ndarray):
-    g1 = split.grad(0, x)
-    g2 = split.grad(1, x)
-    return g1 + g2, g1, g2
-
-
-def _classical_lagrangian(s: PhaseState) -> float:
-    return 0.5 * float(s.v @ s.v) - potential(s.x)
+def _kepler_grad(x):
+    """(x1/r^3, x2/r^3, r) at (2, ...) arrays of planar points."""
+    r = np.sqrt(x[0] * x[0] + x[1] * x[1])
+    r3 = r**3
+    return x[0] / r3, x[1] / r3, r
 
 
 def modified_lagrangian(method_id: str, s: PhaseState, h: float,
@@ -113,7 +109,7 @@ def modified_lagrangian(method_id: str, s: PhaseState, h: float,
     Kepler split and must have two coordinate parts for vi1/vi2.
     """
     eps, lbar = perturbation_field(method_id, split)
-    return _classical_lagrangian(s) + eps(h) * lbar.value(s.x, s.v)
+    return 0.5 * float(s.v @ s.v) - potential(s.x) + eps(h) * float(lbar.value(s.x, s.v))
 
 
 def perturbation_field(method_id: str, split: SplitPotential | None = None):
@@ -122,47 +118,51 @@ def perturbation_field(method_id: str, split: SplitPotential | None = None):
     The epsilon factor is the size of the leading perturbation: h/2 for the first-order
     methods, h^2/24 for Stormer-Verlet, h^2 for the second-order coordinate
     composition (whose bracket carries its own 1/96 and 1/24 weights). vi1
-    and vi2 need a two-part split; a one-part split raises ValueError.
+    and vi2 need a two-part split; a one-part split raises ValueError. The
+    field takes (2, ...) arrays of positions and velocities.
     """
     method(method_id)      # UnknownMethodError for all but the Kepler methods
     split = split if split is not None else kepler_split()
 
     if method_id == "sym-euler":
         def value(x, v):
-            return -float(v @ grad_potential(x))
+            g1, g2, _ = _kepler_grad(x)
+            return -(v[0] * g1 + v[1] * g2)
         return (lambda h: 0.5 * h), LagrangianField(value)
 
     if method_id == "sv":
         def value(x, v):
-            r = float(np.linalg.norm(x))
-            xv = float(x @ v)
-            return 1.0 / r**4 - 2.0 * float(v @ v) / r**3 + 6.0 * xv * xv / r**5
+            r = np.sqrt(x[0] * x[0] + x[1] * x[1])
+            xv = x[0] * v[0] + x[1] * v[1]
+            return 1.0 / r**4 - 2.0 * (v[0] * v[0] + v[1] * v[1]) / r**3 + 6.0 * xv * xv / r**5
         return (lambda h: h * h / 24.0), LagrangianField(value)
 
     if len(split) != 2:
         raise ValueError(f"the {method_id} modified Lagrangian needs a two-part split, "
                          f"got {len(split)} part(s)")
+    w1, w2 = split.weights
 
     if method_id == "vi1":
         # The composition implemented here is the adjoint of the one behind
         # the displayed order-h formula, which flips the sign of the h term.
         def value(x, v):
-            g, g1, g2 = _split_grads(split, x)
-            return -float(g[0] * v[0] + (g2[1] - g1[1]) * v[1])
+            g1, g2, _ = _kepler_grad(x)
+            return -((w1 * g1 + w2 * g1) * v[0] + (w2 * g2 - w1 * g2) * v[1])
         return (lambda h: 0.5 * h), LagrangianField(value)
 
-    def value(x, v):       # vi2
-        g, g1, g2 = _split_grads(split, x)
-        hess1 = split.hess(0, x)
-        hess2 = split.hess(1, x)
-        quad = (7.0 * g[0] ** 2 - 5.0 * g1[1] ** 2 + 2.0 * g1[1] * g2[1]
-                + 7.0 * g2[1] ** 2)
-        hh = hess1 + hess2
-        kin = (-2.0 * hh[0, 0] * v[0] ** 2
-               + 2.0 * hess1[0, 1] * v[0] * v[1]
-               + hess1[1, 1] * v[1] ** 2
-               - 4.0 * hess2[0, 1] * v[0] * v[1]
-               - 2.0 * hess2[1, 1] * v[1] ** 2)
+    def value(x, v):       # vi2; part i's gradient is w_i grad(phi), its Hessian w_i hess(phi)
+        g1, g2, r = _kepler_grad(x)
+        r5 = r**5
+        h11 = 1.0 / r**3 - 3.0 * x[0] * x[0] / r5
+        h12 = -3.0 * x[0] * x[1] / r5
+        h22 = 1.0 / r**3 - 3.0 * x[1] * x[1] / r5
+        quad = (7.0 * (w1 * g1 + w2 * g1) ** 2 - 5.0 * (w1 * g2) ** 2
+                + 2.0 * (w1 * g2) * (w2 * g2) + 7.0 * (w2 * g2) ** 2)
+        kin = (-2.0 * (w1 * h11 + w2 * h11) * v[0] ** 2
+               + 2.0 * (w1 * h12) * v[0] * v[1]
+               + (w1 * h22) * v[1] ** 2
+               - 4.0 * (w2 * h12) * v[0] * v[1]
+               - 2.0 * (w2 * h22) * v[1] ** 2)
         return quad / 96.0 + kin / 24.0
     return (lambda h: h * h), LagrangianField(value)
 

@@ -213,6 +213,102 @@ class TestAnalyticReference:
         fd = (sp.x - sm.x) / (2.0 * dt)
         assert np.max(np.abs(fd - s.v)) < 1e-8
 
+    # float.hex of (x1, x2, v1, v2) from the reference that rebuilt the orbit
+    # set-up on every call; sharing it across calls kept every bit
+    PINNED = {
+        ("ccw", 0.0):
+            ("0x1.9999999999998p-2", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+1"),
+        ("ccw", 0.7):
+            ("-0x1.3aa56b0c15cf3p-2", "0x1.87a86161ba4c9p-1", "-0x1.28f08f22b4a62p+0", "0x1.22e51e7e0eadfp-2"),
+        ("ccw", 23.5):
+            ("-0x1.2345501b2790ep+0", "-0x1.5954223f8d949p-1", "0x1.465b4e6ef0c17p-1", "-0x1.4d1319f503cd0p-2"),
+        ("cw", 0.0):
+            ("-0x1.8000000000002p+1", "-0x1.17c62645fa501p-52", "-0x1.1451ece975a45p-54", "0x1.ccccccccccccap-2"),
+        ("cw", 0.7):
+            ("-0x1.7c83be761c6f8p+1", "0x1.4195050722067p-2", "0x1.3ebf5c74ea36fp-4", "0x1.c89a43c54144ep-2"),
+        ("cw", 23.5):
+            ("-0x1.21a9b92415feap+1", "0x1.7e05ee89e5c4dp+0", "0x1.a1923c017fcd9p-2", "0x1.4f83d3139f808p-2"),
+        ("circular", 0.0):
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
+        ("circular", 0.7):
+            ("0x1.87996529f9d93p-1", "0x1.49d6e694619b8p-1", "-0x1.49d6e694619b8p-1", "0x1.87996529f9d93p-1"),
+        ("circular", 23.5):
+            ("-0x1.fb20cfa4f83acp-5", "-0x1.ff049b89cb31cp-1", "0x1.ff049b89cb31cp-1", "-0x1.fb20cfa4f83acp-5"),
+    }
+    SEEDS = {"ccw": S_CANONICAL, "cw": S_WIDE,
+             "circular": PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1.0]))}
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_bits_pinned(self, key):
+        name, t = key
+        s = analytic_reference(self.SEEDS[name], t)
+        assert tuple(c.hex() for c in np.concatenate([s.x, s.v]).tolist()) == self.PINNED[key]
+
+    def test_orbit_set_up_once_per_call(self, monkeypatch):
+        calls = []
+        original = kepler.conserved
+        monkeypatch.setattr(kepler, "conserved", lambda s: calls.append(s) or original(s))
+        analytic_reference(S_WIDE, 2.0)
+        assert len(calls) == 1
+
+
+def _e09_seed():
+    return periapsis_state(kepler.OrbitElements(a=1.3, b=0.0, e=0.9, T=0.0))
+
+
+class TestAnalyticStates:
+    SEEDS = {"ccw": S_CANONICAL, "cw": S_WIDE, "e0.9": _e09_seed(),
+             "circular": PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1.0]))}
+
+    @staticmethod
+    def grid(seed):
+        period = orbit_elements(seed).T
+        return np.linspace(-1.3 * period, 3.7 * period, 40).reshape(5, 8)
+
+    @staticmethod
+    def assert_matches_reference(seed, ts, x, v, ulps=4):
+        assert x.shape == v.shape == (2,) + ts.shape
+        for idx in np.ndindex(ts.shape):
+            ref = analytic_reference(seed, float(ts[idx]))
+            scale = max(np.max(np.abs(ref.x)), np.max(np.abs(ref.v)))
+            tol = ulps * np.finfo(float).eps * scale
+            assert np.max(np.abs(x[(slice(None),) + idx] - ref.x)) <= tol
+            assert np.max(np.abs(v[(slice(None),) + idx] - ref.v)) <= tol
+
+    @pytest.mark.parametrize("name", sorted(SEEDS))
+    def test_agrees_with_scalar_reference(self, name):
+        seed = self.SEEDS[name]
+        ts = self.grid(seed)
+        self.assert_matches_reference(seed, ts, *kepler._analytic_states(seed, ts))
+
+    def test_scalar_time(self):
+        x, v = kepler._analytic_states(S_WIDE, 2.0)
+        ref = analytic_reference(S_WIDE, 2.0)
+        assert x.shape == v.shape == (2,)
+        assert np.max(np.abs(x - ref.x)) < 1e-14 and np.max(np.abs(v - ref.v)) < 1e-14
+
+    @pytest.mark.parametrize("name", ["cw", "e0.9"])
+    def test_stalled_newton_falls_back_to_scalar_solve(self, monkeypatch, name):
+        # one Newton step settles no node, so every node goes through
+        # solve_kepler_equation, which then bisects
+        seed = self.SEEDS[name]
+        ts = self.grid(seed)
+        settled = kepler._analytic_states(seed, ts)
+        calls = []
+        original = kepler.solve_kepler_equation
+
+        def counting(mean, e):
+            calls.append(mean)
+            return original(mean, e)
+
+        monkeypatch.setattr(kepler, "KEPLER_EQ_MAXITER", 1)
+        monkeypatch.setattr(kepler, "solve_kepler_equation", counting)
+        x, v = kepler._analytic_states(seed, ts)
+        assert len(calls) == ts.size
+        self.assert_matches_reference(seed, ts, x, v)
+        assert np.max(np.abs(x - settled[0])) < 1e-12
+        assert np.max(np.abs(v - settled[1])) < 1e-11
+
 
 class TestNoether:
     @pytest.mark.parametrize("which", ["H", "m", "A1", "A2"])
@@ -238,43 +334,91 @@ class TestNoether:
         assert np.max(np.abs(ch["m"] - np.array([0.0, 0.4]))) < 1e-14
 
 
+def _kepler_rate(x, v):
+    """-v . grad(phi) on (2, ...) arrays."""
+    return -(v[0] * x[0] + v[1] * x[1]) / (x[0] ** 2 + x[1] ** 2) ** 1.5
+
+
+def _inverse_r4(x, v):
+    return 1.0 / (x[0] ** 2 + x[1] ** 2) ** 2
+
+
 class TestPerturbationAverage:
     def test_total_derivative_has_zero_average(self):
         # Lbar = -v . grad(phi) is d/dt(-phi) on shell: every period average
         # against a conservation-law characteristic vanishes.
-        field = LagrangianField(lambda x, v: -float(v @ grad_potential(x)))
+        field = LagrangianField(_kepler_rate)
         avg = perturbation_average(field, "A2", S_WIDE, nodes=512)
         assert abs(avg) < 1e-10
 
     def test_euler_lagrange_of_classical_lagrangian_vanishes(self):
-        field = LagrangianField(lambda x, v: 0.5 * float(v @ v) - potential(x))
+        field = LagrangianField(lambda x, v: 0.5 * (v[0] ** 2 + v[1] ** 2)
+                                + 1.0 / np.hypot(x[0], x[1]))
         el = euler_lagrange_on_orbit(field, S_WIDE, 2.0)
+        assert el.shape == (2,)
         assert np.max(np.abs(el)) < 1e-7
 
-    def test_one_euler_lagrange_evaluation_per_node(self, monkeypatch):
-        # the coarse Simpson rule reuses the even nodes of the fine one
+    def test_euler_lagrange_matches_scalar_stencil_loop(self):
+        # reference: per-node loop over analytic_reference states and a
+        # per-coordinate 5-point stencil, as the quadrature once evaluated it
+        field = LagrangianField(_inverse_r4)
+        ts = np.array([[0.0, 1.3], [7.7, 20.0]])
+        coeffs = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+
+        def fd(f, p):
+            out = np.zeros(2)
+            for i in range(2):
+                for c, k in zip(coeffs, (-2, -1, 1, 2)):
+                    q = p.copy()
+                    q[i] += k * 1e-4
+                    out[i] += c * f(q)
+            return out / 1e-4
+
+        el = euler_lagrange_on_orbit(field, S_WIDE, ts)
+        assert el.shape == (2, 2, 2)
+        for idx in np.ndindex(ts.shape):
+            t = ts[idx]
+            ddt = np.zeros(2)
+            for c, k in zip(np.array([-1.0, 9.0, -45.0, 45.0, -9.0, 1.0]) / 60.0,
+                            (-3, -2, -1, 1, 2, 3)):
+                sk = analytic_reference(S_WIDE, t + k * 2e-2)
+                ddt += c * fd(lambda v: _inverse_r4(sk.x, v), sk.v)
+            s = analytic_reference(S_WIDE, t)
+            ref = ddt / 2e-2 - fd(lambda x: _inverse_r4(x, s.v), s.x)
+            assert np.max(np.abs(el[(slice(None),) + idx] - ref)) < 1e-10 * np.max(np.abs(ref))
+
+    def test_one_analytic_orbit_call_per_quadrature(self, monkeypatch):
+        # the coarse Simpson rule reuses the even nodes of the fine one, and
+        # one call covers the 7-point time stencil of all 2n+1 nodes
         calls = []
-        original = kepler.euler_lagrange_on_orbit
+        original = kepler._analytic_states
 
-        def counting(lbar, s0, t):
-            calls.append(t)
-            return original(lbar, s0, t)
+        def counting(s0, ts):
+            calls.append(np.array(ts))
+            return original(s0, ts)
 
-        monkeypatch.setattr(kepler, "euler_lagrange_on_orbit", counting)
-        field = LagrangianField(lambda x, v: -float(v @ grad_potential(x)))
+        monkeypatch.setattr(kepler, "_analytic_states", counting)
         n = 8
-        perturbation_average(field, "A2", S_CANONICAL, nodes=n, refine_tol=1.0)
-        assert len(calls) == 2 * n + 1
-        assert len(set(calls)) == 2 * n + 1
+        perturbation_average(LagrangianField(_kepler_rate), "A2", S_CANONICAL, nodes=n,
+                             refine_tol=1.0)
+        assert len(calls) == 1
+        assert calls[0].shape == (7, 2 * n + 1)
+        assert np.unique(calls[0]).size == 7 * (2 * n + 1)
 
     def test_callable_characteristic_matches_named(self):
-        field = LagrangianField(lambda x, v: 1.0 / float(np.linalg.norm(x)) ** 4)
+        field = LagrangianField(_inverse_r4)
         named = perturbation_average(field, "A1", S_WIDE, nodes=16, refine_tol=1.0)
-        fn = perturbation_average(field, lambda s: characteristics(s)["A1"], S_WIDE,
-                                  nodes=16, refine_tol=1.0)
+        shapes = []
+
+        def a1(x, v):
+            shapes.append((x.shape, v.shape))
+            return np.array([-x[1] * v[1], 2.0 * x[0] * v[1] - v[0] * x[1]])
+
+        fn = perturbation_average(field, a1, S_WIDE, nodes=16, refine_tol=1.0)
         assert fn == named
+        assert shapes == [((2, 33), (2, 33))]
 
     def test_unsettled_refinement_raises(self):
-        field = LagrangianField(lambda x, v: 1.0 / float(np.linalg.norm(x)) ** 4)
+        field = LagrangianField(_inverse_r4)
         with pytest.raises(NonConvergenceError, match="did not settle"):
             perturbation_average(field, "A1", S_WIDE, nodes=4, refine_tol=1e-14)

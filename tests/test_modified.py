@@ -158,16 +158,15 @@ class TestPredictedDrift:
         assert abs(dangle - measured) / abs(measured) < 0.02
 
     # periapsis on +x2, a = 2, e = 0.1; float.hex of (decc, dangle) from the
-    # quadrature that evaluated the coarse and fine Simpson rules and the A1
-    # and A2 averages separately, so sharing the EL evaluations kept every bit
+    # array quadrature (one analytic-orbit call, one stacked stencil per
+    # gradient); TestParentDrifts bounds its distance from the per-node loop
     PINNED = {
-        "sv": ("-0x1.443f2abe57c4dp-52", "-0x1.09e6717e4c07ap-11"),
-        "vi1": ("0x1.6064bdc90bac1p-43", "0x1.e1c677f958c46p-39"),
+        "sv": ("-0x1.c4760a13dd154p-49", "-0x1.09e6717def3cfp-11"),
+        "vi1": ("0x1.eb737ba73eb23p-44", "0x1.a8bcd7603bd82p-39"),
     }
 
     @staticmethod
-    def pinned_orbit() -> OrbitElements:
-        a, e = 2.0, 0.1
+    def pinned_orbit(a: float = 2.0, e: float = 0.1) -> OrbitElements:
         rp = a * (1.0 - e)
         vp = math.sqrt((1.0 + e) / rp)
         return orbit_elements(PhaseState(np.array([0.0, rp]), np.array([-vp, 0.0])))
@@ -177,18 +176,24 @@ class TestPredictedDrift:
         decc, dangle = predicted_drift(method, self.pinned_orbit(), 0.05, nodes=32)
         assert (decc.hex(), dangle.hex()) == self.PINNED[method]
 
-    def test_one_euler_lagrange_evaluation_per_node(self, monkeypatch):
+    def test_one_analytic_orbit_call_per_prediction(self, monkeypatch):
         calls = []
-        original = kepler.euler_lagrange_on_orbit
+        original = kepler._analytic_states
 
-        def counting(lbar, s0, t):
-            calls.append(t)
-            return original(lbar, s0, t)
+        def counting(s0, ts):
+            calls.append(np.array(ts))
+            return original(s0, ts)
 
-        monkeypatch.setattr(kepler, "euler_lagrange_on_orbit", counting)
+        monkeypatch.setattr(kepler, "_analytic_states", counting)
         n = 32
         predicted_drift("sv", self.pinned_orbit(), 0.05, nodes=n)
-        assert len(calls) == 2 * n + 1
+        assert len(calls) == 1
+        assert np.unique(calls[0]).size == calls[0].size == 7 * (2 * n + 1)
+
+    @pytest.mark.parametrize("nodes", [0, -3, 2.5, True])
+    def test_nodes_must_be_a_positive_int(self, nodes):
+        with pytest.raises(ValueError, match="nodes must be a positive int"):
+            predicted_drift("sv", self.pinned_orbit(), 0.05, nodes=nodes)
 
     @pytest.mark.xfail(strict=True, reason="the vi2 field overshoots the measured angle "
                        "drift about 6x at e = 0.1, by a ratio constant in h")
@@ -215,6 +220,55 @@ class TestPredictedDrift:
         circ = orbit_elements(PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
         with pytest.raises(CircularOrbitError):
             predicted_drift("sv", circ, 0.05)
+
+
+class TestParentDrifts:
+    """Predicted drifts against the per-node scalar quadrature they replaced.
+
+    float.hex of (decc, dangle) at h = 0.05 from the loop that evaluated each
+    Simpson node's EL vector with 8 analytic_reference calls, for orbits
+    with periapsis on +x2. The array quadrature rounds differently, so the
+    nonzero angle drifts (sv, vi2) are held to 1e-9 relative and the terms
+    that vanish analytically to 1e-10 absolute.
+    """
+    PARENT = {
+        (2.0, 0.1, "sym-euler", 32): ("0x1.55a0ebdf16ee6p-42", "-0x1.3806ba53b7084p-43"),
+        (2.0, 0.1, "sym-euler", 256): ("0x1.16bbe6818a74ep-44", "-0x1.940a58a2e2d9cp-44"),
+        (2.0, 0.1, "sv", 32): ("-0x1.443f2abe57c4dp-52", "-0x1.09e6717e4c07ap-11"),
+        (2.0, 0.1, "sv", 256): ("0x1.ff9cdf25647d3p-52", "-0x1.09e6717e73ee6p-11"),
+        (2.0, 0.1, "vi1", 32): ("0x1.6064bdc90bac1p-43", "0x1.e1c677f958c46p-39"),
+        (2.0, 0.1, "vi1", 256): ("0x1.c57ac107838e4p-44", "0x1.24be8ca588d1cp-41"),
+        (2.0, 0.1, "vi2", 32): ("0x1.9f32334888602p-48", "0x1.b154c142bb0c2p-13"),
+        (2.0, 0.1, "vi2", 256): ("-0x1.1947673933d4ep-51", "0x1.b154c141e87e2p-13"),
+        (1.5, 0.13, "sym-euler", 32): ("0x1.3050614a09acap-42", "-0x1.3046b0daf21e1p-41"),
+        (1.5, 0.13, "sym-euler", 256): ("0x1.35b7f8a4f2945p-52", "0x1.5a39b84b6edc4p-41"),
+        (1.5, 0.13, "sv", 32): ("0x1.efecc34153299p-47", "-0x1.42607f41161cdp-10"),
+        (1.5, 0.13, "sv", 256): ("-0x1.19cd45f48e888p-53", "-0x1.42607f4164fe1p-10"),
+        (1.5, 0.13, "vi1", 32): ("0x1.043bf6a163911p-40", "0x1.e27eec89989bep-40"),
+        (1.5, 0.13, "vi1", 256): ("0x1.b63f4d8b13599p-48", "0x1.86507f5e9eac0p-42"),
+        (1.5, 0.13, "vi2", 32): ("0x1.12d44269d48a9p-50", "0x1.0733eb37afad1p-11"),
+        (1.5, 0.13, "vi2", 256): ("0x1.63d990a142f22p-49", "0x1.0733eb370b271p-11"),
+        (3.0, 0.05, "sym-euler", 32): ("0x1.23d7e70c93635p-46", "0x1.26026c3d5dadep-42"),
+        (3.0, 0.05, "sym-euler", 256): ("0x1.e8167f238357ep-44", "-0x1.59a06a6c5ada5p-43"),
+        (3.0, 0.05, "sv", 32): ("0x1.397dbebcc4c45p-50", "-0x1.3382749a14ccep-13"),
+        (3.0, 0.05, "sv", 256): ("0x1.c22d09f56687dp-52", "-0x1.3382749a41f0cp-13"),
+        (3.0, 0.05, "vi1", 32): ("-0x1.0072daad09508p-43", "0x1.bc37e584ab5b8p-41"),
+        (3.0, 0.05, "vi1", 256): ("0x1.62f52bed3ffdfp-43", "-0x1.03c8c47a28ed9p-41"),
+        (3.0, 0.05, "vi2", 32): ("-0x1.6f8e45c4da71ap-50", "0x1.f4102f725a9efp-15"),
+        (3.0, 0.05, "vi2", 256): ("-0x1.9550ee94489aep-53", "0x1.f4102f762fe47p-15"),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PARENT), ids=lambda k: "-".join(map(str, k)))
+    def test_within_contract(self, key):
+        a, e, method, nodes = key
+        decc, dangle = predicted_drift(method, TestPredictedDrift.pinned_orbit(a, e), 0.05,
+                                       nodes=nodes)
+        old_dangle = float.fromhex(self.PARENT[key][1])
+        assert abs(decc) < 1e-10
+        if method in ("sv", "vi2"):
+            assert abs(dangle - old_dangle) <= 1e-9 * abs(old_dangle)
+        else:
+            assert abs(dangle) < 1e-10
 
 
 class TestMeasuredDrift:
