@@ -1,15 +1,28 @@
 """Exception types shared across the library."""
 
+from __future__ import annotations
+
 
 class GeodynError(Exception):
     """Base class for all library errors."""
 
 
-class SingularOriginError(GeodynError):
+class _StepError(GeodynError):
+    """A failure a trajectory can place: ``step`` is the step that failed and
+    ``state`` the last finite state before it; both are None when unknown."""
+
+    def __init__(self, message: str = "", step: int | None = None,
+                 state: tuple[float, ...] | None = None):
+        super().__init__(message)
+        self.step = step
+        self.state = state
+
+
+class SingularOriginError(_StepError):
     """Potential or force evaluated too close to the gravitational singularity."""
 
 
-class NonFiniteStateError(GeodynError):
+class NonFiniteStateError(_StepError):
     """A trajectory reached an infinite or NaN state, or its arithmetic overflowed."""
 
 

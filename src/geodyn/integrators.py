@@ -532,23 +532,23 @@ def trajectory(kernel, z0: tuple[float, ...], h: float, steps: int) -> np.ndarra
     """States z_0 .. z_steps of z_{k+1} = kernel(z_k, h), one row each.
 
     A singular drift or force raises SingularOriginError, and a non-finite
-    state or a float overflow raises NonFiniteStateError; both name the step.
+    state or a float overflow raises NonFiniteStateError; both name the step
+    and carry it as ``step``, with the last finite state as ``state``.
     """
     width = len(z0)
-    out = np.empty((steps + 1, width))
-    flat = memoryview(out.reshape(-1))
-    flat[:width] = array("d", z0)
+    buf = array("d", z0)
     z = z0
     try:
         for k in range(1, steps + 1):
             z = kernel(z, h)
-            j = k * width
-            flat[j:j + width] = array("d", z)
+            buf.extend(z)
     except SingularOriginError as exc:
-        raise SingularOriginError(f"step {k}: {exc}") from exc
+        raise SingularOriginError(f"step {k}: {exc}", step=k, state=tuple(z)) from exc
     except OverflowError as exc:
-        _check_finite(out[:k])
-        raise NonFiniteStateError(f"step {k}: float overflow ({exc})") from exc
+        _check_finite(np.frombuffer(buf).reshape(k, width))
+        raise NonFiniteStateError(f"step {k}: float overflow ({exc})",
+                                  step=k, state=tuple(z)) from exc
+    out = np.frombuffer(buf).reshape(steps + 1, width)
     _check_finite(out)
     return out
 
@@ -557,7 +557,8 @@ def _check_finite(states: np.ndarray) -> None:
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise NonFiniteStateError(f"step {k}: state {states[k].tolist()} is not finite")
+        raise NonFiniteStateError(f"step {k}: state {states[k].tolist()} is not finite",
+                                  step=k, state=tuple(states[k - 1].tolist()) if k else None)
 
 
 def one_step_map(method_id: str, split: SplitPotential | None = None):

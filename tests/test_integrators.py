@@ -267,6 +267,35 @@ class TestRun:
         with pytest.raises(NonFiniteStateError, match=r"step 1: float overflow"):
             run("sv", s, 0.1, 3)
 
+    @pytest.mark.parametrize("method", ["sym-euler", "sv"])
+    def test_radial_infall_carries_step_and_state(self, method):
+        # the error names the failed step and the last finite state, which
+        # is the last row of a run that stops one step short
+        s = PhaseState(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+        with pytest.raises(SingularOriginError) as info:
+            run(method, s, 0.5, 6)
+        exc = info.value
+        assert f"step {exc.step}:" in str(exc)
+        before = run(method, s, 0.5, exc.step - 1, diagnostics=False)
+        assert exc.state == (*before.xs[-1].tolist(), *before.vs[-1].tolist())
+
+    def test_overflow_carries_step_and_state(self):
+        s = PhaseState(np.array([1e150, 0.0]), np.array([0.0, 0.0]))
+        with pytest.raises(NonFiniteStateError) as info:
+            run("sv", s, 0.1, 3)
+        assert (info.value.step, info.value.state) == (1, (1e150, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("method", METHOD_IDS)
+    def test_non_finite_state_carries_step_and_state(self, method):
+        s = PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1e200]))
+        with pytest.raises(NonFiniteStateError) as info:
+            run(method, s, 1e200, 3, split=SPLIT)
+        assert (info.value.step, info.value.state) == (1, (1.0, 0.0, 0.0, 1e200))
+
+    def test_errors_raised_outside_a_run_carry_no_step(self):
+        exc = SingularOriginError("potential undefined at the origin")
+        assert (exc.step, exc.state) == (None, None)
+
     def test_non_planar_state_rejected(self):
         s = PhaseState(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
         with pytest.raises(NonPlanarStateError):

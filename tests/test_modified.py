@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodyn import kepler, modified
 from geodyn.errors import (
@@ -32,6 +34,7 @@ from geodyn.modified import (
     perturbation_field,
     predicted_drift,
     shadowing_error,
+    shadowing_ratio,
 )
 
 BASE = PhaseState(np.array([-3.0, 0.0]), np.array([0.0, 0.45]))
@@ -310,6 +313,57 @@ class TestShadowing:
         # dropping the O(h) correction would leave an O(h) gap ~0.05 here
         err = shadowing_error(BASE, 0.05)
         assert err < 0.01
+
+    def test_bits_pinned(self):
+        # float.hex of the RK4 loop that called _modified_accel_vi1 per stage
+        assert shadowing_error(BASE, 0.05).hex() == "0x1.9f7a24d272433p-9"
+        assert shadowing_ratio(BASE, 0.05).hex() == "0x1.ffec0087ff5acp+1"
+
+    @pytest.mark.parametrize("weights", [(0.3, 0.7), (1.0, 0.0)], ids=["0.3-0.7", "1-0"])
+    def test_unequal_split_rejected(self, weights):
+        # the RK4 flow is the equal split's modified equation; these splits
+        # gave ratios of 1.98 and 2.00 against its 4.00, with no error
+        split = kepler_split(weights)
+        with pytest.raises(ValueError, match="equal split"):
+            shadowing_error(BASE, 0.05, split)
+        with pytest.raises(ValueError, match="equal split"):
+            shadowing_ratio(BASE, 0.05, split)
+
+    @staticmethod
+    def _reference_rk4(z, h, t_span, substeps):
+        # one _modified_accel_vi1 call per stage, in the vector form's order
+        n = max(1, int(round(t_span / h * substeps)))
+        dt = t_span / n
+        half = 0.5 * dt
+        sixth = dt / 6.0
+        accel = modified._modified_accel_vi1
+        x1, x2, v1, v2 = z
+        for _ in range(n):
+            a11, a12 = accel(x1, x2, v1, v2, h)
+            p1, p2 = v1 + half * a11, v2 + half * a12
+            a21, a22 = accel(x1 + half * v1, x2 + half * v2, p1, p2, h)
+            q1, q2 = v1 + half * a21, v2 + half * a22
+            a31, a32 = accel(x1 + half * p1, x2 + half * p2, q1, q2, h)
+            s1, s2 = v1 + dt * a31, v2 + dt * a32
+            a41, a42 = accel(x1 + dt * q1, x2 + dt * q2, s1, s2, h)
+            x1 = x1 + sixth * (v1 + 2 * p1 + 2 * q1 + s1)
+            x2 = x2 + sixth * (v2 + 2 * p2 + 2 * q2 + s2)
+            v1 = v1 + sixth * (a11 + 2 * a21 + 2 * a31 + a41)
+            v2 = v2 + sixth * (a12 + 2 * a22 + 2 * a32 + a42)
+        return x1, x2, v1, v2
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(r=st.floats(0.5, 4.0), theta=st.floats(-math.pi, math.pi),
+           bound=st.floats(0.1, 0.95), phi=st.floats(-math.pi, math.pi),
+           h=st.floats(0.01, 0.3), substeps=st.integers(1, 20))
+    def test_fused_rk4_equals_reference(self, r, theta, bound, phi, h, substeps):
+        # a bound state: speed below escape speed sqrt(2/r)
+        speed = bound * math.sqrt(2.0 / r)
+        z = (r * math.cos(theta), r * math.sin(theta),
+             speed * math.cos(phi), speed * math.sin(phi))
+        got = modified._rk4(z, h, h, substeps)
+        want = self._reference_rk4(z, h, h, substeps)
+        assert [c.hex() for c in got] == [c.hex() for c in want]
 
     def test_unsettled_shoot_raises(self, monkeypatch):
         # a modified flow whose end point keeps moving: the 2-d shoot cannot
