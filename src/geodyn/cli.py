@@ -17,17 +17,17 @@ import numpy as np
 
 from geodyn import helmholtz
 from geodyn.errors import (
+    CircularOrbitError,
     EvaluationError,
     ExpressionError,
     GeodynError,
-    StabilityBoundaryError,
     UnknownMethodError,
 )
 from geodyn.integrators import METHOD_IDS, method, run
-from geodyn.kepler import PhaseState, analytic_reference, kepler_split, orbit_elements
+from geodyn.kepler import CIRCULAR_TOL, PhaseState, kepler_split, orbit_elements
 from geodyn.modified import (
-    _drift_over_period,
-    _period_run,
+    drift_sweep,
+    fitted_order,
     linear_dispersion,
     linear_measured_frequency,
     linear_modified_series,
@@ -94,10 +94,7 @@ def cmd_run(args) -> int:
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
     _check_step(args.h)
-    try:
-        method(args.method, args.model)
-    except UnknownMethodError as exc:
-        raise UsageError(str(exc)) from exc
+    method(args.method, args.model)
     split = kepler_split(tuple(args.split))   # validated for every model; k1/k2 ignore it
 
     if args.model == "kepler":
@@ -126,8 +123,10 @@ def cmd_run(args) -> int:
 # --- convergence ---
 
 def cmd_convergence(args) -> int:
+    if args.levels < 1:
+        raise UsageError(f"--levels must be >= 1, got {args.levels}")
     seed = _seed_from_args(args)
-    if orbit_elements(seed).e < 1e-12:
+    if orbit_elements(seed).e < CIRCULAR_TOL:
         raise UsageError("convergence sweep needs a non-circular seed")
     split = kepler_split(tuple(args.split))
     hs = [0.5**i for i in range(1, args.levels + 1)]
@@ -137,35 +136,17 @@ def cmd_convergence(args) -> int:
     header = ["method", "h"] + [f"d{m}" for m in metrics] + ["poserr"]
     lines = [",".join(header)]
     slope_lines = []
-    for method in methods:
-        drift_cols = {m: [] for m in metrics}
-        pos = []
-        for h in hs:
-            # one trajectory per (method, h): the position error after
-            # round(T/h) steps is read off the drift run's prefix
-            period, rec = _period_run(method, seed, h, split)
-            for m in metrics:
-                drift_cols[m].append(_drift_over_period(rec, m, period))
-            n = int(round(period / h))
-            ref = analytic_reference(seed, n * h)
-            pos.append(float(np.linalg.norm(rec.xs[n] - ref.x)))
+    for method_id in methods:
+        cols = drift_sweep(method_id, seed, hs, split)
         for i, h in enumerate(hs):
-            row = [method, _fmt(h)]
-            row += [_fmt(drift_cols[m][i]) for m in metrics]
-            row.append(_fmt(pos[i]))
-            lines.append(",".join(row))
+            lines.append(",".join([method_id, _fmt(h)]
+                                  + [_fmt(cols[m][i]) for m in metrics + ["pos"]]))
         if len(hs) < 2:
             print("warning: cannot fit a slope from a single step size", file=sys.stderr)
-            slope_lines.append(f"# slopes {method}: n/a")
+            slope_lines.append(f"# slopes {method_id}: n/a")
             continue
-        log_h = np.log(hs)
-        parts = []
-        for m in metrics:
-            slope = float(np.polyfit(log_h, np.log(np.abs(drift_cols[m])), 1)[0])
-            parts.append(f"{m}={slope:.3f}")
-        pos_slope = float(np.polyfit(log_h, np.log(pos), 1)[0])
-        parts.append(f"pos={pos_slope:.3f}")
-        slope_lines.append(f"# slopes {method}: " + " ".join(parts))
+        slope_lines.append(f"# slopes {method_id}: " + " ".join(
+            f"{m}={fitted_order(hs, cols[m]):.3f}" for m in metrics + ["pos"]))
     _write_lines(args.output, lines + slope_lines)
     return 0
 
@@ -204,8 +185,7 @@ def cmd_modified(args) -> int:
         return 0
     if args.drift is None:
         raise UsageError("modified needs --linear or --drift METHOD")
-    if args.drift not in METHOD_IDS:
-        raise UsageError(f"unknown method {args.drift!r}")
+    method(args.drift)
     if args.metric not in ("ecc", "angle"):
         raise UsageError("--metric must be ecc or angle")
     seed = _seed_from_args(args)
@@ -314,7 +294,7 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 2
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, UnknownMethodError, CircularOrbitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvaluationError as exc:
@@ -323,9 +303,6 @@ def main(argv=None) -> int:
     except ExpressionError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except StabilityBoundaryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except GeodynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -247,12 +247,14 @@ def method(method_id: str, model: str = "kepler") -> Method:
 
 # --- Public one-step maps: PhaseState wrappers over the kernels ---
 
-def _planar(s: PhaseState) -> tuple[float, float, float, float]:
+def _planar(s) -> tuple[float, ...]:
+    """The fields of a planar ``PhaseState`` or ``ExtPhaseState`` in order, as
+    floats: (x1, x2, v1, v2) or (t, x1, x2, gamma, u1, u2)."""
     if s.n != 2:
         raise NonPlanarStateError(f"the step kernels are planar; got a state with N = {s.n}")
-    x1, x2 = s.x.tolist()
-    v1, v2 = s.v.tolist()
-    return x1, x2, v1, v2
+    if isinstance(s, PhaseState):
+        return (*s.x.tolist(), *s.v.tolist())
+    return (float(s.t), *s.x.tolist(), float(s.gamma), *s.u.tolist())
 
 
 def _phase(z) -> PhaseState:
@@ -333,11 +335,9 @@ def discrete_lagrangian(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
     x1 = np.asarray(x1, dtype=float)
     d = x1 - x0
     kinetic = 0.5 * float(d @ d) / h**2
-    if lag_id == "L1":
-        return kinetic - potential(x0)
     if lag_id == "L2":
         return kinetic - 0.5 * (potential(x0) + potential(x1))
-    split = _require_split(lag_id, split, x0.size)
+    lag_id, split = _require_split(lag_id, split, x0.size)
     if lag_id == "L1st":
         if len(split) == 1:
             return kinetic - split.value(0, x0)
@@ -354,11 +354,14 @@ def discrete_lagrangian(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
 
 
 def _require_split(lag_id, split, n):
+    """(lag_id, split) with the default split filled in; L1 is L1st on the one-part split."""
+    if lag_id == "L1":
+        return "L1st", SplitPotential((1.0,))
     if split is None:
         split = kepler_split()
     if len(split) not in (1, n):
         raise ValueError(f"{lag_id} needs a split with 1 or {n} parts")
-    return split
+    return lag_id, split
 
 
 def _l1st_minus(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotential) -> np.ndarray:
@@ -392,12 +395,9 @@ def legendre_minus(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
     """p_n = -h d1 L(x_n, x_{n+1}, h) for the named discrete Lagrangian."""
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    d = x1 - x0
-    if lag_id == "L1":
-        return d / h + h * grad_potential(x0)
     if lag_id == "L2":
-        return d / h + 0.5 * h * grad_potential(x0)
-    split = _require_split(lag_id, split, x0.size)
+        return (x1 - x0) / h + 0.5 * h * grad_potential(x0)
+    lag_id, split = _require_split(lag_id, split, x0.size)
     if lag_id == "L1st":
         return _l1st_minus(x0, x1, h, split)
     if lag_id == "Lstar":
@@ -413,12 +413,9 @@ def legendre_plus(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
     """p_{n+1} = h d2 L(x_n, x_{n+1}, h) for the named discrete Lagrangian."""
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    d = x1 - x0
-    if lag_id == "L1":
-        return d / h
     if lag_id == "L2":
-        return d / h - 0.5 * h * grad_potential(x1)
-    split = _require_split(lag_id, split, x0.size)
+        return (x1 - x0) / h - 0.5 * h * grad_potential(x1)
+    lag_id, split = _require_split(lag_id, split, x0.size)
     if lag_id == "L1st":
         return _l1st_plus(x0, x1, h, split)
     if lag_id == "Lstar":

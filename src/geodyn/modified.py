@@ -28,6 +28,7 @@ from geodyn.kepler import (
     PhaseState,
     SplitPotential,
     _period_averages,
+    analytic_reference,
     kepler_split,
     orbit_elements,
     potential,
@@ -192,7 +193,7 @@ def predicted_drift(method_id: str, elements: OrbitElements, h: float,
     periapsis on +x2; other orientations drift differently.
     """
     if elements.e < CIRCULAR_TOL:
-        raise CircularOrbitError("angle drift is undefined for circular orbits")
+        raise CircularOrbitError("LRL drift is undefined for circular orbits")
     eps, lbar = perturbation_field(method_id, split)
     # periapsis on +x2: LRL along +x2, counter-clockwise motion
     rp = elements.a * (1.0 - elements.e)
@@ -213,20 +214,32 @@ def per_period_drift(method_id: str, metric: str, seed: PhaseState, h: float,
     """
     if metric not in ("ecc", "angle"):
         raise ValueError(f"unknown drift metric {metric!r}")
-    period, rec = _period_run(method_id, seed, h, split)
-    return _drift_over_period(rec, metric, period)
+    return drift_sweep(method_id, seed, (h,), split)[metric][0]
 
 
-def _period_run(method_id: str, seed: PhaseState, h: float,
-                split: SplitPotential | None = None) -> tuple[float, TrajectoryRecord]:
-    """(T, trajectory) with diagnostics, run ceil(T/h) + 3 steps from the seed.
+def drift_sweep(method_id: str, seed: PhaseState, hs,
+                split: SplitPotential | None = None) -> dict[str, list[float]]:
+    """One-period errors of ``method_id`` from ``seed`` at each step size in ``hs``.
 
-    Its first round(T/h) steps are the one-period run, so one record serves
-    both the drifts and the position error of a convergence sweep.
+    Each h makes one run of ceil(T/h) + 3 steps. It gives the signed "ecc"
+    and "angle" drifts over the analytic period T and "pos", the position
+    error after round(T/h) steps against the analytic orbit.
     """
     period = orbit_elements(seed).T
-    steps = int(math.ceil(period / h)) + 3
-    return period, run(method_id, seed, h, steps, split=split, diagnostics=True)
+    out = {"ecc": [], "angle": [], "pos": []}
+    for h in hs:
+        steps = int(math.ceil(period / h)) + 3
+        rec = run(method_id, seed, h, steps, split=split, diagnostics=True)
+        for metric in ("ecc", "angle"):
+            out[metric].append(_drift_over_period(rec, metric, period))
+        n = int(round(period / h))
+        out["pos"].append(float(np.linalg.norm(rec.xs[n] - analytic_reference(seed, n * h).x)))
+    return out
+
+
+def fitted_order(hs, values) -> float:
+    """Least-squares slope of log|value| against log h."""
+    return float(np.polyfit(np.log(hs), np.log(np.abs(values)), 1)[0])
 
 
 def _drift_over_period(rec: TrajectoryRecord, metric: str, period: float) -> float:
@@ -255,11 +268,12 @@ def measured_drift_order(method_id: str, metric: str, seed: PhaseState,
     if orbit_elements(seed).e < CIRCULAR_TOL:
         raise CircularOrbitError("drift metrics are undefined for circular orbits")
     orders = method(method_id).drift_order
-    drifts = [abs(per_period_drift(method_id, metric, seed, h, split)) for h in hs]
-    slope = float(np.polyfit(np.log(hs), np.log(drifts), 1)[0])
+    if metric not in ("ecc", "angle"):
+        raise ValueError(f"unknown drift metric {metric!r}")
+    drifts = [abs(d) for d in drift_sweep(method_id, seed, hs, split)[metric]]
     return DriftEstimate(
         method_id=method_id, metric=metric, hs=tuple(hs), drifts=tuple(drifts),
-        fitted_order=slope, predicted_order=orders[metric],
+        fitted_order=fitted_order(hs, drifts), predicted_order=orders[metric],
     )
 
 

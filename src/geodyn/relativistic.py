@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geodyn.errors import NonPlanarStateError
 from geodyn.integrators import (
     REL_METHOD_IDS,
     _flow_hi,
     _flow_ht,
     _k1,
     _k1_adjoint,
+    _planar,
     _run_kernel,
     paired,
     trajectory,
@@ -67,14 +67,6 @@ def extended_hamiltonian(s: ExtPhaseState) -> float:
 
 
 # --- Public one-step maps: ExtPhaseState wrappers over the kernels ---
-
-def _planar(s: ExtPhaseState) -> tuple[float, ...]:
-    if s.n != 2:
-        raise NonPlanarStateError(f"the step kernels are planar; got a state with N = {s.n}")
-    x1, x2 = s.x.tolist()
-    u1, u2 = s.u.tolist()
-    return float(s.t), x1, x2, float(s.gamma), u1, u2
-
 
 def _ext(z) -> ExtPhaseState:
     return ExtPhaseState(z[0], np.array(z[1:3]), z[3], np.array(z[4:]))

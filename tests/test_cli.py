@@ -187,6 +187,16 @@ class TestConvergenceCommand:
                                + " ".join(f"{m}={float(v):.3f}" for m, v in fits))
         assert out.read_bytes() == ("\n".join(rows + slope_lines) + "\n").encode()
 
+    @pytest.mark.parametrize("levels", ["0", "-2"])
+    def test_levels_below_one_is_usage_error(self, monkeypatch, capsys, levels):
+        def no_sweep(*a, **k):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(cli_module, "drift_sweep", no_sweep)
+        assert main(["convergence", "--methods", "sv", "--levels", levels]) == 2
+        captured = capsys.readouterr()
+        assert "--levels" in captured.err and captured.out == ""
+
     def test_metric_projection(self, tmp_path):
         out = tmp_path / "conv.csv"
         main(["convergence", "--methods", "sv", "--levels", "2",
@@ -317,6 +327,16 @@ class TestModifiedCommand:
     def test_split_drift_needs_two_part_split(self, capsys):
         assert main(["modified", "--drift", "vi2", "--split", "1", "0"]) == 2
         assert "two-part split" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["bogus", "k1"])
+    def test_unknown_drift_method_is_usage_error(self, capsys, method):
+        assert main(["modified", "--drift", method]) == 2
+        assert repr(method) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["ecc", "angle"])
+    def test_circular_drift_seed_is_usage_error(self, capsys, metric):
+        assert main(["modified", "--drift", "sv", "--ecc", "0", "--metric", metric]) == 2
+        assert "LRL drift is undefined for circular orbits" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", [["--linear"], ["--drift", "sv", "--ecc", "0.1"]])
     @pytest.mark.parametrize("h", ["nan", "0"])

@@ -41,8 +41,10 @@ from geodyn.kepler import (
     PhaseState,
     analytic_reference,
     energy,
+    grad_potential,
     kepler_split,
     orbit_elements,
+    potential,
 )
 from geodyn.modified import modified_lagrangian
 from geodyn.relativistic import (
@@ -207,6 +209,22 @@ class TestDiscreteLagrangians:
     def test_bootstrap_satisfies_legendre_condition(self):
         x1 = bootstrap_first_point(S0, "L2", H)
         assert np.max(np.abs(legendre_minus("L2", S0.x, x1, H) - S0.v)) < 1e-11
+
+    @pytest.mark.parametrize("seed", [S0, S_WIDE, PhaseState(np.array([1.3, -0.7]),
+                                                             np.array([0.2, 0.9]))])
+    def test_l1_is_l1st_on_the_one_part_split_bit_for_bit(self, seed):
+        # L1 = |d|^2/(2h^2) - phi(x0); its transforms are d/h + h grad(x0) and d/h
+        single = kepler_split((1.0, 0.0))
+        x0, x1 = seed.x, bootstrap_first_point(seed, "L1", H)
+        d = x1 - x0
+        assert np.array_equal(x1, bootstrap_first_point(seed, "L1st", H, single))
+        value = discrete_lagrangian("L1", x0, x1, H)
+        assert value == discrete_lagrangian("L1st", x0, x1, H, single)
+        assert value == 0.5 * float(d @ d) / H**2 - potential(x0)
+        for lag_id, split in (("L1", None), ("L1st", single)):
+            assert np.array_equal(legendre_minus(lag_id, x0, x1, H, split),
+                                  d / H + H * grad_potential(x0))
+            assert np.array_equal(legendre_plus(lag_id, x0, x1, H, split), d / H)
 
 
 class TestDelRecurrence:

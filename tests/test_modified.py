@@ -24,6 +24,7 @@ from geodyn.kepler import (
     orbit_elements,
 )
 from geodyn.modified import (
+    fitted_order,
     linear_dispersion,
     linear_measured_frequency,
     linear_modified_series,
@@ -305,6 +306,12 @@ class TestMeasuredDrift:
         cw = per_period_drift("sv", "angle", BASE, 0.05)
         ccw = per_period_drift("sv", "angle", CCW, 0.05)
         assert cw == pytest.approx(-ccw, rel=1e-6)
+
+    @pytest.mark.parametrize("order", [-1.0, 1.0, 2.0, 4.0])
+    def test_fitted_order_recovers_a_power_law(self, order):
+        hs = (0.5, 0.25, 0.125, 0.0625)
+        signed = [-3.0 * h**order for h in hs]
+        assert fitted_order(hs, signed) == pytest.approx(order, abs=1e-12)
 
 
 class TestShadowing:
