@@ -24,7 +24,7 @@ from geodyn.errors import (
     UnknownMethodError,
 )
 from geodyn.integrators import METHOD_IDS, method, run
-from geodyn.kepler import CIRCULAR_TOL, PhaseState, kepler_split, orbit_elements
+from geodyn.kepler import CIRCULAR_TOL, ORIGIN_TOL, PhaseState, kepler_split, orbit_elements
 from geodyn.modified import (
     drift_sweep,
     fitted_order,
@@ -54,8 +54,8 @@ def _fmt(x: float) -> str:
 
 def canonical_seed(ecc: float) -> PhaseState:
     """Periapsis seed (1-e, 0, 0, sqrt((1+e)/(1-e))) for eccentricity e."""
-    if not 0.0 <= ecc < 1.0:
-        raise UsageError(f"eccentricity must be in [0, 1), got {ecc}")
+    if not 0.0 <= ecc <= 1.0 - ORIGIN_TOL:   # keeps the periapsis 1 - e off the origin
+        raise UsageError(f"eccentricity must be in [0, 1 - ORIGIN_TOL], got {ecc}")
     return PhaseState(np.array([1.0 - ecc, 0.0]),
                       np.array([0.0, math.sqrt((1.0 + ecc) / (1.0 - ecc))]))
 
@@ -71,6 +71,8 @@ def _seed_from_args(args) -> PhaseState:
         return PhaseState(np.array(DEFAULT_X0), np.array(DEFAULT_V0))
     if not all(map(math.isfinite, args.x0 + args.v0)):
         raise UsageError(f"--x0/--v0 must be finite, got {args.x0} {args.v0}")
+    if math.hypot(*args.x0) < ORIGIN_TOL:
+        raise UsageError(f"--x0 {args.x0} is within ORIGIN_TOL = {ORIGIN_TOL} of the origin")
     return PhaseState(np.array(args.x0), np.array(args.v0))
 
 

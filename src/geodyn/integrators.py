@@ -6,15 +6,18 @@ k1 (order 1) and k2 (order 2) for the relativistic system of
 ``geodyn.relativistic``. Each entry gives the model, the plain-float step
 kernel and its adjoint, and the predicted drift orders. vi1 and k1 compose
 exact sub-flows; vi2 and k2 pair a half step with its adjoint (``paired``).
-vi1 and vi2 also exist in two-step discrete Euler-Lagrange form, equivalent
-to the compositions once the first point is seeded through the discrete
-Legendre transform.
+Each kernel is its composition written out as one float function (vi2 pairs
+the written-out vi1 halves); the sub-flows stay as the public sub-steps and
+as the reference the kernels equal bit for bit. vi1 and vi2 also exist in
+two-step discrete Euler-Lagrange form, equivalent to the compositions once
+the first point is seeded through the discrete Legendre transform.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from math import sqrt
 from types import MappingProxyType
 from typing import Callable
 
@@ -28,12 +31,14 @@ from geodyn.errors import (
     UnknownMethodError,
 )
 from geodyn.kepler import (
+    ORIGIN_TOL,
     PhaseState,
     SplitPotential,
     check_segment_xy,
     grad_potential,
     grad_potential_xy,
     kepler_split,
+    origin_error,
     potential,
     potential_xy,
 )
@@ -82,40 +87,47 @@ class TrajectoryRecord:
 
 # --- Step kernels on the planar state z = (x1, x2, v1, v2) ---
 #
-# A kernel maps (z, h) to the next state tuple, on plain floats, and keeps
-# the operation order of the vector formulas, e.g. v - h*(w*(x/r**3)).
-# Every drift is segment-checked against the origin.
+# A kernel maps (z, h) to the next state tuple, on plain floats. A table kernel is
+# its sub-flow composition written out, force x/r**3 and potential -1/r inline in
+# the sub-flows' operation order, e.g. v - h*(w*(x1/r3)). Every drift is segment-checked.
 
 def _sym_euler(z, h):
     x1, x2, v1, v2 = z
-    g1, g2 = grad_potential_xy(x1, x2)
-    v1 = v1 - h * g1
-    v2 = v2 - h * g2
-    y1 = x1 + h * v1
-    y2 = x2 + h * v2
+    r = sqrt(x1 * x1 + x2 * x2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    r3 = r**3
+    v1, v2 = v1 - h * (x1 / r3), v2 - h * (x2 / r3)
+    y1, y2 = x1 + h * v1, x2 + h * v2
     check_segment_xy(x1, x2, y1, y2)
     return y1, y2, v1, v2
 
 
 def _sym_euler_adjoint(z, h):
     x1, x2, v1, v2 = z
-    y1 = x1 + h * v1
-    y2 = x2 + h * v2
+    y1, y2 = x1 + h * v1, x2 + h * v2
     check_segment_xy(x1, x2, y1, y2)
-    g1, g2 = grad_potential_xy(y1, y2)
-    return y1, y2, v1 - h * g1, v2 - h * g2
+    r = sqrt(y1 * y1 + y2 * y2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    r3 = r**3
+    return y1, y2, v1 - h * (y1 / r3), v2 - h * (y2 / r3)
 
 
 def _sv(z, h):
     x1, x2, v1, v2 = z
-    g1, g2 = grad_potential_xy(x1, x2)
-    p1 = v1 - 0.5 * h * g1
-    p2 = v2 - 0.5 * h * g2
-    y1 = x1 + h * p1
-    y2 = x2 + h * p2
+    r = sqrt(x1 * x1 + x2 * x2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    r3 = r**3
+    p1, p2 = v1 - 0.5 * h * (x1 / r3), v2 - 0.5 * h * (x2 / r3)
+    y1, y2 = x1 + h * p1, x2 + h * p2
     check_segment_xy(x1, x2, y1, y2)
-    g1, g2 = grad_potential_xy(y1, y2)
-    return y1, y2, p1 - 0.5 * h * g1, p2 - 0.5 * h * g2
+    r = sqrt(y1 * y1 + y2 * y2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    r3 = r**3
+    return y1, y2, p1 - 0.5 * h * (y1 / r3), p2 - 0.5 * h * (y2 / r3)
 
 
 def _flow(i, z, h, w):
@@ -131,8 +143,7 @@ def _flow_adjoint(i, z, h, w):
     """Adjoint sub-flow: kick at the old point, then drift coordinate i."""
     x1, x2, v1, v2 = z
     g1, g2 = grad_potential_xy(x1, x2)
-    p1 = v1 - h * (w * g1)
-    p2 = v2 - h * (w * g2)
+    p1, p2 = v1 - h * (w * g1), v2 - h * (w * g2)
     y1, y2 = (x1 + h * p1, x2) if i == 1 else (x1, x2 + h * p2)
     check_segment_xy(x1, x2, y1, y2)
     return y1, y2, p1, p2
@@ -141,7 +152,7 @@ def _flow_adjoint(i, z, h, w):
 def _vi1_kernels(split: SplitPotential | None):
     """vi1 kernel and its adjoint for a split (default: the equal Kepler split).
 
-    A one-part split gives symplectic Euler.
+    The step is _flow(2, _flow(1, z)), the adjoint _flow_adjoint(1, _flow_adjoint(2, z)).
     """
     w = (split if split is not None else kepler_split()).weights
     if len(w) == 1:
@@ -149,15 +160,48 @@ def _vi1_kernels(split: SplitPotential | None):
     w1, w2 = w
 
     def step(z, h):
-        return _flow(2, _flow(1, z, h, w1), h, w2)
+        x1, x2, v1, v2 = z
+        y1 = x1 + h * v1
+        check_segment_xy(x1, x2, y1, x2)
+        r = sqrt(y1 * y1 + x2 * x2)
+        if r < ORIGIN_TOL:
+            raise origin_error(r)
+        r3 = r**3
+        v1, v2 = v1 - h * (w1 * (y1 / r3)), v2 - h * (w1 * (x2 / r3))
+        y2 = x2 + h * v2
+        check_segment_xy(y1, x2, y1, y2)
+        r = sqrt(y1 * y1 + y2 * y2)
+        if r < ORIGIN_TOL:
+            raise origin_error(r)
+        r3 = r**3
+        return y1, y2, v1 - h * (w2 * (y1 / r3)), v2 - h * (w2 * (y2 / r3))
 
     def adjoint(z, h):
-        return _flow_adjoint(1, _flow_adjoint(2, z, h, w2), h, w1)
+        x1, x2, v1, v2 = z
+        r = sqrt(x1 * x1 + x2 * x2)
+        if r < ORIGIN_TOL:
+            raise origin_error(r)
+        r3 = r**3
+        v1, v2 = v1 - h * (w2 * (x1 / r3)), v2 - h * (w2 * (x2 / r3))
+        y2 = x2 + h * v2
+        check_segment_xy(x1, x2, x1, y2)
+        r = sqrt(x1 * x1 + y2 * y2)
+        if r < ORIGIN_TOL:
+            raise origin_error(r)
+        r3 = r**3
+        v1, v2 = v1 - h * (w1 * (x1 / r3)), v2 - h * (w1 * (y2 / r3))
+        y1 = x1 + h * v1
+        check_segment_xy(x1, y2, y1, y2)
+        return y1, y2, v1, v2
 
     return step, adjoint
 
 
 # --- Kernels on the relativistic planar state z = (t, x1, x2, gamma, u1, u2) ---
+#
+# k1 is _flow_hi(2, _flow_hi(1, _flow_ht(z))) written out, k1* the reverse. A drift's
+# gamma update reuses phi(start) from the flow before; k1* evaluates its first
+# phi(start) after the drift check and phi(end), as _flow_hi does.
 
 def _flow_ht(z, h):
     t, x1, x2, gamma, u1, u2 = z
@@ -173,11 +217,85 @@ def _flow_hi(i, z, h):
 
 
 def _k1(z, h):
-    return _flow_hi(2, _flow_hi(1, _flow_ht(z, h), h), h)
+    t, x1, x2, gamma, u1, u2 = z
+    r = sqrt(x1 * x1 + x2 * x2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    r3, hg, p0 = r**3, h * gamma, -1.0 / r
+    u1, u2 = u1 - hg * (x1 / r3), u2 - hg * (x2 / r3)
+    y1 = x1 + h * u1
+    check_segment_xy(x1, x2, y1, x2)
+    r = sqrt(y1 * y1 + x2 * x2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    p1 = -1.0 / r
+    gamma = gamma - (p1 - p0)
+    y2 = x2 + h * u2
+    check_segment_xy(y1, x2, y1, y2)
+    r = sqrt(y1 * y1 + y2 * y2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    return t + hg, y1, y2, gamma - (-1.0 / r - p1), u1, u2
 
 
 def _k1_adjoint(z, h):
-    return _flow_ht(_flow_hi(1, _flow_hi(2, z, h), h), h)
+    t, x1, x2, gamma, u1, u2 = z
+    y2 = x2 + h * u2
+    check_segment_xy(x1, x2, x1, y2)
+    r = sqrt(x1 * x1 + y2 * y2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    p1 = -1.0 / r
+    r = sqrt(x1 * x1 + x2 * x2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    gamma = gamma - (p1 - -1.0 / r)
+    y1 = x1 + h * u1
+    check_segment_xy(x1, y2, y1, y2)
+    r = sqrt(y1 * y1 + y2 * y2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    gamma = gamma - (-1.0 / r - p1)
+    r3, hg = r**3, h * gamma
+    return t + hg, y1, y2, gamma, u1 - hg * (y1 / r3), u2 - hg * (y2 / r3)
+
+
+def _k2(z, h):
+    """paired(_k1, _k1_adjoint) written out; its two time/kick flows share one force."""
+    c = 0.5 * h
+    t, x1, x2, gamma, u1, u2 = z
+    y2 = x2 + c * u2
+    check_segment_xy(x1, x2, x1, y2)
+    r = sqrt(x1 * x1 + y2 * y2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    p1 = -1.0 / r
+    r = sqrt(x1 * x1 + x2 * x2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    gamma = gamma - (p1 - -1.0 / r)
+    y1 = x1 + c * u1
+    check_segment_xy(x1, y2, y1, y2)
+    r = sqrt(y1 * y1 + y2 * y2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    p2 = -1.0 / r
+    gamma = gamma - (p2 - p1)
+    r3, hg = r**3, c * gamma
+    u1, u2 = u1 - hg * (y1 / r3) - hg * (y1 / r3), u2 - hg * (y2 / r3) - hg * (y2 / r3)
+    x1 = y1 + c * u1
+    check_segment_xy(y1, y2, x1, y2)
+    r = sqrt(x1 * x1 + y2 * y2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    p1 = -1.0 / r
+    gamma = gamma - (p1 - p2)
+    x2 = y2 + c * u2
+    check_segment_xy(x1, y2, x1, x2)
+    r = sqrt(x1 * x1 + x2 * x2)
+    if r < ORIGIN_TOL:
+        raise origin_error(r)
+    return t + hg + hg, x1, x2, gamma - (-1.0 / r - p1), u1, u2
 
 
 def paired(step, adjoint, variant: str = "adjoint-last"):
@@ -231,7 +349,7 @@ METHODS = MappingProxyType({m.id: m for m in (
     Method("vi2", "kepler", lambda split: _self_adjoint(paired(*_vi1_kernels(split))),
            {"ecc": 4.0, "angle": 2.0}),
     Method("k1", "relativistic", lambda split: (_k1, _k1_adjoint), None),
-    Method("k2", "relativistic", lambda split: _self_adjoint(paired(_k1, _k1_adjoint)), None),
+    Method("k2", "relativistic", lambda split: _self_adjoint(_k2), None),
 )})
 METHOD_IDS = tuple(m.id for m in METHODS.values() if m.model == "kepler")
 REL_METHOD_IDS = tuple(m.id for m in METHODS.values() if m.model == "relativistic")

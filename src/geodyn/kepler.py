@@ -90,11 +90,15 @@ class OrbitElements:
 
 # --- Potential ---
 
+def origin_error(r: float) -> SingularOriginError:
+    return SingularOriginError(f"|x| = {r:.3e} too close to the origin")
+
+
 def potential(x: np.ndarray) -> float:
     """Kepler potential phi(x) = -1/|x|."""
     r = float(np.linalg.norm(x))
     if r < ORIGIN_TOL:
-        raise SingularOriginError(f"|x| = {r:.3e} too close to the origin")
+        raise origin_error(r)
     return -1.0 / r
 
 
@@ -103,7 +107,7 @@ def grad_potential(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     r = float(np.linalg.norm(x))
     if r < ORIGIN_TOL:
-        raise SingularOriginError(f"|x| = {r:.3e} too close to the origin")
+        raise origin_error(r)
     return x / r**3
 
 
@@ -112,7 +116,7 @@ def hess_potential(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     r = float(np.linalg.norm(x))
     if r < ORIGIN_TOL:
-        raise SingularOriginError(f"|x| = {r:.3e} too close to the origin")
+        raise origin_error(r)
     return np.eye(x.size) / r**3 - 3.0 * np.outer(x, x) / r**5
 
 
@@ -122,7 +126,7 @@ def potential_xy(x1: float, x2: float) -> float:
     """Kepler potential at the planar point (x1, x2), on plain floats."""
     r = sqrt(x1 * x1 + x2 * x2)
     if r < ORIGIN_TOL:
-        raise SingularOriginError(f"|x| = {r:.3e} too close to the origin")
+        raise origin_error(r)
     return -1.0 / r
 
 
@@ -133,7 +137,7 @@ def grad_potential_xy(x1: float, x2: float) -> tuple[float, float]:
     """
     r = sqrt(x1 * x1 + x2 * x2)
     if r < ORIGIN_TOL:
-        raise SingularOriginError(f"|x| = {r:.3e} too close to the origin")
+        raise origin_error(r)
     r3 = r**3
     return x1 / r3, x2 / r3
 

@@ -19,6 +19,7 @@ from geodyn.errors import (
     CircularOrbitError,
     NonConvergenceError,
     StabilityBoundaryError,
+    TrajectoryTooShortError,
 )
 from geodyn.integrators import TrajectoryRecord, method, run
 from geodyn.kepler import (
@@ -223,12 +224,15 @@ def drift_sweep(method_id: str, seed: PhaseState, hs,
 
     Each h makes one run of ceil(T/h) + 3 steps. It gives the signed "ecc"
     and "angle" drifts over the analytic period T and "pos", the position
-    error after round(T/h) steps against the analytic orbit.
+    error after round(T/h) steps against the analytic orbit. A run of fewer
+    than 8 samples, too few for the drift fit, raises TrajectoryTooShortError.
     """
     period = orbit_elements(seed).T
     out = {"ecc": [], "angle": [], "pos": []}
     for h in hs:
         steps = int(math.ceil(period / h)) + 3
+        if steps + 1 < 8:
+            raise TrajectoryTooShortError(f"h = {h}: {steps + 1} samples over T = {period:.6g}; need 8")
         rec = run(method_id, seed, h, steps, split=split, diagnostics=True)
         for metric in ("ecc", "angle"):
             out[metric].append(_drift_over_period(rec, metric, period))

@@ -23,6 +23,7 @@ from geodyn.integrators import (
     _flow_ht,
     _k1,
     _k1_adjoint,
+    _k2,
     _planar,
     _run_kernel,
     paired,
@@ -104,7 +105,8 @@ def step_k2(s: ExtPhaseState, h: float, variant: str = "adjoint-last") -> ExtPha
     generated by the second-order extended discrete Lagrangian;
     ``adjoint-first`` is the reversed pairing. Self-adjoint in either variant.
     """
-    return _ext(paired(_k1, _k1_adjoint, variant)(_planar(s), h))
+    kernel = _k2 if variant == "adjoint-last" else paired(_k1, _k1_adjoint, variant)
+    return _ext(kernel(_planar(s), h))
 
 
 # --- Two-step variational form ---

@@ -123,6 +123,17 @@ class TestRunCommand:
                                             "--method", "k1", "--h", "0.05", "--split", "5", "5")
         assert "sum to 1" in err
 
+    @pytest.mark.parametrize("model", ["kepler", "relativistic"])
+    @pytest.mark.parametrize("seed", [
+        ("--x0", "0", "0", "--v0", "1", "0"), ("--x0", "1e-13", "0", "--v0", "1", "0"),
+        ("--ecc", "0.9999999999999"),       # periapsis 1 - e = 1e-13
+    ], ids=["zero", "1e-13", "ecc"])
+    def test_seed_at_the_origin_is_usage_error(self, monkeypatch, capsys, model, seed):
+        err = self.rejected_before_any_step(
+            monkeypatch, capsys, "--model", model, "--method", "sv" if model == "kepler" else "k1",
+            "--h", "0.05", *seed)
+        assert "ORIGIN_TOL" in err and "step" not in err
+
     def test_svg_output(self, tmp_path):
         out = tmp_path / "orbit.svg"
         assert main(["run", "--method", "vi1", "--ecc", "0.6", "--h", "0.05",
@@ -196,6 +207,32 @@ class TestConvergenceCommand:
         assert main(["convergence", "--methods", "sv", "--levels", levels]) == 2
         captured = capsys.readouterr()
         assert "--levels" in captured.err and captured.out == ""
+
+    def test_too_few_samples_per_period_exits_1(self, capsys):
+        # T = 1.44, so h = 0.5 gives a run of 7 samples, one short of the drift fit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["convergence", "--levels", "2", "--x0", "0.3", "0",
+                         "--v0", "0", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "h = 0.5" in captured.err and "T = 1.44" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["convergence", "--methods", "sv"],
+        ["modified", "--drift", "sv", "--h", "0.05"],
+    ], ids=["convergence", "modified"])
+    def test_seed_at_the_origin_is_usage_error(self, monkeypatch, capsys, argv):
+        def no_work(*a, **k):
+            raise AssertionError("the sweep started")
+
+        for name in ("drift_sweep", "predicted_drift", "measured_drift_order"):
+            monkeypatch.setattr(cli_module, name, no_work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--x0", "0", "0", "--v0", "1", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "--x0" in captured.err and "origin" in captured.err and captured.out == ""
 
     def test_metric_projection(self, tmp_path):
         out = tmp_path / "conv.csv"

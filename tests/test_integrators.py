@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodyn.cli import build_parser
 from geodyn.errors import (
+    GeodynError,
     NonFiniteStateError,
     NonPlanarStateError,
     SingularOriginError,
@@ -19,6 +22,10 @@ from geodyn.integrators import (
     METHODS,
     REL_METHOD_IDS,
     TwoStepState,
+    _flow,
+    _flow_adjoint,
+    _flow_hi,
+    _flow_ht,
     bootstrap_first_point,
     del_two_step_vi1,
     discrete_lagrangian,
@@ -26,6 +33,7 @@ from geodyn.integrators import (
     legendre_minus,
     legendre_plus,
     one_step_map,
+    paired,
     run,
     step_stormer_verlet,
     step_sv_one_step,
@@ -39,9 +47,12 @@ from geodyn.integrators import (
 )
 from geodyn.kepler import (
     PhaseState,
+    SplitPotential,
     analytic_reference,
+    check_segment_xy,
     energy,
     grad_potential,
+    grad_potential_xy,
     kepler_split,
     orbit_elements,
     potential,
@@ -383,6 +394,102 @@ class TestMethodTable:
     def test_one_unknown_method_error(self, call):
         with pytest.raises(UnknownMethodError):
             call()
+
+
+# --- Each fused table kernel equals its sub-flow composition, bit for bit ---
+
+def _ref_sym_euler(z, h):
+    x1, x2, v1, v2 = z
+    g1, g2 = grad_potential_xy(x1, x2)
+    v1 = v1 - h * g1
+    v2 = v2 - h * g2
+    y1 = x1 + h * v1
+    y2 = x2 + h * v2
+    check_segment_xy(x1, x2, y1, y2)
+    return y1, y2, v1, v2
+
+
+def _ref_sym_euler_adjoint(z, h):
+    x1, x2, v1, v2 = z
+    y1 = x1 + h * v1
+    y2 = x2 + h * v2
+    check_segment_xy(x1, x2, y1, y2)
+    g1, g2 = grad_potential_xy(y1, y2)
+    return y1, y2, v1 - h * g1, v2 - h * g2
+
+
+def _ref_sv(z, h):
+    x1, x2, v1, v2 = z
+    g1, g2 = grad_potential_xy(x1, x2)
+    p1 = v1 - 0.5 * h * g1
+    p2 = v2 - 0.5 * h * g2
+    y1 = x1 + h * p1
+    y2 = x2 + h * p2
+    check_segment_xy(x1, x2, y1, y2)
+    g1, g2 = grad_potential_xy(y1, y2)
+    return y1, y2, p1 - 0.5 * h * g1, p2 - 0.5 * h * g2
+
+
+def _ref_kernels(method_id, split):
+    """(step, adjoint) of a method composed from the sub-flows the kernels write out."""
+    w1, w2 = split.weights
+    vi1 = (lambda z, h: _flow(2, _flow(1, z, h, w1), h, w2),
+           lambda z, h: _flow_adjoint(1, _flow_adjoint(2, z, h, w2), h, w1))
+    k1 = (lambda z, h: _flow_hi(2, _flow_hi(1, _flow_ht(z, h), h), h),
+          lambda z, h: _flow_ht(_flow_hi(1, _flow_hi(2, z, h), h), h))
+    return {"sym-euler": (_ref_sym_euler, _ref_sym_euler_adjoint), "sv": (_ref_sv, _ref_sv),
+            "vi1": vi1, "vi2": (paired(*vi1),) * 2, "k1": k1, "k2": (paired(*k1),) * 2}[method_id]
+
+
+def _outcome(kernel, z, h):
+    """The next state as float.hex strings, or the exception's type and message."""
+    try:
+        return tuple(map(float.hex, kernel(z, h)))
+    except (GeodynError, ArithmeticError) as exc:    # SingularOriginError, OverflowError
+        return type(exc), str(exc)
+
+
+def _assert_fused_equals_composed(method_id, z, h, split):
+    """z is a Kepler state; a relativistic method steps (0.5, x1, x2, 1.25, v1, v2)."""
+    if METHODS[method_id].model == "relativistic" and len(z) == 4:
+        z = (0.5, *z[:2], 1.25, *z[2:])
+    for fused, composed in zip(METHODS[method_id].kernels(split), _ref_kernels(method_id, split)):
+        assert _outcome(fused, z, h) == _outcome(composed, z, h)
+
+
+_COORD = st.floats(-3.0, 3.0)
+
+# at and next to the origin, drifts onto and through it, and |x| ~ 1e103, where
+# r**3 overflows; a drift that lands on the origin tells the drift check's
+# place from the end point's force or potential
+_EDGE_STATES = [
+    (0.0, 0.0, 1.0, 0.5), (0.0, 0.0, 0.0, 0.0), (1e-13, 0.0, 0.0, 1.0), (0.0, -1e-13, 1.0, 0.0),
+    (1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0), (1.0, 1.0, -1.0, -1.0), (-1.0, 0.0, 3.0, 0.0),
+    (1.0, 0.0, 0.25, 0.0),                  # k1's kicked drift lands on the origin at h = 1
+    (1e103, 0.0, 0.0, 1.0), (0.0, -1e103, 1.0, 0.0), (1.0, 0.0, 1e103, 0.0),
+]
+_REL_EDGE_STATES = [(0.0, 0.5, 0.0, 1.75, 0.5, 0.0)]   # k2's second half lands on it at h = 2
+
+
+class TestFusedKernels:
+    """Each table kernel and its adjoint is the sub-flow composition written out."""
+
+    @pytest.mark.parametrize("method_id", list(METHODS))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(z4=st.tuples(_COORD, _COORD, _COORD, _COORD), h=st.floats(1e-3, 1.0),
+           sign=st.sampled_from([1.0, -1.0]), w1=st.floats(-0.5, 1.5))
+    def test_equals_the_composition(self, method_id, z4, h, sign, w1):
+        split = SplitPotential((w1, 1.0 - w1))
+        _assert_fused_equals_composed(method_id, z4, sign * h, split)
+
+    @pytest.mark.parametrize("method_id", list(METHODS))
+    def test_equals_the_composition_at_the_edges(self, method_id):
+        states = _EDGE_STATES
+        if METHODS[method_id].model == "relativistic":
+            states = states + _REL_EDGE_STATES
+        for z in states:
+            for h in (1.0, 2.0, -2.0):
+                _assert_fused_equals_composed(method_id, z, h, SplitPotential((0.3, 0.7)))
 
 
 def _flat(s):

@@ -1,6 +1,7 @@
 """Backward-error analysis tests: linear series, modified Lagrangians, drift."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from geodyn.errors import (
     CircularOrbitError,
     NonConvergenceError,
     StabilityBoundaryError,
+    TrajectoryTooShortError,
     UnknownMethodError,
 )
 from geodyn.kepler import (
@@ -24,6 +26,7 @@ from geodyn.kepler import (
     orbit_elements,
 )
 from geodyn.modified import (
+    drift_sweep,
     fitted_order,
     linear_dispersion,
     linear_measured_frequency,
@@ -306,6 +309,16 @@ class TestMeasuredDrift:
         cw = per_period_drift("sv", "angle", BASE, 0.05)
         ccw = per_period_drift("sv", "angle", CCW, 0.05)
         assert cw == pytest.approx(-ccw, rel=1e-6)
+
+    def test_sweep_needs_eight_samples_per_run(self):
+        # T = 1.44: h = 0.4 makes a run of 8 samples, exactly the drift fit's
+        # window; h = 0.5 makes 7, too few for a degree-7 fit
+        seed = PhaseState(np.array([0.3, 0.0]), np.array([0.0, 2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(drift_sweep("sv", seed, [0.4])["angle"]) == 1
+            with pytest.raises(TrajectoryTooShortError, match=r"h = 0\.5: 7 samples over T = 1\.44"):
+                drift_sweep("sv", seed, [0.25, 0.5])
 
     @pytest.mark.parametrize("order", [-1.0, 1.0, 2.0, 4.0])
     def test_fitted_order_recovers_a_power_law(self, order):
