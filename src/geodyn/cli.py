@@ -35,7 +35,7 @@ from geodyn.modified import (
     predicted_drift,
 )
 from geodyn.relativistic import ExtPhaseState, mass_shell_gamma, run_relativistic
-from geodyn.svgplot import emit_svg
+from geodyn.svgplot import svg_lines
 
 KEPLER_HEADER = "step,t,x1,x2,v1,v2,H,m,A1,A2,ecc,angle"
 RELATIVISTIC_HEADER = "step,tau,t,x1,x2,gamma,u1,u2,H"
@@ -114,7 +114,7 @@ def cmd_run(args) -> int:
         cols = [rec.taus, rec.ts, rec.xs, rec.gammas, rec.us, rec.H]
     if args.format == "svg":
         series = list(zip(cols[0], rec.H - rec.H[0]))
-        emit_svg(series, args.output or "run.svg", title=f"{args.method} energy error")
+        _write_lines(args.output or "run.svg", svg_lines(series, f"{args.method} energy error"))
         return 0
     rows = np.column_stack(cols).tolist()
     _write_lines(args.output, [header] + [",".join([str(n)] + list(map(repr, row)))
@@ -259,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Expand ``--config path`` into leading option tokens for the subcommand."""
+    """Expand ``--config path`` or ``--config=path`` into leading options of the subcommand."""
+    argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")

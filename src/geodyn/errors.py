@@ -51,7 +51,7 @@ class CircularOrbitError(GeodynError):
 
 
 class UnknownMethodError(GeodynError, ValueError):
-    """Unrecognized integrator, composition variant or discrete-Lagrangian identifier."""
+    """Unrecognized integrator or discrete-Lagrangian identifier."""
 
 
 class ExpressionError(GeodynError):

@@ -2,13 +2,14 @@
 
 Each checker evaluates the condition families appropriate to the structure of
 the system (general, velocity-dependent mass with f = A(t,x) xdot + phi(t,x),
-or constant mass) over a deterministic low-discrepancy sample cloud, using
-central finite differences for partials and on-shell jet shifts for total
-time derivatives. Each stage of a check stacks every sample and stencil
-point of the cloud into one batch, so the system's callables run once per
-stage, on arrays (see SecondOrderSystem). A passing report certifies that a
-Lagrangian exists; the Vainberg construction then reconstructs one by
-quadrature.
+or constant mass) over the deterministic low-discrepancy ``sample_cloud``,
+using central finite differences of step DEFAULT_DELTA for partials and
+on-shell jet shifts of step _TIME_DELTA for total time derivatives. A
+condition passes when its worst residual is below PASS_TOLERANCE. Each stage
+of a check stacks every sample and stencil point of the cloud into one batch,
+so the system's callables run once per stage, on arrays (see
+SecondOrderSystem). A passing report certifies that a Lagrangian exists; the
+Vainberg construction then reconstructs one by quadrature.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class ConditionResult:
 class CheckReport:
     system: str
     structure: str
-    tolerance: float
     conditions: tuple[ConditionResult, ...] = field(default_factory=tuple)
 
     @property
@@ -139,14 +139,14 @@ def _arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # --- Finite-difference machinery ---
 
-def _partials(fn, t, x, v, wrt: str, delta: float, shape: tuple[int, ...]) -> np.ndarray:
+def _partials(fn, t, x, v, wrt: str, shape: tuple[int, ...]) -> np.ndarray:
     """Central differences of fn(t, x, v) over a batch, with one call of fn.
 
     ``wrt`` lists the variables, from "t", "x" and "v"; "x" and "v" stand for
-    each of their n components. The +delta and -delta stencil points of
-    every direction and sample are stacked along the sample axis, sample by
-    sample, and fn's values are broadcast to (points,) + ``shape``. Returns
-    shape (S, D) + ``shape``, the D directions in ``wrt`` order.
+    each of their n components. The +DEFAULT_DELTA and -DEFAULT_DELTA stencil
+    points of every direction and sample are stacked along the sample axis,
+    sample by sample, and fn's values are broadcast to (points,) + ``shape``.
+    Returns shape (S, D) + ``shape``, the D directions in ``wrt`` order.
     """
     count, n = x.shape
     dirs = [(var, j) for var in wrt for j in (range(1) if var == "t" else range(n))]
@@ -158,13 +158,13 @@ def _partials(fn, t, x, v, wrt: str, delta: float, shape: tuple[int, ...]) -> np
     vs[...] = v[:, None, None, :]
     for d, (var, j) in enumerate(dirs):
         moved = ts[:, d] if var == "t" else (xs if var == "x" else vs)[:, d, :, j]
-        moved[:, 0] += delta
-        moved[:, 1] -= delta
+        moved[:, 0] += DEFAULT_DELTA
+        moved[:, 1] -= DEFAULT_DELTA
     points = ts.size
     out = np.broadcast_to(np.asarray(fn(ts.reshape(points), xs.reshape(points, n),
                                         vs.reshape(points, n)), dtype=float),
                           (points,) + shape).reshape((count, len(dirs), 2) + shape)
-    return (out[:, :, 0] - out[:, :, 1]) / (2 * delta)
+    return (out[:, :, 0] - out[:, :, 1]) / (2 * DEFAULT_DELTA)
 
 
 def _contract(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -177,21 +177,20 @@ def _solve(m: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.linalg.solve(m, f[..., None])[..., 0]
 
 
-def _accelerations(system: SecondOrderSystem, t, x, v, delta: float = DEFAULT_DELTA,
-                   max_iter: int = 40) -> np.ndarray:
+def _accelerations(system: SecondOrderSystem, t, x, v) -> np.ndarray:
     """On-shell accelerations of a batch, solving M a = f - (dM/dt) v by fixed-point iteration.
 
-    Each sample stops iterating once its own update is below 1e-13.
+    Each sample stops iterating once its own update is below 1e-13, or after 40 iterations.
     """
     f = np.broadcast_to(np.asarray(system.force(t, x, v), dtype=float), x.shape)
     if system.mass is None:
         return f      # the solve against the identity returns f unchanged
     n = system.n
     m = system.mass_at(t, x, v)
-    dm = _partials(system.mass_at, t, x, v, "txv", delta, (n, n))
+    dm = _partials(system.mass_at, t, x, v, "txv", (n, n))
     a = _solve(m, f)
     done = np.zeros(len(x), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(40):
         mdot = dm[:, 0]
         for l in range(n):
             mdot = mdot + dm[:, 1 + l] * v[:, l, None, None]
@@ -205,19 +204,19 @@ def _accelerations(system: SecondOrderSystem, t, x, v, delta: float = DEFAULT_DE
     return a
 
 
-def acceleration(system: SecondOrderSystem, t, x, v, delta: float = DEFAULT_DELTA,
-                 max_iter: int = 40) -> np.ndarray:
+def acceleration(system: SecondOrderSystem, t, x, v) -> np.ndarray:
     """On-shell acceleration at one sample, solving M a = f - (dM/dt) v."""
     batch = (np.array([t], dtype=float), np.asarray(x, dtype=float)[None],
              np.asarray(v, dtype=float)[None])
-    return np.array(_accelerations(system, *batch, delta, max_iter)[0])
+    return np.array(_accelerations(system, *batch)[0])
 
 
-def _total_derivatives(system: SecondOrderSystem, g, t, x, v, sigma: float = _TIME_DELTA):
+def _total_derivatives(system: SecondOrderSystem, g, t, x, v):
     """On-shell d/dt of each array g returns: central differences along the jet shift.
 
     g gets the 2S shifted points of the batch, the S forward ones first.
     """
+    sigma = _TIME_DELTA
     a = _accelerations(system, t, x, v)
     shifted = (np.concatenate([t + sigma, t - sigma]),
                np.concatenate([x + sigma * v + 0.5 * sigma**2 * a,
@@ -229,79 +228,73 @@ def _total_derivatives(system: SecondOrderSystem, g, t, x, v, sigma: float = _TI
 
 # --- Condition checkers ---
 
-def _report(system, names_residuals, tolerance) -> CheckReport:
+def _report(system, names_residuals) -> CheckReport:
     conditions = tuple(
-        ConditionResult(cond, desc, res, res < tolerance)
+        ConditionResult(cond, desc, res, res < PASS_TOLERANCE)
         for cond, desc, res in names_residuals
     )
-    return CheckReport(system.name, system.structure, tolerance, conditions)
+    return CheckReport(system.name, system.structure, conditions)
 
 
 def _worst(residuals: np.ndarray) -> float:
     return float(np.max(np.abs(residuals)))
 
 
-def check_constant_mass(system: SecondOrderSystem, samples=None,
-                        delta: float = DEFAULT_DELTA,
-                        tolerance: float = PASS_TOLERANCE) -> CheckReport:
+def check_constant_mass(system: SecondOrderSystem) -> CheckReport:
     """Conditions for constant symmetric mass: force partial symmetries only."""
     if system.structure != "constant-mass":
         raise ValueError("check_constant_mass needs a constant-mass system")
-    t, x, v = _arrays(samples if samples is not None else sample_cloud(system))
+    t, x, v = _arrays(sample_cloud(system))
     n = system.n
     # df[s, i, d]: df_i/dv_j for d = j < n, df_i/dx_j for d = n + j
-    df = _partials(system.force, t, x, v, "vx", delta, (n,)).swapaxes(1, 2)
+    df = _partials(system.force, t, x, v, "vx", (n,)).swapaxes(1, 2)
     dfv, dfx = df[:, :, :n], df[:, :, n:]
     (ddt,) = _total_derivatives(
         system,
         lambda tt, xx, vv: [
-            _partials(system.force, tt, xx, vv, "v", delta, (n,)).swapaxes(1, 2)],
+            _partials(system.force, tt, xx, vv, "v", (n,)).swapaxes(1, 2)],
         t, x, v)
     return _report(system, [
         ("a", "df_i/dv_j + df_j/dv_i = 0", _worst(dfv + dfv.swapaxes(1, 2))),
         ("b", "df_i/dx_j - df_j/dx_i + d/dt df_i/dv_j = 0",
          _worst(dfx - dfx.swapaxes(1, 2) + ddt)),
-    ], tolerance)
+    ])
 
 
-def check_velocity_mass(system: SecondOrderSystem, samples=None,
-                        delta: float = DEFAULT_DELTA,
-                        tolerance: float = PASS_TOLERANCE) -> CheckReport:
+def check_velocity_mass(system: SecondOrderSystem) -> CheckReport:
     """Conditions for M = M(v), f = A(t,x) v + phi(t,x)."""
     if system.structure != "velocity-mass":
         raise ValueError("check_velocity_mass needs a velocity-mass system")
     if system.amat is None or system.phi is None:
         raise ValueError("velocity-mass systems must provide amat and phi")
-    t, x, v = _arrays(samples if samples is not None else sample_cloud(system))
+    t, x, v = _arrays(sample_cloud(system))
     n = system.n
     amat = lambda tt, xx, vv: system.amat(tt, xx)
     phi = lambda tt, xx, vv: system.phi(tt, xx)
     # sym[s, j, i] = sum_k dM_ik/dv_j v_k
-    sym = _contract(_partials(system.mass_at, t, x, v, "v", delta, (n, n)), v)
+    sym = _contract(_partials(system.mass_at, t, x, v, "v", (n, n)), v)
     am = np.broadcast_to(np.asarray(system.amat(t, x), dtype=float), (len(t), n, n))
-    da = _partials(amat, t, x, v, "tx", delta, (n, n))
+    da = _partials(amat, t, x, v, "tx", (n, n))
     # dax[s, i, j, k] = dA_jk/dx_i; the cyclic sum is dA_jk/dx_i + dA_ki/dx_j + dA_ij/dx_k
     da_t, dax = da[:, 0], da[:, 1:]
     cyc = dax + dax.transpose(0, 3, 1, 2) + dax.transpose(0, 2, 3, 1)
-    dphi = _partials(phi, t, x, v, "x", delta, (n,)).swapaxes(1, 2)
+    dphi = _partials(phi, t, x, v, "x", (n,)).swapaxes(1, 2)
     return _report(system, [
         ("a", "velocity-mass contraction symmetric", _worst(sym - sym.swapaxes(1, 2))),
         ("b", "A skew-symmetric", _worst(am + am.swapaxes(1, 2))),
         ("c", "cyclic closedness of A", _worst(cyc)),
         ("d", "curl(phi) = dA/dt", _worst(dphi - dphi.swapaxes(1, 2) - da_t)),
-    ], tolerance)
+    ])
 
 
-def check_general(system: SecondOrderSystem, samples=None,
-                  delta: float = DEFAULT_DELTA,
-                  tolerance: float = PASS_TOLERANCE) -> CheckReport:
+def check_general(system: SecondOrderSystem) -> CheckReport:
     """Full condition families for M = M(t, x, v) without structural shortcuts."""
-    t, x, v = _arrays(samples if samples is not None else sample_cloud(system))
+    t, x, v = _arrays(sample_cloud(system))
     n = system.n
     # dm[s, d, i, k]: dM_ik/dv_j for d = j < n, dM_ik/dx_j for d = n + j
-    dm = _partials(system.mass_at, t, x, v, "vx", delta, (n, n))
+    dm = _partials(system.mass_at, t, x, v, "vx", (n, n))
     dmv, dmx = dm[:, :n], dm[:, n:]
-    df = _partials(system.force, t, x, v, "vx", delta, (n,)).swapaxes(1, 2)
+    df = _partials(system.force, t, x, v, "vx", (n,)).swapaxes(1, 2)
     dfv, dfx = df[:, :, :n], df[:, :, n:]
     # term_a[s, j, i] = sum_k (dM_ik/dv_j - dM_jk/dv_i) v_k
     term_a = _contract(dmv - dmv.swapaxes(1, 2), v)
@@ -311,29 +304,28 @@ def check_general(system: SecondOrderSystem, samples=None,
     ddt_m, ddt_f = _total_derivatives(
         system,
         lambda tt, xx, vv: [
-            _contract(_partials(system.mass_at, tt, xx, vv, "x", delta, (n, n)), vv),
-            _partials(system.force, tt, xx, vv, "v", delta, (n,))],
+            _contract(_partials(system.mass_at, tt, xx, vv, "x", (n, n)), vv),
+            _partials(system.force, tt, xx, vv, "v", (n,))],
         t, x, v)
     term_c = ddt_m.swapaxes(1, 2) - dfx + dfx.swapaxes(1, 2) + ddt_f
     return _report(system, [
         ("a", "velocity-mass contraction antisymmetry", _worst(term_a)),
         ("b", "mass/force cross symmetry", _worst(term_b)),
         ("c", "curl consistency with total derivatives", _worst(term_c)),
-    ], tolerance)
+    ])
 
 
-def check(system: SecondOrderSystem, samples=None, delta: float = DEFAULT_DELTA,
-          tolerance: float = PASS_TOLERANCE) -> CheckReport:
+def check(system: SecondOrderSystem) -> CheckReport:
     """Dispatch to the checker matching the system's structure tag.
 
     Each stage of a check evaluates the system's callables once, over every
     sample and stencil point of the cloud together (see SecondOrderSystem).
     """
     if system.structure == "constant-mass":
-        return check_constant_mass(system, samples, delta, tolerance)
+        return check_constant_mass(system)
     if system.structure == "velocity-mass":
-        return check_velocity_mass(system, samples, delta, tolerance)
-    return check_general(system, samples, delta, tolerance)
+        return check_velocity_mass(system)
+    return check_general(system)
 
 
 # --- Vainberg reconstruction ---

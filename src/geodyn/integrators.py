@@ -298,24 +298,15 @@ def _k2(z, h):
     return t + hg + hg, x1, x2, gamma - (-1.0 / r - p1), u1, u2
 
 
-def paired(step, adjoint, variant: str = "adjoint-last"):
-    """Self-adjoint kernel from a kernel and its adjoint, each over half the step.
+def paired(step, adjoint):
+    """Self-adjoint kernel Phi_{h/2} o Phi*_{h/2} from a kernel and its adjoint.
 
-    ``"adjoint-last"`` is Phi_{h/2} o Phi*_{h/2}: the adjoint half step runs
-    first. It is the map generated by the second-order discrete Lagrangian,
-    and the pairing behind vi2 and k2. ``"adjoint-first"`` is the reversed
-    pairing Phi*_{h/2} o Phi_{h/2}.
+    The adjoint half step runs first. This is the map generated by the
+    second-order discrete Lagrangian, and the pairing behind vi2 and k2.
     """
-    if variant == "adjoint-last":
-        first, second = adjoint, step
-    elif variant == "adjoint-first":
-        first, second = step, adjoint
-    else:
-        raise UnknownMethodError(f"unknown symmetric-composition variant {variant!r}")
-
     def kernel(z, h):
         half = 0.5 * h
-        return second(first(z, half), half)
+        return step(adjoint(z, half), half)
     return kernel
 
 
@@ -427,14 +418,9 @@ def step_vi1_adjoint(s: PhaseState, split: SplitPotential, h: float) -> PhaseSta
     return _phase(_vi1_kernels(split)[1](_planar(s), h))
 
 
-def step_vi2(s: PhaseState, split: SplitPotential, h: float, variant: str = "adjoint-last") -> PhaseState:
-    """Self-adjoint second-order step: the vi1 half steps ``paired`` by ``variant``.
-
-    The default applies the adjoint half step first (Phi_{h/2} o Phi*_{h/2}),
-    which is exactly the map generated by the second-order discrete
-    Lagrangian; ``variant="adjoint-first"`` uses the reversed pairing.
-    """
-    return _phase(paired(*_vi1_kernels(split), variant)(_planar(s), h))
+def step_vi2(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
+    """Self-adjoint second-order step Phi_{h/2} o Phi*_{h/2} of the vi1 halves (``paired``)."""
+    return _phase(paired(*_vi1_kernels(split))(_planar(s), h))
 
 
 # --- Discrete Lagrangians and Legendre transforms ---
@@ -544,12 +530,12 @@ def legendre_plus(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
     raise UnknownMethodError(f"unknown discrete Lagrangian {lag_id!r}")
 
 
-def legendre_fd(lag_id: str, x0, x1, h, split=None, delta: float = 1e-6):
-    """Finite-difference cross-check of both Legendre transforms."""
+def legendre_fd(lag_id: str, x0, x1, h, split=None):
+    """Finite-difference cross-check of both Legendre transforms (delta = 1e-6)."""
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    p_minus = -h * central_diff(lambda x: discrete_lagrangian(lag_id, x, x1, h, split), x0, delta)
-    p_plus = h * central_diff(lambda x: discrete_lagrangian(lag_id, x0, x, h, split), x1, delta)
+    p_minus = -h * central_diff(lambda x: discrete_lagrangian(lag_id, x, x1, h, split), x0, 1e-6)
+    p_plus = h * central_diff(lambda x: discrete_lagrangian(lag_id, x0, x, h, split), x1, 1e-6)
     return p_minus, p_plus
 
 
@@ -568,8 +554,7 @@ def central_diff(fn, x: np.ndarray, delta: float) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _midpoint_stage(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotential,
-                    tol: float = 1e-13) -> np.ndarray:
+def _midpoint_stage(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotential) -> np.ndarray:
     """Internal stage of L2nd: momentum matching of the two half Lagrangians."""
     g = 0.5 * h
 
@@ -577,19 +562,18 @@ def _midpoint_stage(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotent
         return legendre_plus("Lstar", x0, xm, g, split) - legendre_minus("L1st", xm, x1, g, split)
 
     xm = 0.5 * (x0 + x1)
-    return _newton(residual, xm, tol=tol, what="L2nd midpoint stage")
+    return _newton(residual, xm, tol=1e-13, what="L2nd midpoint stage")
 
 
-def _newton(residual, guess: np.ndarray, tol: float, what: str, max_iter: int = 50,
-            fd_delta: float = 1e-7) -> np.ndarray:
-    """Damped Newton with a finite-difference Jacobian."""
+def _newton(residual, guess: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Damped Newton, at most 50 iterations, with a finite-difference Jacobian (delta = 1e-7)."""
     x = guess.astype(float).copy()
-    for _ in range(max_iter):
+    for _ in range(50):
         r = residual(x)
         norm = float(np.max(np.abs(r)))
         if norm < tol:
             return x
-        jac = central_diff(residual, x, fd_delta)
+        jac = central_diff(residual, x, 1e-7)
         try:
             dx = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as exc:
@@ -604,7 +588,7 @@ def _newton(residual, guess: np.ndarray, tol: float, what: str, max_iter: int = 
     r = residual(x)
     if float(np.max(np.abs(r))) < tol:
         return x
-    raise NonConvergenceError(f"{what}: Newton failed after {max_iter} iterations")
+    raise NonConvergenceError(f"{what}: Newton failed after 50 iterations")
 
 
 def bootstrap_first_point(s0: PhaseState, lag_id: str, h: float,

@@ -150,9 +150,8 @@ def check_segment_xy(a1: float, a2: float, b1: float, b2: float) -> None:
     ad = a1 * d1 + a2 * d2
     t = 0.0
     if ad < 0.0:
-        t = -ad / (d1 * d1 + d2 * d2)
-        if t > 1.0:
-            t = 1.0
+        dd = d1 * d1 + d2 * d2
+        t = 1.0 if -ad >= dd else -ad / dd     # dd may underflow to 0
     n1 = a1 + t * d1
     n2 = a2 + t * d2
     if n1 * n1 + n2 * n2 < ORIGIN_TOL * ORIGIN_TOL:
@@ -165,6 +164,8 @@ def kepler_split(weights: Sequence[float] = (0.5, 0.5)) -> SplitPotential:
     Degenerate weights (a single nonzero entry) collapse to a one-part split.
     """
     w = tuple(float(wi) for wi in weights)
+    if not all(map(math.isfinite, w)):
+        raise ValueError(f"split weights must be finite, got {w}")
     if abs(sum(w) - 1.0) > 1e-12:
         raise ValueError("split weights must sum to 1")
     nonzero = [wi for wi in w if wi != 0.0]

@@ -26,7 +26,6 @@ from geodyn.integrators import (
     _k2,
     _planar,
     _run_kernel,
-    paired,
     trajectory,
 )
 from geodyn.kepler import grad_potential, potential
@@ -98,15 +97,9 @@ def step_k1_adjoint(s: ExtPhaseState, h: float) -> ExtPhaseState:
     return _ext(_k1_adjoint(_planar(s), h))
 
 
-def step_k2(s: ExtPhaseState, h: float, variant: str = "adjoint-last") -> ExtPhaseState:
-    """Palindromic second-order step: the k1 half steps ``paired`` by ``variant``.
-
-    The default applies the adjoint half step first, mirroring the pairing
-    generated by the second-order extended discrete Lagrangian;
-    ``adjoint-first`` is the reversed pairing. Self-adjoint in either variant.
-    """
-    kernel = _k2 if variant == "adjoint-last" else paired(_k1, _k1_adjoint, variant)
-    return _ext(kernel(_planar(s), h))
+def step_k2(s: ExtPhaseState, h: float) -> ExtPhaseState:
+    """Palindromic second-order step: the k1 half steps ``paired``, written out as ``_k2``."""
+    return _ext(_k2(_planar(s), h))
 
 
 # --- Two-step variational form ---

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 WIDTH, HEIGHT = 800, 600
 MARGIN = 60
 
@@ -12,20 +10,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _scale(values, log: bool):
-    if log:
-        if any(v <= 0 for v in values):
-            raise ValueError("log axis requires strictly positive values")
-        values = [math.log10(v) for v in values]
+def _scale(values):
     lo, hi = min(values), max(values)
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
-    return values, lo, hi
+    return lo, hi
 
 
-def emit_svg(series, path: str, title: str = "", log_x: bool = False,
-             log_y: bool = False) -> None:
-    """Write a standalone single-line SVG plot of (x, y) pairs.
+def svg_lines(series, title: str = "") -> list[str]:
+    """Lines of a standalone single-line SVG plot of (x, y) pairs.
 
     ``series`` is a sequence of at least two points; output is byte
     deterministic for identical inputs.
@@ -33,8 +26,8 @@ def emit_svg(series, path: str, title: str = "", log_x: bool = False,
     points = [(float(x), float(y)) for x, y in series]
     if len(points) < 2:
         raise ValueError("need at least 2 points to plot")
-    xs, x_lo, x_hi = _scale([p[0] for p in points], log_x)
-    ys, y_lo, y_hi = _scale([p[1] for p in points], log_y)
+    x_lo, x_hi = _scale([p[0] for p in points])
+    y_lo, y_hi = _scale([p[1] for p in points])
 
     def px(x):
         return MARGIN + (x - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * MARGIN)
@@ -42,7 +35,7 @@ def emit_svg(series, path: str, title: str = "", log_x: bool = False,
     def py(y):
         return HEIGHT - MARGIN - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN)
 
-    poly = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+    poly = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in points)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -56,20 +49,24 @@ def emit_svg(series, path: str, title: str = "", log_x: bool = False,
             f'font-family="monospace" font-size="16">{title}</text>'
         )
     axis_labels = [
-        (MARGIN, HEIGHT - MARGIN + 20, x_lo, log_x, "start"),
-        (WIDTH - MARGIN, HEIGHT - MARGIN + 20, x_hi, log_x, "end"),
-        (MARGIN - 8, HEIGHT - MARGIN, y_lo, log_y, "end"),
-        (MARGIN - 8, MARGIN + 10, y_hi, log_y, "end"),
+        (MARGIN, HEIGHT - MARGIN + 20, x_lo, "start"),
+        (WIDTH - MARGIN, HEIGHT - MARGIN + 20, x_hi, "end"),
+        (MARGIN - 8, HEIGHT - MARGIN, y_lo, "end"),
+        (MARGIN - 8, MARGIN + 10, y_hi, "end"),
     ]
-    for x, y, value, logged, anchor in axis_labels:
-        shown = 10.0**value if logged else value
+    for x, y, value, anchor in axis_labels:
         lines.append(
             f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
-            f'font-family="monospace" font-size="12">{shown:.6g}</text>'
+            f'font-family="monospace" font-size="12">{value:.6g}</text>'
         )
     lines.append(
         f'<polyline points="{poly}" fill="none" stroke="steelblue" stroke-width="1.5"/>'
     )
     lines.append("</svg>")
+    return lines
+
+
+def emit_svg(series, path: str, title: str = "") -> None:
+    """Write the ``svg_lines`` plot of ``series`` to the file ``path``."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(svg_lines(series, title)) + "\n")

@@ -13,7 +13,7 @@ from geodyn.cli import KEPLER_HEADER, RELATIVISTIC_HEADER, canonical_seed, main
 from geodyn.integrators import run
 from geodyn.kepler import PhaseState, analytic_reference, kepler_split, orbit_elements
 from geodyn.modified import per_period_drift
-from geodyn.svgplot import emit_svg
+from geodyn.svgplot import emit_svg, svg_lines
 
 
 def cli(*args):
@@ -124,6 +124,15 @@ class TestRunCommand:
         assert "sum to 1" in err
 
     @pytest.mark.parametrize("model", ["kepler", "relativistic"])
+    @pytest.mark.parametrize("split", [("nan", "nan"), ("nan", "1"), ("inf", "0")],
+                             ids=["nan-nan", "nan-1", "inf-0"])
+    def test_non_finite_split_is_usage_error(self, monkeypatch, capsys, model, split):
+        err = self.rejected_before_any_step(
+            monkeypatch, capsys, "--model", model, "--method", "vi1" if model == "kepler" else "k1",
+            "--h", "0.05", "--split", *split)
+        assert "finite" in err and "step" not in err
+
+    @pytest.mark.parametrize("model", ["kepler", "relativistic"])
     @pytest.mark.parametrize("seed", [
         ("--x0", "0", "0", "--v0", "1", "0"), ("--x0", "1e-13", "0", "--v0", "1", "0"),
         ("--ecc", "0.9999999999999"),       # periapsis 1 - e = 1e-13
@@ -141,6 +150,17 @@ class TestRunCommand:
         text = out.read_text()
         assert text.startswith("<svg")
         assert 'width="800" height="600"' in text
+
+    def test_svg_to_stdout(self, tmp_path, monkeypatch, capsys):
+        # "-o -" means stdout for SVG as for CSV, and creates no file named "-"
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--method", "vi1", "--ecc", "0.6", "--h", "0.05", "--steps", "50",
+                "--format", "svg", "-o"]
+        assert main(argv + ["orbit.svg"]) == 0
+        assert main(argv + ["-"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("<svg") and out == (tmp_path / "orbit.svg").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["orbit.svg"]
 
     def test_canonical_seed_expansion(self):
         s = canonical_seed(0.6)
@@ -218,11 +238,8 @@ class TestConvergenceCommand:
         assert "h = 0.5" in captured.err and "T = 1.44" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["convergence", "--methods", "sv"],
-        ["modified", "--drift", "sv", "--h", "0.05"],
-    ], ids=["convergence", "modified"])
-    def test_seed_at_the_origin_is_usage_error(self, monkeypatch, capsys, argv):
+    @staticmethod
+    def rejected_before_any_sweep(monkeypatch, capsys, argv):
         def no_work(*a, **k):
             raise AssertionError("the sweep started")
 
@@ -230,9 +247,27 @@ class TestConvergenceCommand:
             monkeypatch.setattr(cli_module, name, no_work)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([*argv, "--x0", "0", "0", "--v0", "1", "0"]) == 2
+            assert main(argv) == 2
         captured = capsys.readouterr()
-        assert "--x0" in captured.err and "origin" in captured.err and captured.out == ""
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["convergence", "--methods", "sv"],
+        ["modified", "--drift", "sv", "--h", "0.05"],
+    ], ids=["convergence", "modified"])
+    def test_seed_at_the_origin_is_usage_error(self, monkeypatch, capsys, argv):
+        err = self.rejected_before_any_sweep(monkeypatch, capsys,
+                                             [*argv, "--x0", "0", "0", "--v0", "1", "0"])
+        assert "--x0" in err and "origin" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["convergence", "--methods", "vi1"],
+        ["modified", "--drift", "vi1", "--h", "0.05"],
+    ], ids=["convergence", "modified"])
+    def test_non_finite_split_is_usage_error(self, monkeypatch, capsys, argv):
+        err = self.rejected_before_any_sweep(monkeypatch, capsys, [*argv, "--split", "nan", "nan"])
+        assert "finite" in err
 
     def test_metric_projection(self, tmp_path):
         out = tmp_path / "conv.csv"
@@ -389,6 +424,17 @@ class TestConfigAndPlumbing:
         assert main(["--config", str(cfg), "run", "-o", str(out)]) == 0
         assert out.read_text().split("\n")[0] == KEPLER_HEADER
 
+    def test_config_equals_form_reads_the_file(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("split=0.3 0.7\n")
+        argv = ["run", "--method", "vi1", "--h", "0.05", "--steps", "20", "-o"]
+        outs = {}
+        for name, form in (("spaced", ["--config", str(cfg)]), ("equals", [f"--config={cfg}"]),
+                           ("default", [])):
+            assert main(form + argv + [str(tmp_path / name)]) == 0
+            outs[name] = (tmp_path / name).read_bytes()
+        assert outs["equals"] == outs["spaced"] != outs["default"]
+
     def test_missing_config(self):
         assert main(["--config", "/nonexistent/cfg", "run"]) == 2
 
@@ -398,6 +444,8 @@ class TestConfigAndPlumbing:
     def test_svg_needs_two_points(self, tmp_path):
         with pytest.raises(ValueError):
             emit_svg([(0.0, 1.0)], str(tmp_path / "x.svg"))
+        with pytest.raises(ValueError):
+            svg_lines([(0.0, 1.0)])
 
     def test_svg_deterministic(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -405,10 +453,6 @@ class TestConfigAndPlumbing:
         emit_svg(series, str(a), title="t")
         emit_svg(series, str(b), title="t")
         assert a.read_bytes() == b.read_bytes()
-
-    def test_svg_log_axis_rejects_nonpositive(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_svg([(0.0, 1.0), (1.0, -2.0)], str(tmp_path / "x.svg"), log_y=True)
 
 
 # SHA-256 of the output files, captured before the methods were gathered into

@@ -99,6 +99,8 @@ class TestPotential:
             check_segment_xy(1.0, 0.0, -1.0, 0.0)
         with pytest.raises(SingularOriginError):
             check_segment_xy(0.0, 1.0, 0.0, 0.0)   # ends on it
+        with pytest.raises(SingularOriginError):  # |d|^2 underflows to 0, heading inward
+            check_segment_xy(1e-150, 0.0, 1e-150 - 1e-165, 0.0)
 
 
 class TestSplit:
@@ -111,6 +113,12 @@ class TestSplit:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             kepler_split((0.5, 0.6))
+
+    @pytest.mark.parametrize("weights", [(np.nan, np.nan), (np.inf, -np.inf), (np.nan, 1.0)])
+    def test_weights_must_be_finite(self, weights):
+        # a nan sum passes the |sum - 1| test, so finiteness is checked first
+        with pytest.raises(ValueError, match="finite"):
+            kepler_split(weights)
 
     def test_degenerate_weight_collapses_to_one_part(self):
         assert len(kepler_split((1.0, 0.0))) == 1
