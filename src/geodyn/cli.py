@@ -3,7 +3,7 @@
 Outputs are deterministic: CSV floats use the shortest round-trip decimal via
 ``repr``, newlines are ``\\n``, and no timestamps or locale-dependent
 formatting appear anywhere. Exit statuses: 0 success, 1 computation/check
-failure, 2 usage, parse or expression-evaluation error.
+failure, 2 usage (a bad path included), parse or expression-evaluation error.
 """
 
 from __future__ import annotations
@@ -270,20 +270,17 @@ def _apply_config(argv: list[str]) -> list[str]:
     rest = argv[:i] + argv[i + 2:]
     if not rest:
         raise UsageError("--config given without a command")
-    try:
-        extra: list[str] = []
-        with open(path) as fh:
-            for line in fh:
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise UsageError(f"{path}: expected key=value, got {stripped!r}")
-                key, _, value = stripped.partition("=")
-                extra.append(f"--{key.strip()}")
-                extra.extend(value.split())
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}")
+    extra: list[str] = []
+    with open(path) as fh:    # an OSError is a usage error in main, like any bad path
+        for line in fh:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise UsageError(f"{path}: expected key=value, got {stripped!r}")
+            key, _, value = stripped.partition("=")
+            extra.append(f"--{key.strip()}")
+            extra.extend(value.split())
     return [rest[0]] + extra + rest[1:]
 
 
@@ -297,7 +294,7 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 2
         return args.func(args)
-    except (UsageError, UnknownMethodError, CircularOrbitError) as exc:
+    except (UsageError, UnknownMethodError, CircularOrbitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvaluationError as exc:

@@ -26,10 +26,6 @@ class NonFiniteStateError(_StepError):
     """A trajectory reached an infinite or NaN state, or its arithmetic overflowed."""
 
 
-class NonPlanarStateError(GeodynError):
-    """A step kernel was given a state outside the plane (N != 2)."""
-
-
 class NonConvergenceError(GeodynError):
     """An iterative solve (Newton, quadrature refinement) failed to converge."""
 

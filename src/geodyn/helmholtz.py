@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from geodyn.errors import GeodynError, NonConvergenceError
+from geodyn.errors import ExpressionError, GeodynError, NonConvergenceError
 from geodyn.expressions import parse_expression
-from geodyn.errors import ExpressionError
 
 PASS_TOLERANCE = 1e-4
 DEFAULT_DELTA = 1e-5

@@ -26,7 +26,6 @@ import numpy as np
 from geodyn.errors import (
     NonConvergenceError,
     NonFiniteStateError,
-    NonPlanarStateError,
     SingularOriginError,
     UnknownMethodError,
 )
@@ -357,10 +356,8 @@ def method(method_id: str, model: str = "kepler") -> Method:
 # --- Public one-step maps: PhaseState wrappers over the kernels ---
 
 def _planar(s) -> tuple[float, ...]:
-    """The fields of a planar ``PhaseState`` or ``ExtPhaseState`` in order, as
-    floats: (x1, x2, v1, v2) or (t, x1, x2, gamma, u1, u2)."""
-    if s.n != 2:
-        raise NonPlanarStateError(f"the step kernels are planar; got a state with N = {s.n}")
+    """The fields of a ``PhaseState`` or ``ExtPhaseState`` in order, as floats:
+    (x1, x2, v1, v2) or (t, x1, x2, gamma, u1, u2)."""
     if isinstance(s, PhaseState):
         return (*s.x.tolist(), *s.v.tolist())
     return (float(s.t), *s.x.tolist(), float(s.gamma), *s.u.tolist())
@@ -424,13 +421,9 @@ def step_vi2(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
 
 
 # --- Discrete Lagrangians and Legendre transforms ---
-
-def _hat(base: np.ndarray, top: np.ndarray, count: int) -> np.ndarray:
-    """base with its first ``count`` coordinates replaced from ``top``."""
-    y = base.copy()
-    y[:count] = top[:count]
-    return y
-
+#
+# On a two-part split L1st(x0, x1) = kinetic - phi^(1)(x1_1, x0_2) - phi^(2)(x1), so its
+# points must be planar; on the one-part split it is kinetic - phi(x0) in any dimension.
 
 def discrete_lagrangian(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
                         split: SplitPotential | None = None) -> float:
@@ -445,9 +438,7 @@ def discrete_lagrangian(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
     if lag_id == "L1st":
         if len(split) == 1:
             return kinetic - split.value(0, x0)
-        return kinetic - sum(
-            split.value(j, _hat(x0, x1, j + 1)) for j in range(len(split))
-        )
+        return kinetic - (split.value(0, np.array([x1[0], x0[1]])) + split.value(1, x1))
     if lag_id == "Lstar":
         return discrete_lagrangian("L1st", x1, x0, -h, split)
     if lag_id == "L2nd":
@@ -458,13 +449,14 @@ def discrete_lagrangian(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
 
 
 def _require_split(lag_id, split, n):
-    """(lag_id, split) with the default split filled in; L1 is L1st on the one-part split."""
-    if lag_id == "L1":
-        return "L1st", SplitPotential((1.0,))
+    """(lag_id, split), the default split filled in and checked against the points of
+    every split Lagrangian, L1 included; L1 is L1st on the one-part split."""
     if split is None:
         split = kepler_split()
-    if len(split) not in (1, n):
-        raise ValueError(f"{lag_id} needs a split with 1 or {n} parts")
+    if len(split) != 1 and (len(split), n) != (2, 2):
+        raise ValueError(f"{lag_id} needs a one-part split, or a two-part split and planar points")
+    if lag_id == "L1":
+        return "L1st", SplitPotential((1.0,))
     return lag_id, split
 
 
@@ -473,11 +465,7 @@ def _l1st_minus(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotential)
     if len(split) == 1:
         return (x1 - x0) / h + h * split.grad(0, x0)
     p = (x1 - x0) / h
-    for i in range(1, len(split)):      # coordinates 2..N (0-based i)
-        acc = 0.0
-        for j in range(i):              # parts 1..i-1
-            acc += split.grad(j, _hat(x0, x1, j + 1))[i]
-        p[i] += h * acc
+    p[1] += h * split.grad(0, np.array([x1[0], x0[1]]))[1]
     return p
 
 
@@ -486,11 +474,9 @@ def _l1st_plus(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotential) 
     if len(split) == 1:
         return (x1 - x0) / h
     p = (x1 - x0) / h
-    for i in range(len(split)):
-        acc = 0.0
-        for j in range(i, len(split)):  # parts i..N
-            acc += split.grad(j, _hat(x0, x1, j + 1))[i]
-        p[i] -= h * acc
+    g0, g1 = split.grad(0, np.array([x1[0], x0[1]])), split.grad(1, x1)
+    p[0] -= h * (g0[0] + g1[0])
+    p[1] -= h * g1[1]
     return p
 
 
@@ -604,25 +590,20 @@ def bootstrap_first_point(s0: PhaseState, lag_id: str, h: float,
 def del_two_step_vi1(ts: TwoStepState, split: SplitPotential) -> np.ndarray:
     """Two-step discrete Euler-Lagrange update for the split Lagrangian.
 
-    The staggered arguments make the solve explicit in ascending coordinate
-    order for any split whose part count equals the dimension; a one-part
-    split collapses to the plain central-difference recurrence.
+    The staggered arguments make the solve explicit: coordinate 1 first, then
+    coordinate 2 with the new coordinate 1. A two-part split needs planar
+    points; a one-part split collapses to the plain central-difference
+    recurrence.
     """
     x_prev, x, h = ts.x_prev, ts.x_curr, ts.h
-    n = x.size
     if len(split) == 1:
         return 2.0 * x - x_prev - h**2 * split.grad(0, x)
-    if len(split) != n:
-        raise ValueError("coordinate split must have one part per dimension")
-    x_next = np.empty(n)
-    for i in range(n):
-        force = 0.0
-        for j in range(i):
-            force += split.grad(j, _hat(x, x_next, j + 1))[i]
-        for j in range(i, n):
-            force += split.grad(j, _hat(x_prev, x, j + 1))[i]
-        x_next[i] = 2.0 * x[i] - x_prev[i] - h**2 * force
-    return x_next
+    if (len(split), x.size) != (2, 2):
+        raise ValueError("a coordinate split needs two parts and planar points")
+    g0, g1 = split.grad(0, np.array([x[0], x_prev[1]])), split.grad(1, x)
+    y1 = 2.0 * x[0] - x_prev[0] - h**2 * (g0[0] + g1[0])
+    g0 = split.grad(0, np.array([y1, x[1]]))
+    return np.array([y1, 2.0 * x[1] - x_prev[1] - h**2 * (g0[1] + g1[1])])
 
 
 # --- Trajectory running ---

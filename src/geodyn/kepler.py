@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from geodyn.errors import (
-    CircularOrbitError,
     NonConvergenceError,
     NonNegativeEnergyError,
     SingularOriginError,
@@ -31,22 +30,18 @@ KEPLER_EQ_MAXITER = 50
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Position/velocity pair in R^N (N >= 2); every component finite."""
+    """Planar position/velocity pair, two finite components each (else ValueError)."""
     x: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if self.x.shape != self.v.shape or self.x.ndim != 1 or self.x.size < 2:
-            raise ValueError("position and velocity must be equal-length vectors, N >= 2")
+        if (self.x.shape, self.v.shape) != ((2,), (2,)):
+            raise ValueError(f"x and v must be planar 2-vectors, got {self.x.shape}, {self.v.shape}")
         x, v = self.x.tolist(), self.v.tolist()
         if not all(map(math.isfinite, x + v)):
             raise ValueError(f"state components must be finite, got x={x}, v={v}")
-
-    @property
-    def n(self) -> int:
-        return self.x.size
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,7 @@ class SplitPotential:
 
 @dataclass(frozen=True)
 class ConservedSet:
-    """Energy, scalar angular momentum, LRL vector and its polar form (N = 2)."""
+    """Energy, scalar angular momentum, LRL vector and its polar form."""
     H: float
     m: float
     A: np.ndarray
@@ -193,13 +188,11 @@ def lrl_vector(s: PhaseState) -> np.ndarray:
 
 
 def conserved(s: PhaseState) -> ConservedSet:
-    """Full conserved set for N = 2 states.
+    """Full conserved set of a (planar) state.
 
     The angle omega uses the two-argument arctangent and is reported as 0
     (flagged circular) when the eccentricity is below 1e-12.
     """
-    if s.n != 2:
-        raise ValueError("full conserved set implemented for N = 2 only")
     H = energy(s)
     m = float(s.x[0] * s.v[1] - s.x[1] * s.v[0])
     A = lrl_vector(s)

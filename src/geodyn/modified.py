@@ -40,6 +40,11 @@ STABILITY_LIMIT = 4.0
 
 # --- Linear central-difference scheme: x_{n+1} - 2 x_n + x_{n-1} = -lambda h^2 x_n ---
 
+def _check_lambda(lam: float) -> None:
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+
+
 def linear_modified_series(lam: float, h: float, k_max: int) -> float:
     """Partial sum of the modified frequency-squared series.
 
@@ -47,8 +52,7 @@ def linear_modified_series(lam: float, h: float, k_max: int) -> float:
     coefficient of -x in the modified equation of the central-difference
     scheme. Warns when lam*h^2 is at or beyond the convergence radius.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    _check_lambda(lam)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if lam * h * h >= STABILITY_LIMIT:
@@ -62,8 +66,7 @@ def linear_modified_series(lam: float, h: float, k_max: int) -> float:
 
 def linear_dispersion(lam: float, h: float) -> float:
     """Effective frequency Omega of the scheme: Omega = (2/h) arcsin(h sqrt(lam)/2)."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    _check_lambda(lam)
     if lam * h * h >= STABILITY_LIMIT:
         raise StabilityBoundaryError(
             f"lambda*h^2 = {lam * h * h:.6g} is at or beyond the stability boundary 4"
@@ -73,6 +76,7 @@ def linear_dispersion(lam: float, h: float) -> float:
 
 def linear_measured_frequency(lam: float, h: float) -> float:
     """Oscillation frequency of 10 000 iterates from interpolated zero crossings."""
+    _check_lambda(lam)
     if lam * h * h >= STABILITY_LIMIT:
         raise StabilityBoundaryError("scheme is unstable for lambda*h^2 >= 4")
     if h <= 0:

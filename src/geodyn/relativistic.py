@@ -33,7 +33,7 @@ from geodyn.kepler import grad_potential, potential
 
 @dataclass(frozen=True)
 class ExtPhaseState:
-    """Extended relativistic state (t, x, gamma, u) in proper time; every component finite."""
+    """Extended state (t, x, gamma, u) in proper time; planar and finite (else ValueError)."""
     t: float
     x: np.ndarray
     gamma: float
@@ -42,16 +42,12 @@ class ExtPhaseState:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        if self.x.shape != self.u.shape or self.x.ndim != 1:
-            raise ValueError("x and u must be equal-length vectors")
+        if (self.x.shape, self.u.shape) != ((2,), (2,)):
+            raise ValueError(f"x and u must be planar 2-vectors, got {self.x.shape}, {self.u.shape}")
         x, u = self.x.tolist(), self.u.tolist()
         if not all(map(math.isfinite, [self.t, self.gamma] + x + u)):
             raise ValueError(f"state components must be finite, got t={self.t!r}, "
                              f"x={x}, gamma={self.gamma!r}, u={u}")
-
-    @property
-    def n(self) -> int:
-        return self.x.size
 
 
 def mass_shell_gamma(u: np.ndarray) -> float:
@@ -82,8 +78,8 @@ def flow_hi(i: int, s: ExtPhaseState, h: float) -> ExtPhaseState:
 
     The gamma update is the exact potential difference along the drift.
     """
-    if not 1 <= i <= s.n:
-        raise ValueError(f"sub-flow index {i} out of range 1..{s.n}")
+    if i not in (1, 2):
+        raise ValueError(f"sub-flow index {i} out of range 1..2")
     return _ext(_flow_hi(i, _planar(s), h))
 
 

@@ -64,9 +64,3 @@ def svg_lines(series, title: str = "") -> list[str]:
     )
     lines.append("</svg>")
     return lines
-
-
-def emit_svg(series, path: str, title: str = "") -> None:
-    """Write the ``svg_lines`` plot of ``series`` to the file ``path``."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(svg_lines(series, title)) + "\n")

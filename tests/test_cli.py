@@ -13,7 +13,7 @@ from geodyn.cli import KEPLER_HEADER, RELATIVISTIC_HEADER, canonical_seed, main
 from geodyn.integrators import run
 from geodyn.kepler import PhaseState, analytic_reference, kepler_split, orbit_elements
 from geodyn.modified import per_period_drift
-from geodyn.svgplot import emit_svg, svg_lines
+from geodyn.svgplot import svg_lines
 
 
 def cli(*args):
@@ -396,6 +396,12 @@ class TestModifiedCommand:
     def test_usage_without_mode(self):
         assert main(["modified"]) == 2
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_is_usage_error(self, lam):
+        proc = cli("modified", "--linear", "--lambda", lam)
+        assert proc.returncode == 2
+        assert "lambda" in proc.stderr and "Warning" not in proc.stderr
+
     def test_split_drift_needs_two_part_split(self, capsys):
         assert main(["modified", "--drift", "vi2", "--split", "1", "0"]) == 2
         assert "two-part split" in capsys.readouterr().err
@@ -441,17 +447,30 @@ class TestConfigAndPlumbing:
     def test_no_command(self):
         assert main([]) == 2
 
-    def test_svg_needs_two_points(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_svg([(0.0, 1.0)], str(tmp_path / "x.svg"))
-        with pytest.raises(ValueError):
-            svg_lines([(0.0, 1.0)])
+    @pytest.mark.parametrize("argv", [
+        ["check"],
+        ["run", "--method", "sv", "--h", "0.1", "--steps", "3", "-o"],
+        ["run", "--method", "sv", "--h", "0.1", "--steps", "3", "--format", "svg", "-o"],
+        ["convergence", "--methods", "sv", "--levels", "2", "-o"],
+    ], ids=["check-dir", "run", "run-svg", "convergence"])
+    def test_bad_path_is_usage_error(self, tmp_path, capsys, argv):
+        # a directory for check, a file in a missing directory for -o
+        bad = str(tmp_path) if argv == ["check"] else str(tmp_path / "missing" / "out")
+        assert main(argv + [bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bad in err
+
+    def test_svg_needs_two_points(self):
+        for series in ([], [(0.0, 1.0)]):
+            with pytest.raises(ValueError):
+                svg_lines(series)
 
     def test_svg_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         series = [(0.0, 1.0), (1.0, 2.0), (2.0, 1.5)]
-        emit_svg(series, str(a), title="t")
-        emit_svg(series, str(b), title="t")
+        assert svg_lines(series, title="t") == svg_lines(series, title="t")
+        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+        args = ["run", "--method", "vi2", "--h", "0.1", "--steps", "50", "--format", "svg", "-o"]
+        assert main(args + [str(a)]) == main(args + [str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -12,7 +12,6 @@ from geodyn.cli import build_parser
 from geodyn.errors import (
     GeodynError,
     NonFiniteStateError,
-    NonPlanarStateError,
     SingularOriginError,
     UnknownMethodError,
 )
@@ -233,6 +232,13 @@ class TestDiscreteLagrangians:
                                   d / H + H * grad_potential(x0))
             assert np.array_equal(legendre_plus(lag_id, x0, x1, H, split), d / H)
 
+    @pytest.mark.parametrize("lag_id", ["L1", "L1st", "Lstar", "L2nd"])
+    def test_two_part_split_rejects_non_planar_points(self, lag_id):
+        x0, x1 = np.array([1.0, 0.2, 0.1]), np.array([0.98, 0.25, 0.1])
+        for fn in (discrete_lagrangian, legendre_minus, legendre_plus):
+            with pytest.raises(ValueError, match="planar"):
+                fn(lag_id, x0, x1, H, SPLIT)
+
 
 class TestDelRecurrence:
     def test_matches_vi1_composition(self):
@@ -249,6 +255,11 @@ class TestDelRecurrence:
         out = del_two_step_vi1(ts, single)
         ref = step_stormer_verlet(ts)
         assert np.max(np.abs(out - ref)) < 1e-15
+
+    def test_two_part_split_rejects_non_planar_points(self):
+        ts = TwoStepState(np.array([1.0, 0.2, 0.1]), np.array([0.98, 0.25, 0.1]), H)
+        with pytest.raises(ValueError, match="planar"):
+            del_two_step_vi1(ts, SPLIT)
 
 
 class TestRun:
@@ -329,9 +340,9 @@ class TestRun:
         assert (exc.step, exc.state) == (None, None)
 
     def test_non_planar_state_rejected(self):
-        s = PhaseState(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-        with pytest.raises(NonPlanarStateError):
-            run("sv", s, 0.1, 3)
+        # the dimension is checked once, where the state is built
+        with pytest.raises(ValueError, match="planar"):
+            PhaseState(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
 
     @pytest.mark.parametrize("method,order", [
         ("sym-euler", 1), ("vi1", 1), ("sv", 2), ("vi2", 2),

@@ -49,6 +49,11 @@ class TestPhaseState:
         with pytest.raises(ValueError, match="finite"):
             PhaseState(**parts)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_non_planar_shape_rejected(self, n):
+        with pytest.raises(ValueError, match="planar"):
+            PhaseState(np.ones(n), np.zeros(n))
+
 
 class TestPotential:
     def test_value(self):

@@ -71,6 +71,15 @@ class TestLinearSeries:
         with pytest.raises(ValueError):
             linear_modified_series(1.0, 0.1, 0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("fn", [lambda lam, h: linear_modified_series(lam, h, 5),
+                                    linear_dispersion, linear_measured_frequency],
+                             ids=["series", "dispersion", "measured"])
+    def test_lambda_must_be_positive_and_finite(self, fn, lam):
+        # checked before the divergence warning and the stability boundary
+        with pytest.raises(ValueError, match="lambda"):
+            fn(lam, 0.1)
+
 
 class TestLinearDispersion:
     def test_reference_value(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geodyn.errors import NonFiniteStateError, NonPlanarStateError
+from geodyn.errors import NonFiniteStateError
 from geodyn.kepler import potential
 from geodyn.relativistic import (
     ExtPhaseState,
@@ -44,6 +44,11 @@ class TestStateAndInvariants:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             ExtPhaseState(0.0, np.array([1.0, 0.0]), 1.0, np.array([0.1]))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_non_planar_shape_rejected(self, n):
+        with pytest.raises(ValueError, match="planar"):
+            ExtPhaseState(0.0, np.ones(n), 1.0, np.zeros(n))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("slot", ["t", "x", "gamma", "u"])
@@ -162,10 +167,10 @@ class TestRun:
             run_relativistic(method, s, 1e200, 3)
 
     def test_non_planar_state_rejected(self):
+        # the dimension is checked once, where the state is built
         u = np.array([0.0, 0.45, 0.0])
-        s = ExtPhaseState(0.0, np.array([-3.0, 0.0, 0.0]), mass_shell_gamma(u), u)
-        with pytest.raises(NonPlanarStateError):
-            run_relativistic("k1", s, H, 3)
+        with pytest.raises(ValueError, match="planar"):
+            ExtPhaseState(0.0, np.array([-3.0, 0.0, 0.0]), mass_shell_gamma(u), u)
 
     def test_coordinate_time_is_monotone(self):
         rec = run_relativistic("k2", S0, H, 500)

@@ -1,0 +1,45 @@
+"""Source hygiene: every name a module imports is used, exported or re-imported."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "geodyn"
+
+
+def _imported(tree):
+    """Names bound by the module's top-level imports, ``from __future__`` aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def _all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def dead_imports(src: Path = SRC) -> list[str]:
+    """``module.name`` for each top-level import that its module never reads, does
+    not list in ``__all__``, and no other module of ``src`` imports from it."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    reimported = {
+        (node.module.rpartition(".")[2], a.name)
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module for a in node.names
+    }
+    dead = []
+    for stem, tree in trees.items():
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        dead += [f"{stem}.{name}" for name in _imported(tree)
+                 if name not in read | _all(tree) and (stem, name) not in reimported]
+    return dead
+
+
+def test_no_dead_imports():
+    assert dead_imports() == []
