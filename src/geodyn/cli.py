@@ -178,8 +178,9 @@ def cmd_check(args) -> int:
 def cmd_modified(args) -> int:
     _check_step(args.h)
     if args.linear:
-        series = linear_modified_series(args.lam, args.h, k_max=20)
+        # the dispersion raises past the stability boundary before the series can warn
         omega = linear_dispersion(args.lam, args.h)
+        series = linear_modified_series(args.lam, args.h, k_max=20)
         measured = linear_measured_frequency(args.lam, args.h)
         print(f"series frequency    : {math.sqrt(series)!r}")
         print(f"dispersion frequency: {omega!r}")

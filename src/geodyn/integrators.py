@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 from types import MappingProxyType
 from typing import Callable
 
@@ -88,24 +88,38 @@ class TrajectoryRecord:
 #
 # A kernel maps (z, h) to the next state tuple, on plain floats. A table kernel is
 # its sub-flow composition written out, force x/r**3 and potential -1/r inline in
-# the sub-flows' operation order, e.g. v - h*(w*(x1/r3)). Every drift is segment-checked.
+# the sub-flows' operation order, e.g. v - h*(w*(x1/r3)). A drift's check_segment_xy
+# runs only where it can raise, which keeps the composition's bits and errors:
+# - a coordinate drift keeps c fixed, the check's nearest point has c exactly, and
+#   fl(c*c) >= fl(tol*tol) once |c| >= tol: only -ORIGIN_TOL < c < ORIGIN_TOL can raise
+#   (a NaN or infinite c makes the check's nearest point NaN, which never raises);
+# - a full drift from a by d stays beyond |a|/2 >= 2*ORIGIN_TOL if 4|d|^2 < |a|^2 and
+#   16*ORIGIN_TOL^2 <= |a|^2 < inf; the factor 2 covers all rounding. NaN or inf calls it.
+_FAR2 = 16.0 * ORIGIN_TOL * ORIGIN_TOL
+
 
 def _sym_euler(z, h):
     x1, x2, v1, v2 = z
-    r = sqrt(x1 * x1 + x2 * x2)
+    rr = x1 * x1 + x2 * x2
+    r = sqrt(rr)
     if r < ORIGIN_TOL:
         raise origin_error(r)
     r3 = r**3
     v1, v2 = v1 - h * (x1 / r3), v2 - h * (x2 / r3)
-    y1, y2 = x1 + h * v1, x2 + h * v2
-    check_segment_xy(x1, x2, y1, y2)
+    d1, d2 = h * v1, h * v2
+    y1, y2 = x1 + d1, x2 + d2
+    if not (4.0 * (d1 * d1 + d2 * d2) < rr and _FAR2 <= rr < inf):
+        check_segment_xy(x1, x2, y1, y2)
     return y1, y2, v1, v2
 
 
 def _sym_euler_adjoint(z, h):
     x1, x2, v1, v2 = z
-    y1, y2 = x1 + h * v1, x2 + h * v2
-    check_segment_xy(x1, x2, y1, y2)
+    d1, d2 = h * v1, h * v2
+    y1, y2 = x1 + d1, x2 + d2
+    rr = x1 * x1 + x2 * x2
+    if not (4.0 * (d1 * d1 + d2 * d2) < rr and _FAR2 <= rr < inf):
+        check_segment_xy(x1, x2, y1, y2)
     r = sqrt(y1 * y1 + y2 * y2)
     if r < ORIGIN_TOL:
         raise origin_error(r)
@@ -115,13 +129,16 @@ def _sym_euler_adjoint(z, h):
 
 def _sv(z, h):
     x1, x2, v1, v2 = z
-    r = sqrt(x1 * x1 + x2 * x2)
+    rr = x1 * x1 + x2 * x2
+    r = sqrt(rr)
     if r < ORIGIN_TOL:
         raise origin_error(r)
     r3 = r**3
     p1, p2 = v1 - 0.5 * h * (x1 / r3), v2 - 0.5 * h * (x2 / r3)
-    y1, y2 = x1 + h * p1, x2 + h * p2
-    check_segment_xy(x1, x2, y1, y2)
+    d1, d2 = h * p1, h * p2
+    y1, y2 = x1 + d1, x2 + d2
+    if not (4.0 * (d1 * d1 + d2 * d2) < rr and _FAR2 <= rr < inf):
+        check_segment_xy(x1, x2, y1, y2)
     r = sqrt(y1 * y1 + y2 * y2)
     if r < ORIGIN_TOL:
         raise origin_error(r)
@@ -161,14 +178,16 @@ def _vi1_kernels(split: SplitPotential | None):
     def step(z, h):
         x1, x2, v1, v2 = z
         y1 = x1 + h * v1
-        check_segment_xy(x1, x2, y1, x2)
+        if -ORIGIN_TOL < x2 < ORIGIN_TOL:
+            check_segment_xy(x1, x2, y1, x2)
         r = sqrt(y1 * y1 + x2 * x2)
         if r < ORIGIN_TOL:
             raise origin_error(r)
         r3 = r**3
         v1, v2 = v1 - h * (w1 * (y1 / r3)), v2 - h * (w1 * (x2 / r3))
         y2 = x2 + h * v2
-        check_segment_xy(y1, x2, y1, y2)
+        if -ORIGIN_TOL < y1 < ORIGIN_TOL:
+            check_segment_xy(y1, x2, y1, y2)
         r = sqrt(y1 * y1 + y2 * y2)
         if r < ORIGIN_TOL:
             raise origin_error(r)
@@ -183,14 +202,16 @@ def _vi1_kernels(split: SplitPotential | None):
         r3 = r**3
         v1, v2 = v1 - h * (w2 * (x1 / r3)), v2 - h * (w2 * (x2 / r3))
         y2 = x2 + h * v2
-        check_segment_xy(x1, x2, x1, y2)
+        if -ORIGIN_TOL < x1 < ORIGIN_TOL:
+            check_segment_xy(x1, x2, x1, y2)
         r = sqrt(x1 * x1 + y2 * y2)
         if r < ORIGIN_TOL:
             raise origin_error(r)
         r3 = r**3
         v1, v2 = v1 - h * (w1 * (x1 / r3)), v2 - h * (w1 * (y2 / r3))
         y1 = x1 + h * v1
-        check_segment_xy(x1, y2, y1, y2)
+        if -ORIGIN_TOL < y2 < ORIGIN_TOL:
+            check_segment_xy(x1, y2, y1, y2)
         return y1, y2, v1, v2
 
     return step, adjoint
@@ -223,14 +244,16 @@ def _k1(z, h):
     r3, hg, p0 = r**3, h * gamma, -1.0 / r
     u1, u2 = u1 - hg * (x1 / r3), u2 - hg * (x2 / r3)
     y1 = x1 + h * u1
-    check_segment_xy(x1, x2, y1, x2)
+    if -ORIGIN_TOL < x2 < ORIGIN_TOL:
+        check_segment_xy(x1, x2, y1, x2)
     r = sqrt(y1 * y1 + x2 * x2)
     if r < ORIGIN_TOL:
         raise origin_error(r)
     p1 = -1.0 / r
     gamma = gamma - (p1 - p0)
     y2 = x2 + h * u2
-    check_segment_xy(y1, x2, y1, y2)
+    if -ORIGIN_TOL < y1 < ORIGIN_TOL:
+        check_segment_xy(y1, x2, y1, y2)
     r = sqrt(y1 * y1 + y2 * y2)
     if r < ORIGIN_TOL:
         raise origin_error(r)
@@ -240,7 +263,8 @@ def _k1(z, h):
 def _k1_adjoint(z, h):
     t, x1, x2, gamma, u1, u2 = z
     y2 = x2 + h * u2
-    check_segment_xy(x1, x2, x1, y2)
+    if -ORIGIN_TOL < x1 < ORIGIN_TOL:
+        check_segment_xy(x1, x2, x1, y2)
     r = sqrt(x1 * x1 + y2 * y2)
     if r < ORIGIN_TOL:
         raise origin_error(r)
@@ -250,7 +274,8 @@ def _k1_adjoint(z, h):
         raise origin_error(r)
     gamma = gamma - (p1 - -1.0 / r)
     y1 = x1 + h * u1
-    check_segment_xy(x1, y2, y1, y2)
+    if -ORIGIN_TOL < y2 < ORIGIN_TOL:
+        check_segment_xy(x1, y2, y1, y2)
     r = sqrt(y1 * y1 + y2 * y2)
     if r < ORIGIN_TOL:
         raise origin_error(r)
@@ -264,7 +289,8 @@ def _k2(z, h):
     c = 0.5 * h
     t, x1, x2, gamma, u1, u2 = z
     y2 = x2 + c * u2
-    check_segment_xy(x1, x2, x1, y2)
+    if -ORIGIN_TOL < x1 < ORIGIN_TOL:
+        check_segment_xy(x1, x2, x1, y2)
     r = sqrt(x1 * x1 + y2 * y2)
     if r < ORIGIN_TOL:
         raise origin_error(r)
@@ -274,7 +300,8 @@ def _k2(z, h):
         raise origin_error(r)
     gamma = gamma - (p1 - -1.0 / r)
     y1 = x1 + c * u1
-    check_segment_xy(x1, y2, y1, y2)
+    if -ORIGIN_TOL < y2 < ORIGIN_TOL:
+        check_segment_xy(x1, y2, y1, y2)
     r = sqrt(y1 * y1 + y2 * y2)
     if r < ORIGIN_TOL:
         raise origin_error(r)
@@ -283,14 +310,16 @@ def _k2(z, h):
     r3, hg = r**3, c * gamma
     u1, u2 = u1 - hg * (y1 / r3) - hg * (y1 / r3), u2 - hg * (y2 / r3) - hg * (y2 / r3)
     x1 = y1 + c * u1
-    check_segment_xy(y1, y2, x1, y2)
+    if -ORIGIN_TOL < y2 < ORIGIN_TOL:
+        check_segment_xy(y1, y2, x1, y2)
     r = sqrt(x1 * x1 + y2 * y2)
     if r < ORIGIN_TOL:
         raise origin_error(r)
     p1 = -1.0 / r
     gamma = gamma - (p1 - p2)
     x2 = y2 + c * u2
-    check_segment_xy(x1, y2, x1, x2)
+    if -ORIGIN_TOL < x1 < ORIGIN_TOL:
+        check_segment_xy(x1, y2, x1, x2)
     r = sqrt(x1 * x1 + x2 * x2)
     if r < ORIGIN_TOL:
         raise origin_error(r)
@@ -641,6 +670,17 @@ def _check_finite(states: np.ndarray) -> None:
                                   step=k, state=tuple(states[k - 1].tolist()) if k else None)
 
 
+def _check_columns(states: np.ndarray, names: tuple[str, ...], *cols: np.ndarray) -> None:
+    """Raise NonFiniteStateError at the first non-finite value of a run's diagnostic
+    columns, one name per column (a 2-D column has one per column of it)."""
+    table = np.column_stack(cols)
+    finite = np.isfinite(table)
+    if not finite.all():
+        k, j = divmod(int(np.argmin(finite)), table.shape[1])
+        raise NonFiniteStateError(f"step {k}: {names[j]} = {table[k, j]} is not finite",
+                                  step=k, state=tuple(states[k - 1].tolist()) if k else None)
+
+
 def one_step_map(method_id: str, split: SplitPotential | None = None):
     """One-step PhaseState map of a Kepler method; run() steps the same kernel on floats."""
     step = method(method_id).kernels(split)[0]
@@ -662,7 +702,8 @@ def run(method_id: str, s0: PhaseState, h: float, steps: int,
     """Integrate ``steps`` uniform steps and record the trajectory.
 
     Conserved-quantity columns are evaluated vectorized after the run; the
-    output is deterministic for a given configuration.
+    output is deterministic for a given configuration. A non-finite column
+    value raises NonFiniteStateError naming the step and the column.
     """
     kernel = _run_kernel(method_id, "kepler", h, steps, split)
     z = trajectory(kernel, _planar(s0), h, steps)
@@ -671,12 +712,14 @@ def run(method_id: str, s0: PhaseState, h: float, steps: int,
     if not diagnostics:
         return TrajectoryRecord(method_id, h, times, xs, vs)
 
-    r = np.linalg.norm(xs, axis=1)
-    v2 = np.einsum("ij,ij->i", vs, vs)
-    xv = np.einsum("ij,ij->i", xs, vs)
-    H = 0.5 * v2 - 1.0 / r
-    m = xs[:, 0] * vs[:, 1] - xs[:, 1] * vs[:, 0]
-    A = xs * v2[:, None] - vs * xv[:, None] - xs / r[:, None]
-    ecc = np.hypot(A[:, 0], A[:, 1])
-    angle = np.arctan2(A[:, 1], A[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.linalg.norm(xs, axis=1)
+        v2 = np.einsum("ij,ij->i", vs, vs)
+        xv = np.einsum("ij,ij->i", xs, vs)
+        H = 0.5 * v2 - 1.0 / r
+        m = xs[:, 0] * vs[:, 1] - xs[:, 1] * vs[:, 0]
+        A = xs * v2[:, None] - vs * xv[:, None] - xs / r[:, None]
+        ecc = np.hypot(A[:, 0], A[:, 1])
+        angle = np.arctan2(A[:, 1], A[:, 0])
+    _check_columns(z, ("H", "m", "A1", "A2", "ecc", "angle"), H, m, A, ecc, angle)
     return TrajectoryRecord(method_id, h, times, xs, vs, H=H, m=m, A=A, ecc=ecc, angle=angle)

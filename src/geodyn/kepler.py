@@ -191,11 +191,13 @@ def conserved(s: PhaseState) -> ConservedSet:
     """Full conserved set of a (planar) state.
 
     The angle omega uses the two-argument arctangent and is reported as 0
-    (flagged circular) when the eccentricity is below 1e-12.
+    (flagged circular) when the eccentricity is below 1e-12. A state whose
+    squares overflow gets inf or nan values, which ``orbit_elements`` rejects.
     """
-    H = energy(s)
-    m = float(s.x[0] * s.v[1] - s.x[1] * s.v[0])
-    A = lrl_vector(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = energy(s)
+        m = float(s.x[0] * s.v[1] - s.x[1] * s.v[0])
+        A = lrl_vector(s)
     ecc = float(np.hypot(A[0], A[1]))
     circ = ecc < CIRCULAR_TOL
     omega = 0.0 if circ else float(math.atan2(A[1], A[0]))

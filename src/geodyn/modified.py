@@ -18,6 +18,7 @@ import numpy as np
 from geodyn.errors import (
     CircularOrbitError,
     NonConvergenceError,
+    NonFiniteStateError,
     StabilityBoundaryError,
     TrajectoryTooShortError,
 )
@@ -45,14 +46,21 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
 
 
+def _check_h(h: float) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size h must be positive and finite, got {h}")
+
+
 def linear_modified_series(lam: float, h: float, k_max: int) -> float:
     """Partial sum of the modified frequency-squared series.
 
     Returns sum_{k=1}^{k_max} 2 ((k-1)!)^2 / (2k)! * h^(2k-2) * lam^k, the
     coefficient of -x in the modified equation of the central-difference
-    scheme. Warns when lam*h^2 is at or beyond the convergence radius.
+    scheme. Warns when lam*h^2 is at or beyond the convergence radius, and
+    raises NonFiniteStateError when a power of h or lam overflows.
     """
     _check_lambda(lam)
+    _check_h(h)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if lam * h * h >= STABILITY_LIMIT:
@@ -60,13 +68,18 @@ def linear_modified_series(lam: float, h: float, k_max: int) -> float:
     total = 0.0
     for k in range(1, k_max + 1):
         coeff = 2.0 * math.factorial(k - 1) ** 2 / math.factorial(2 * k)
-        total += coeff * h ** (2 * k - 2) * lam**k
+        try:
+            total += coeff * h ** (2 * k - 2) * lam**k
+        except OverflowError as exc:
+            raise NonFiniteStateError(f"modified series term k = {k} overflows "
+                                      f"for lambda = {lam!r}, h = {h!r}") from exc
     return total
 
 
 def linear_dispersion(lam: float, h: float) -> float:
     """Effective frequency Omega of the scheme: Omega = (2/h) arcsin(h sqrt(lam)/2)."""
     _check_lambda(lam)
+    _check_h(h)
     if lam * h * h >= STABILITY_LIMIT:
         raise StabilityBoundaryError(
             f"lambda*h^2 = {lam * h * h:.6g} is at or beyond the stability boundary 4"
@@ -77,10 +90,9 @@ def linear_dispersion(lam: float, h: float) -> float:
 def linear_measured_frequency(lam: float, h: float) -> float:
     """Oscillation frequency of 10 000 iterates from interpolated zero crossings."""
     _check_lambda(lam)
+    _check_h(h)
     if lam * h * h >= STABILITY_LIMIT:
         raise StabilityBoundaryError("scheme is unstable for lambda*h^2 >= 4")
-    if h <= 0:
-        raise ValueError("step size must be positive")
     # the central-difference recurrence x+ = 2x - x_prev - h^2 (lam x), on floats
     h2, steps = h**2, 10_000
     xs = [0.0, h]

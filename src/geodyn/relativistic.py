@@ -19,6 +19,7 @@ import numpy as np
 
 from geodyn.integrators import (
     REL_METHOD_IDS,
+    _check_columns,
     _flow_hi,
     _flow_ht,
     _k1,
@@ -143,5 +144,7 @@ def run_relativistic(method_id: str, s0: ExtPhaseState, h: float, steps: int) ->
     z = trajectory(kernel, _planar(s0), h, steps)
     ts, xs, gs, us = z[:, 0], z[:, 1:3], z[:, 3], z[:, 4:]
     taus = h * np.arange(steps + 1)
-    H = 0.5 * (np.einsum("ij,ij->i", us, us) - gs**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = 0.5 * (np.einsum("ij,ij->i", us, us) - gs**2)
+    _check_columns(z, ("H",), H)
     return ExtTrajectoryRecord(method_id, h, taus, ts, xs, gs, us, H)

@@ -85,6 +85,15 @@ class TestRunCommand:
         assert "step 1" in proc.stderr and "not finite" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("method,steps,h,column", [("vi1", "1", "1e308", "H = inf"),
+                                                       ("sv", "2", "1e150", "A1 = nan")])
+    def test_non_finite_diagnostics_exit_1(self, capsys, method, steps, h, column):
+        # the states stay finite, the diagnostic columns overflow: no warning, no CSV
+        assert main(["run", "--method", method, "--steps", steps, "--h", h]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"step 1: {column} is not finite" in captured.err
+
     @staticmethod
     def rejected_before_any_step(monkeypatch, capsys, *args):
         # a usage error (exit 2) raised before any trajectory is integrated,
@@ -269,6 +278,13 @@ class TestConvergenceCommand:
         err = self.rejected_before_any_sweep(monkeypatch, capsys, [*argv, "--split", "nan", "nan"])
         assert "finite" in err
 
+    def test_overflowing_seed_energy_warns_nothing(self, capsys):
+        # |v|^2 overflows: the error names the energy, and no RuntimeWarning precedes it
+        assert main(["convergence", "--levels", "1",
+                     "--x0", "1e308", "0", "--v0", "1e-320", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: H = inf is not a bound orbit\n")
+
     def test_metric_projection(self, tmp_path):
         out = tmp_path / "conv.csv"
         main(["convergence", "--methods", "sv", "--levels", "2",
@@ -395,6 +411,21 @@ class TestModifiedCommand:
 
     def test_usage_without_mode(self):
         assert main(["modified"]) == 2
+
+    def test_unstable_linear_scheme_warns_nothing(self, capsys):
+        # the stability check runs before the series, whose divergence warning never shows
+        assert main(["modified", "--linear", "--lambda", "0.5", "--h", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lambda*h^2 = 4.5 is at or beyond the stability boundary 4\n"
+
+    @pytest.mark.parametrize("lam,h,message", [("1e308", "0.5", "stability boundary"),
+                                               ("1e16", "1e-8", "term k = 20 overflows")])
+    def test_huge_lambda_is_a_named_error(self, capsys, lam, h, message):
+        assert main(["modified", "--linear", "--lambda", lam, "--h", h]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_lambda_is_usage_error(self, lam):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodyn import integrators, kepler
 from geodyn.cli import build_parser
 from geodyn.errors import (
     GeodynError,
@@ -45,6 +46,7 @@ from geodyn.integrators import (
     substep_flow_adjoint,
 )
 from geodyn.kepler import (
+    ORIGIN_TOL,
     PhaseState,
     SplitPotential,
     analytic_reference,
@@ -335,6 +337,14 @@ class TestRun:
             run(method, s, 1e200, 3, split=SPLIT)
         assert (info.value.step, info.value.state) == (1, (1.0, 0.0, 0.0, 1e200))
 
+    @pytest.mark.parametrize("method,h,steps,column", [("vi1", 1e308, 1, "H = inf"),
+                                                       ("sv", 1e150, 2, "A1 = nan")])
+    def test_non_finite_diagnostics_name_step_and_column(self, method, h, steps, column):
+        # every state is finite, but |v|^2 overflows in the diagnostic columns
+        with pytest.raises(NonFiniteStateError, match=f"step 1: {column} is not finite") as info:
+            run(method, S_WIDE, h, steps)
+        assert (info.value.step, info.value.state) == (1, (-3.0, 0.0, 0.0, 0.45))
+
     def test_errors_raised_outside_a_run_carry_no_step(self):
         exc = SingularOriginError("potential undefined at the origin")
         assert (exc.step, exc.state) == (None, None)
@@ -478,6 +488,19 @@ _EDGE_STATES = [
     (1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0), (1.0, 1.0, -1.0, -1.0), (-1.0, 0.0, 3.0, 0.0),
     (1.0, 0.0, 0.25, 0.0),                  # k1's kicked drift lands on the origin at h = 1
     (1e103, 0.0, 0.0, 1.0), (0.0, -1e103, 1.0, 0.0), (1.0, 0.0, 1e103, 0.0),
+    # a coordinate drift across an axis at ORIGIN_TOL and one ulp inside it, and
+    # full drifts from |x| = 4 ORIGIN_TOL toward the origin
+    (1.0, 1e-12, -1.0, 0.0), (1.0, -math.nextafter(1e-12, 0.0), -1.0, 0.0),
+    (-1e-12, 1.0, 0.0, -1.0), (math.nextafter(1e-12, 0.0), 1.0, 0.0, -1.0),
+    (4e-12, 0.0, -3e-12, 0.0), (0.0, -4e-12, 0.0, 2e-12), (4e-12, 1e-13, -4e-12, 0.0),
+    # inside 4 ORIGIN_TOL, a short drift that ends inside 1 (h = 1e-20 for the kicked ones),
+    # and kicked full drifts of 0.9999999999999 |x| straight at the origin (sym-euler, sv)
+    (1.5e-12, 0.0, -0.6e-12, 0.0), (1.5e-12, 0.0, -6e7, 0.0),
+    (1.0, 0.0, 1e-13, 0.0), (1.0, 0.0, -0.4999999999999, 0.0),
+    # later drifts whose fixed coordinate lands on ORIGIN_TOL exactly: vi1's and k1's
+    # second at h = 1, vi1*'s and k1*'s second at h = 1 and k2's second and third at
+    # h = 2, k2's fourth at h = 1
+    (0.0, 1.0, 1e-12, -1.0), (1.0, 0.0, 0.0, 1e-12), (-1e-12, 1.0, 2e-12, 0.0),
 ]
 _REL_EDGE_STATES = [(0.0, 0.5, 0.0, 1.75, 0.5, 0.0)]   # k2's second half lands on it at h = 2
 
@@ -501,6 +524,104 @@ class TestFusedKernels:
         for z in states:
             for h in (1.0, 2.0, -2.0):
                 _assert_fused_equals_composed(method_id, z, h, SplitPotential((0.3, 0.7)))
+
+
+# --- The kernels' drift-check prefilters skip only checks that cannot raise ---
+
+def _ulps(x, k):
+    """x moved by k ulps, up for k > 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+_SIGN = st.sampled_from([1.0, -1.0])
+_EDGE = st.one_of(
+    st.builds(lambda s, k: s * _ulps(ORIGIN_TOL, k), _SIGN, st.integers(-3, 3)),
+    st.builds(lambda s, f: s * f * ORIGIN_TOL, _SIGN, st.floats(3.5, 4.5)),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats(-10 * ORIGIN_TOL, 10 * ORIGIN_TOL),
+    st.floats(-3.0, 3.0),
+)
+# v = (f x + e) / h aims a drift from x at f x + e: through the origin for f = -1, e = 0
+_AIM = st.one_of(st.sampled_from([-1.0, -0.5, 0.0]), st.floats(-2.5, 0.5))
+_OFFSET = st.one_of(st.just(0.0), _EDGE)
+
+
+class _CheckSpy:
+    """Stands in for check_segment_xy while entered; records each call as
+    (args as float.hex, raised)."""
+
+    def __enter__(self):
+        self.calls = []
+        self.patch = pytest.MonkeyPatch()
+        self.patch.setattr(integrators, "check_segment_xy", self)
+        self.patch.setitem(globals(), "check_segment_xy", self)   # the _ref_* kernels above
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.undo()
+
+    def __call__(self, *args):
+        key = tuple(map(float.hex, args))
+        try:
+            kepler.check_segment_xy(*args)
+        except SingularOriginError:
+            self.calls.append((key, True))
+            raise
+        self.calls.append((key, False))
+
+    def run(self, kernel, z, h):
+        """The kernel's outcome and the checks it made."""
+        self.calls = []
+        return _outcome(kernel, z, h), self.calls
+
+
+def _assert_skips_only_silent_checks(spy, method_id, z, h, split):
+    """The fused kernel makes a subsequence of the composition's checks: every one that
+    raises, and for a coordinate drift exactly those with |fixed coordinate| < ORIGIN_TOL."""
+    if METHODS[method_id].model == "relativistic" and len(z) == 4:
+        z = (0.5, *z[:2], 1.25, *z[2:])
+    coordinate = method_id not in ("sym-euler", "sv")
+    for fused, composed in zip(METHODS[method_id].kernels(split), _ref_kernels(method_id, split)):
+        got, made = spy.run(fused, z, h)
+        want, needed = spy.run(composed, z, h)
+        assert got == want
+        made = [key for key, _ in made]
+        for key, raised in needed:
+            called = bool(made) and made[0] == key
+            if called:
+                made.pop(0)
+            assert called or not raised, (key, "skipped a check that raises")
+            if coordinate:
+                fixed = [float.fromhex(a) for a, b in (key[0::2], key[1::2]) if a == b]
+                assert called in {-ORIGIN_TOL < c < ORIGIN_TOL for c in fixed}, (key, called)
+        assert not made
+
+
+class TestDriftCheckPrefilters:
+    """Drifts at, next to and through the origin, NaN and inf included."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(x=st.tuples(_EDGE, _EDGE), f=_AIM, e=st.tuples(_OFFSET, _OFFSET),
+           h=st.sampled_from([1.0, -1.0, 2.0, 0.25, 1e-20]))
+    def test_no_skipped_check_would_raise(self, x, f, e, h):
+        z = (*x, *[(f * xi + ei) / h for xi, ei in zip(x, e)])
+        with _CheckSpy() as spy:
+            for method_id in METHODS:
+                _assert_skips_only_silent_checks(spy, method_id, z, h, SplitPotential((0.3, 0.7)))
+
+    @pytest.mark.parametrize("method_id", list(METHODS))
+    def test_no_skipped_check_would_raise_at_the_edges(self, method_id):
+        states = _EDGE_STATES
+        if METHODS[method_id].model == "relativistic":
+            states = states + _REL_EDGE_STATES
+        mirrored = [tuple(-c for c in z) for z in _EDGE_STATES]   # -ORIGIN_TOL for +ORIGIN_TOL
+        with _CheckSpy() as spy:
+            for z in states + mirrored:
+                for h in (1.0, 2.0, -2.0, 1e-20):
+                    _assert_skips_only_silent_checks(spy, method_id, z, h,
+                                                     SplitPotential((0.3, 0.7)))
 
 
 def _flat(s):

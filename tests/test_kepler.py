@@ -158,6 +158,14 @@ class TestConserved:
         assert np.max(np.abs(lrl_vector(s) - expected)) < 1e-14
 
 
+    def test_overflowing_squares_give_inf_without_warnings(self):
+        # every component is finite; |v|^2 and x1*v2 overflow (warnings are errors here)
+        cs = conserved(PhaseState(np.array([1e308, 0.0]), np.array([1e-320, 1e308])))
+        assert cs.H == math.inf and cs.m == math.inf
+        with pytest.raises(NonNegativeEnergyError, match="H = inf"):
+            orbit_elements(PhaseState(np.array([1e308, 0.0]), np.array([1e-320, 1e308])))
+
+
 class TestOrbitElements:
     def test_wide_orbit(self):
         el = orbit_elements(S_WIDE)

@@ -12,6 +12,7 @@ from geodyn import kepler, modified
 from geodyn.errors import (
     CircularOrbitError,
     NonConvergenceError,
+    NonFiniteStateError,
     StabilityBoundaryError,
     TrajectoryTooShortError,
     UnknownMethodError,
@@ -79,6 +80,20 @@ class TestLinearSeries:
         # checked before the divergence warning and the stability boundary
         with pytest.raises(ValueError, match="lambda"):
             fn(lam, 0.1)
+
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("fn", [lambda lam, h: linear_modified_series(lam, h, 5),
+                                    linear_dispersion, linear_measured_frequency],
+                             ids=["series", "dispersion", "measured"])
+    def test_h_must_be_positive_and_finite(self, fn, h):
+        with pytest.raises(ValueError, match="step size h must be positive and finite"):
+            fn(1.0, h)
+
+    def test_overflowing_term_is_a_named_error(self):
+        # lambda*h^2 = 1 is stable, but lambda**20 overflows
+        with pytest.raises(NonFiniteStateError, match="term k = 20 overflows"):
+            linear_modified_series(1e16, 1e-8, 20)
 
 
 class TestLinearDispersion:

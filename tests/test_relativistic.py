@@ -166,6 +166,13 @@ class TestRun:
         with pytest.raises(NonFiniteStateError, match=r"step 1"):
             run_relativistic(method, s, 1e200, 3)
 
+    def test_non_finite_energy_column_names_step(self):
+        # the states are finite, but gamma**2 overflows in the H column
+        s = ExtPhaseState(0.0, np.array([1.0, 0.0]), 1e200, np.array([0.0, 1.0]))
+        with pytest.raises(NonFiniteStateError, match=r"step 0: H = -inf is not finite") as info:
+            run_relativistic("k1", s, 1e-200, 1)
+        assert (info.value.step, info.value.state) == (0, None)
+
     def test_non_planar_state_rejected(self):
         # the dimension is checked once, where the state is built
         u = np.array([0.0, 0.45, 0.0])
