@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from math import inf, sqrt
 from types import MappingProxyType
 from typing import Callable
@@ -34,6 +35,7 @@ from geodyn.kepler import (
     PhaseState,
     SplitPotential,
     check_segment_xy,
+    check_step_size,
     grad_potential,
     grad_potential_xy,
     kepler_split,
@@ -55,8 +57,7 @@ class TwoStepState:
     def __post_init__(self):
         object.__setattr__(self, "x_prev", np.asarray(self.x_prev, dtype=float))
         object.__setattr__(self, "x_curr", np.asarray(self.x_curr, dtype=float))
-        if self.h <= 0:
-            raise ValueError("step size must be positive")
+        check_step_size(self.h)
 
 
 @dataclass(frozen=True)
@@ -382,7 +383,7 @@ def method(method_id: str, model: str = "kepler") -> Method:
     return entry
 
 
-# --- Public one-step maps: PhaseState wrappers over the kernels ---
+# --- Public one-step maps: row 1 of a one-step run ---
 
 def _planar(s) -> tuple[float, ...]:
     """The fields of a ``PhaseState`` or ``ExtPhaseState`` in order, as floats:
@@ -392,17 +393,31 @@ def _planar(s) -> tuple[float, ...]:
     return (float(s.t), *s.x.tolist(), float(s.gamma), *s.u.tolist())
 
 
-def _phase(z) -> PhaseState:
-    return PhaseState(np.array(z[:2]), np.array(z[2:]))
+def _one_step(kernel, s, h: float):
+    """Row 1 of ``trajectory(kernel, _planar(s), h, 1)`` as the state type of ``s``:
+    one step fails as a run does. h may be negative."""
+    z = trajectory(kernel, _planar(s), h, 1)[1].tolist()
+    if isinstance(s, PhaseState):
+        return PhaseState(z[:2], z[2:])
+    return type(s)(z[0], z[1:3], z[3], z[4:])
+
+
+def step(method_id: str, s, h: float, split: SplitPotential | None = None,
+         adjoint: bool = False):
+    """One step of a table method, or of its adjoint, from ``s``.
+
+    The model is the state's: a ``PhaseState`` steps a Kepler method, an
+    ``ExtPhaseState`` a relativistic one. The result is row 1 of a one-step
+    run, so a step raises SingularOriginError or NonFiniteStateError where a
+    run would. h may be negative: Phi_{-h}(Phi*_h(s)) = s.
+    """
+    model = "kepler" if isinstance(s, PhaseState) else "relativistic"
+    return _one_step(method(method_id, model).kernels(split)[int(adjoint)], s, h)
 
 
 def step_sym_euler(s: PhaseState, h: float) -> PhaseState:
     """Kick-then-drift symplectic Euler: p+ = p - h grad(x); x+ = x + h p+."""
-    return _phase(_sym_euler(_planar(s), h))
-
-
-def step_sym_euler_adjoint(s: PhaseState, h: float) -> PhaseState:
-    return _phase(_sym_euler_adjoint(_planar(s), h))
+    return step("sym-euler", s, h)
 
 
 def step_stormer_verlet(ts: TwoStepState, grad: Callable = grad_potential) -> np.ndarray:
@@ -412,7 +427,7 @@ def step_stormer_verlet(ts: TwoStepState, grad: Callable = grad_potential) -> np
 
 def step_sv_one_step(s: PhaseState, h: float) -> PhaseState:
     """Kick-drift-kick Stormer-Verlet, consistent with the recurrence to round-off."""
-    return _phase(_sv(_planar(s), h))
+    return step("sv", s, h)
 
 
 def _part_weight(i: int, split: SplitPotential) -> float:
@@ -423,12 +438,12 @@ def _part_weight(i: int, split: SplitPotential) -> float:
 
 def substep_flow(i: int, s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
     """Sub-map of H(i) = p_i^2/2 + phi^(i): drift coordinate i, then kick."""
-    return _phase(_flow(i, _planar(s), h, _part_weight(i, split)))
+    return _one_step(partial(_flow, i, w=_part_weight(i, split)), s, h)
 
 
 def substep_flow_adjoint(i: int, s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
     """Adjoint sub-map: kick with phi^(i) at the old point, then drift coordinate i."""
-    return _phase(_flow_adjoint(i, _planar(s), h, _part_weight(i, split)))
+    return _one_step(partial(_flow_adjoint, i, w=_part_weight(i, split)), s, h)
 
 
 def step_vi1(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
@@ -436,17 +451,12 @@ def step_vi1(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
 
     A single-part (degenerate) split collapses to symplectic Euler.
     """
-    return _phase(_vi1_kernels(split)[0](_planar(s), h))
-
-
-def step_vi1_adjoint(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
-    """Reversed composition of adjoint sub-maps; inverse of the h -> -h map."""
-    return _phase(_vi1_kernels(split)[1](_planar(s), h))
+    return step("vi1", s, h, split)
 
 
 def step_vi2(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
     """Self-adjoint second-order step Phi_{h/2} o Phi*_{h/2} of the vi1 halves (``paired``)."""
-    return _phase(paired(*_vi1_kernels(split))(_planar(s), h))
+    return step("vi2", s, h, split)
 
 
 # --- Discrete Lagrangians and Legendre transforms ---
@@ -609,6 +619,7 @@ def _newton(residual, guess: np.ndarray, tol: float, what: str) -> np.ndarray:
 def bootstrap_first_point(s0: PhaseState, lag_id: str, h: float,
                           split: SplitPotential | None = None) -> np.ndarray:
     """Solve v0 = -h d1 L(x0, x1) for the first multistep point x1."""
+    check_step_size(h)
 
     def residual(x1):
         return legendre_minus(lag_id, s0.x, x1, h, split) - s0.v
@@ -662,39 +673,26 @@ def trajectory(kernel, z0: tuple[float, ...], h: float, steps: int) -> np.ndarra
     return out
 
 
-def _check_finite(states: np.ndarray) -> None:
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise NonFiniteStateError(f"step {k}: state {states[k].tolist()} is not finite",
-                                  step=k, state=tuple(states[k - 1].tolist()) if k else None)
-
-
-def _check_columns(states: np.ndarray, names: tuple[str, ...], *cols: np.ndarray) -> None:
-    """Raise NonFiniteStateError at the first non-finite value of a run's diagnostic
-    columns, one name per column (a 2-D column has one per column of it)."""
-    table = np.column_stack(cols)
+def _check_finite(states: np.ndarray, names: tuple[str, ...] = (), *cols: np.ndarray) -> None:
+    """Raise NonFiniteStateError at the first non-finite row of ``states`` or, given
+    diagnostic columns, at their first non-finite value, one name per column (a 2-D
+    column has one per column of it)."""
+    table = np.column_stack(cols) if cols else states
     finite = np.isfinite(table)
     if not finite.all():
         k, j = divmod(int(np.argmin(finite)), table.shape[1])
-        raise NonFiniteStateError(f"step {k}: {names[j]} = {table[k, j]} is not finite",
+        what = f"{names[j]} = {table[k, j]}" if cols else f"state {states[k].tolist()}"
+        raise NonFiniteStateError(f"step {k}: {what} is not finite",
                                   step=k, state=tuple(states[k - 1].tolist()) if k else None)
 
 
-def one_step_map(method_id: str, split: SplitPotential | None = None):
-    """One-step PhaseState map of a Kepler method; run() steps the same kernel on floats."""
-    step = method(method_id).kernels(split)[0]
-    return lambda s, h: _phase(step(_planar(s), h))
-
-
-def _run_kernel(method_id: str, model: str, h: float, steps: int,
-                split: SplitPotential | None = None):
-    """The step kernel of a ``steps``-step run, after checking ``steps`` and ``h``."""
+def _states(method_id: str, model: str, s0, h: float, steps: int,
+            split: SplitPotential | None = None) -> np.ndarray:
+    """Rows z_0 .. z_steps of a ``steps``-step run of a ``model`` method from ``s0``."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    return method(method_id, model).kernels(split)[0]
+    check_step_size(h)
+    return trajectory(method(method_id, model).kernels(split)[0], _planar(s0), h, steps)
 
 
 def run(method_id: str, s0: PhaseState, h: float, steps: int,
@@ -705,8 +703,7 @@ def run(method_id: str, s0: PhaseState, h: float, steps: int,
     output is deterministic for a given configuration. A non-finite column
     value raises NonFiniteStateError naming the step and the column.
     """
-    kernel = _run_kernel(method_id, "kepler", h, steps, split)
-    z = trajectory(kernel, _planar(s0), h, steps)
+    z = _states(method_id, "kepler", s0, h, steps, split)
     xs, vs = z[:, :2], z[:, 2:]
     times = h * np.arange(steps + 1)
     if not diagnostics:
@@ -721,5 +718,5 @@ def run(method_id: str, s0: PhaseState, h: float, steps: int,
         A = xs * v2[:, None] - vs * xv[:, None] - xs / r[:, None]
         ecc = np.hypot(A[:, 0], A[:, 1])
         angle = np.arctan2(A[:, 1], A[:, 0])
-    _check_columns(z, ("H", "m", "A1", "A2", "ecc", "angle"), H, m, A, ecc, angle)
+    _check_finite(z, ("H", "m", "A1", "A2", "ecc", "angle"), H, m, A, ecc, angle)
     return TrajectoryRecord(method_id, h, times, xs, vs, H=H, m=m, A=A, ecc=ecc, angle=angle)

@@ -153,6 +153,12 @@ def check_segment_xy(a1: float, a2: float, b1: float, b2: float) -> None:
         raise SingularOriginError("drift segment crosses the origin")
 
 
+def check_step_size(h: float) -> None:
+    """ValueError unless the step size h is positive and finite."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size h must be positive and finite, got {h}")
+
+
 def kepler_split(weights: Sequence[float] = (0.5, 0.5)) -> SplitPotential:
     """Split the planar Kepler potential as phi^(i) = w_i * phi, one part per coordinate.
 
@@ -174,17 +180,21 @@ def kepler_split(weights: Sequence[float] = (0.5, 0.5)) -> SplitPotential:
 # --- Conserved quantities ---
 
 def energy(s: PhaseState) -> float:
-    return 0.5 * float(s.v @ s.v) + potential(s.x)
+    """H = |v|^2/2 - 1/|x|; inf or nan, without a warning, if the squares overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * float(s.v @ s.v) + potential(s.x)
 
 
 def lrl_vector(s: PhaseState) -> np.ndarray:
-    """Componentwise LRL vector A_i = x_i |v|^2 - v_i (x.v) - x_i/|x|."""
-    r = float(np.linalg.norm(s.x))
-    if r < ORIGIN_TOL:
-        raise SingularOriginError("LRL vector undefined at the origin")
-    v2 = float(s.v @ s.v)
-    xv = float(s.x @ s.v)
-    return s.x * v2 - s.v * xv - s.x / r
+    """Componentwise LRL vector A_i = x_i |v|^2 - v_i (x.v) - x_i/|x|; inf or nan
+    components, without a warning, if the products overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = float(np.linalg.norm(s.x))
+        if r < ORIGIN_TOL:
+            raise SingularOriginError("LRL vector undefined at the origin")
+        v2 = float(s.v @ s.v)
+        xv = float(s.x @ s.v)
+        return s.x * v2 - s.v * xv - s.x / r
 
 
 def conserved(s: PhaseState) -> ConservedSet:

@@ -31,6 +31,7 @@ from geodyn.kepler import (
     SplitPotential,
     _period_averages,
     analytic_reference,
+    check_step_size,
     kepler_split,
     orbit_elements,
     potential,
@@ -46,11 +47,6 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
 
 
-def _check_h(h: float) -> None:
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step size h must be positive and finite, got {h}")
-
-
 def linear_modified_series(lam: float, h: float, k_max: int) -> float:
     """Partial sum of the modified frequency-squared series.
 
@@ -60,7 +56,7 @@ def linear_modified_series(lam: float, h: float, k_max: int) -> float:
     raises NonFiniteStateError when a power of h or lam overflows.
     """
     _check_lambda(lam)
-    _check_h(h)
+    check_step_size(h)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if lam * h * h >= STABILITY_LIMIT:
@@ -79,7 +75,7 @@ def linear_modified_series(lam: float, h: float, k_max: int) -> float:
 def linear_dispersion(lam: float, h: float) -> float:
     """Effective frequency Omega of the scheme: Omega = (2/h) arcsin(h sqrt(lam)/2)."""
     _check_lambda(lam)
-    _check_h(h)
+    check_step_size(h)
     if lam * h * h >= STABILITY_LIMIT:
         raise StabilityBoundaryError(
             f"lambda*h^2 = {lam * h * h:.6g} is at or beyond the stability boundary 4"
@@ -90,7 +86,7 @@ def linear_dispersion(lam: float, h: float) -> float:
 def linear_measured_frequency(lam: float, h: float) -> float:
     """Oscillation frequency of 10 000 iterates from interpolated zero crossings."""
     _check_lambda(lam)
-    _check_h(h)
+    check_step_size(h)
     if lam * h * h >= STABILITY_LIMIT:
         raise StabilityBoundaryError("scheme is unstable for lambda*h^2 >= 4")
     # the central-difference recurrence x+ = 2x - x_prev - h^2 (lam x), on floats
@@ -209,6 +205,7 @@ def predicted_drift(method_id: str, elements: OrbitElements, h: float,
     are not rotation-invariant, so their drift is the one of an orbit with
     periapsis on +x2; other orientations drift differently.
     """
+    check_step_size(h)
     if elements.e < CIRCULAR_TOL:
         raise CircularOrbitError("LRL drift is undefined for circular orbits")
     eps, lbar = perturbation_field(method_id, split)
@@ -246,6 +243,7 @@ def drift_sweep(method_id: str, seed: PhaseState, hs,
     period = orbit_elements(seed).T
     out = {"ecc": [], "angle": [], "pos": []}
     for h in hs:
+        check_step_size(h)
         steps = int(math.ceil(period / h)) + 3
         if steps + 1 < 8:
             raise TrajectoryTooShortError(f"h = {h}: {steps + 1} samples over T = {period:.6g}; need 8")
@@ -392,6 +390,7 @@ def shadowing_error(seed: PhaseState, h: float,
     equation of the equal split, so any other split raises ValueError. A
     shoot that does not settle raises NonConvergenceError.
     """
+    check_step_size(h)
     split = split if split is not None else kepler_split()
     if split.weights != (0.5, 0.5):
         raise ValueError("the shadowing flow is the modified equation of the equal split "

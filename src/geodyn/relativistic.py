@@ -14,20 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from geodyn.integrators import (
     REL_METHOD_IDS,
-    _check_columns,
+    _check_finite,
     _flow_hi,
     _flow_ht,
-    _k1,
-    _k1_adjoint,
-    _k2,
-    _planar,
-    _run_kernel,
-    trajectory,
+    _one_step,
+    _states,
+    step,
 )
 from geodyn.kepler import grad_potential, potential
 
@@ -63,15 +61,11 @@ def extended_hamiltonian(s: ExtPhaseState) -> float:
     return 0.5 * (float(s.u @ s.u) - s.gamma**2)
 
 
-# --- Public one-step maps: ExtPhaseState wrappers over the kernels ---
-
-def _ext(z) -> ExtPhaseState:
-    return ExtPhaseState(z[0], np.array(z[1:3]), z[3], np.array(z[4:]))
-
+# --- Public one-step maps: row 1 of a one-step run, as integrators.step ---
 
 def flow_ht(s: ExtPhaseState, h: float) -> ExtPhaseState:
     """Exact flow of the -gamma^2/2 piece: advance t, kick u; x and gamma fixed."""
-    return _ext(_flow_ht(_planar(s), h))
+    return _one_step(_flow_ht, s, h)
 
 
 def flow_hi(i: int, s: ExtPhaseState, h: float) -> ExtPhaseState:
@@ -81,22 +75,17 @@ def flow_hi(i: int, s: ExtPhaseState, h: float) -> ExtPhaseState:
     """
     if i not in (1, 2):
         raise ValueError(f"sub-flow index {i} out of range 1..2")
-    return _ext(_flow_hi(i, _planar(s), h))
+    return _one_step(partial(_flow_hi, i), s, h)
 
 
 def step_k1(s: ExtPhaseState, h: float) -> ExtPhaseState:
     """First-order K-symplectic step: coordinate drifts after the time/kick flow."""
-    return _ext(_k1(_planar(s), h))
-
-
-def step_k1_adjoint(s: ExtPhaseState, h: float) -> ExtPhaseState:
-    """Reversed composition; each subflow is exact, hence self-adjoint."""
-    return _ext(_k1_adjoint(_planar(s), h))
+    return step("k1", s, h)
 
 
 def step_k2(s: ExtPhaseState, h: float) -> ExtPhaseState:
     """Palindromic second-order step: the k1 half steps ``paired``, written out as ``_k2``."""
-    return _ext(_k2(_planar(s), h))
+    return step("k2", s, h)
 
 
 # --- Two-step variational form ---
@@ -140,11 +129,10 @@ class ExtTrajectoryRecord:
 
 def run_relativistic(method_id: str, s0: ExtPhaseState, h: float, steps: int) -> ExtTrajectoryRecord:
     """Integrate the extended system over uniform proper-time steps."""
-    kernel = _run_kernel(method_id, "relativistic", h, steps)
-    z = trajectory(kernel, _planar(s0), h, steps)
+    z = _states(method_id, "relativistic", s0, h, steps)
     ts, xs, gs, us = z[:, 0], z[:, 1:3], z[:, 3], z[:, 4:]
     taus = h * np.arange(steps + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         H = 0.5 * (np.einsum("ij,ij->i", us, us) - gs**2)
-    _check_columns(z, ("H",), H)
+    _check_finite(z, ("H",), H)
     return ExtTrajectoryRecord(method_id, h, taus, ts, xs, gs, us, H)

@@ -32,15 +32,13 @@ from geodyn.integrators import (
     legendre_fd,
     legendre_minus,
     legendre_plus,
-    one_step_map,
     paired,
     run,
+    step,
     step_stormer_verlet,
     step_sv_one_step,
     step_sym_euler,
-    step_sym_euler_adjoint,
     step_vi1,
-    step_vi1_adjoint,
     step_vi2,
     substep_flow,
     substep_flow_adjoint,
@@ -61,6 +59,8 @@ from geodyn.kepler import (
 from geodyn.modified import modified_lagrangian
 from geodyn.relativistic import (
     ExtPhaseState,
+    flow_hi,
+    flow_ht,
     mass_shell_gamma,
     run_relativistic,
     step_k1,
@@ -111,13 +111,13 @@ class TestAdjoints:
     """Phi*_h is the inverse of Phi_{-h}; composition must return the start."""
 
     def test_sym_euler_adjoint_identity(self):
-        fwd = step_sym_euler_adjoint(S0, H)
+        fwd = step("sym-euler", S0, H, adjoint=True)
         back = step_sym_euler(fwd, -H)
         assert np.max(np.abs(back.x - S0.x)) < 1e-13
         assert np.max(np.abs(back.v - S0.v)) < 1e-13
 
     def test_vi1_adjoint_identity(self):
-        fwd = step_vi1_adjoint(S0, SPLIT, H)
+        fwd = step("vi1", S0, H, SPLIT, adjoint=True)
         back = step_vi1(fwd, SPLIT, -H)
         assert np.max(np.abs(back.x - S0.x)) < 1e-13
         assert np.max(np.abs(back.v - S0.v)) < 1e-13
@@ -150,15 +150,14 @@ class TestSymplecticity:
 
     @pytest.mark.parametrize("method", METHOD_IDS)
     def test_jacobian_preserves_two_form(self, method):
-        step = one_step_map(method, SPLIT)
         z0 = np.concatenate([S0.x, S0.v])
         delta = 1e-6
         jac = np.empty((4, 4))
         for j in range(4):
             e = np.zeros(4)
             e[j] = delta
-            sp = step(PhaseState((z0 + e)[:2], (z0 + e)[2:]), H)
-            sm = step(PhaseState((z0 - e)[:2], (z0 - e)[2:]), H)
+            sp = step(method, PhaseState((z0 + e)[:2], (z0 + e)[2:]), H, SPLIT)
+            sm = step(method, PhaseState((z0 - e)[:2], (z0 - e)[2:]), H, SPLIT)
             jac[:, j] = (np.concatenate([sp.x, sp.v])
                          - np.concatenate([sm.x, sm.v])) / (2 * delta)
         defect = jac.T @ self.OMEGA @ jac - self.OMEGA
@@ -391,10 +390,10 @@ class TestMethodTable:
     @pytest.mark.parametrize("method_id", list(METHODS))
     def test_public_step_is_row_one_of_a_run(self, method_id):
         if METHODS[method_id].model == "kepler":
-            one = one_step_map(method_id, SPLIT)(self.SEED, H)
+            one = step(method_id, self.SEED, H, SPLIT)
             rec = run(method_id, self.SEED, H, 1, split=SPLIT)
         else:
-            one = {"k1": step_k1, "k2": step_k2}[method_id](self.EXT_SEED, H)
+            one = step(method_id, self.EXT_SEED, H)
             rec = run_relativistic(method_id, self.EXT_SEED, H, 1)
         assert _flat(one) == _flat(rec.state(1))
 
@@ -409,12 +408,54 @@ class TestMethodTable:
     @pytest.mark.parametrize("call", [
         lambda: run("k1", S_WIDE, H, 3),
         lambda: run_relativistic("sv", TestMethodTable.EXT_SEED, H, 3),
-        lambda: one_step_map("k2"),
+        lambda: step("k2", S0, H),
         lambda: modified_lagrangian("k1", S0, H),
-    ], ids=["run", "run_relativistic", "one_step_map", "modified_lagrangian"])
+    ], ids=["run", "run_relativistic", "step", "modified_lagrangian"])
     def test_one_unknown_method_error(self, call):
         with pytest.raises(UnknownMethodError):
             call()
+
+
+# --- Every public one-step map is row 1 of a run, and fails as a run does ---
+
+# (model, call(s, split, i, h)): each table method and its adjoint through step(),
+# then the named maps; i is a sub-flow index of the split
+_PUBLIC_STEPS = [
+    (METHODS[m].model, lambda s, split, i, h, m=m, a=a: step(m, s, h, split, adjoint=a))
+    for m in METHODS for a in (False, True)
+] + [
+    ("kepler", lambda s, split, i, h: step_sym_euler(s, h)),
+    ("kepler", lambda s, split, i, h: step_sv_one_step(s, h)),
+    ("kepler", lambda s, split, i, h: step_vi1(s, split, h)),
+    ("kepler", lambda s, split, i, h: step_vi2(s, split, h)),
+    ("kepler", lambda s, split, i, h: substep_flow(i, s, split, h)),
+    ("kepler", lambda s, split, i, h: substep_flow_adjoint(i, s, split, h)),
+    ("relativistic", lambda s, split, i, h: step_k1(s, h)),
+    ("relativistic", lambda s, split, i, h: step_k2(s, h)),
+    ("relativistic", lambda s, split, i, h: flow_ht(s, h)),
+    ("relativistic", lambda s, split, i, h: flow_hi(i, s, h)),
+]
+# near ORIGIN_TOL, ordinary, and beyond 1e102, where r**3 overflows
+_POLICY_X = st.sampled_from([0.0, 1e-13, -1e-13, 1.5 * ORIGIN_TOL, 0.7, -1.0, 1e103, -1e150])
+_POLICY_V = st.sampled_from([0.0, 0.5, -1.1, 1e13, -1e13, 1e200])
+
+
+class TestOneStepPolicy:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(k=st.integers(0, len(_PUBLIC_STEPS) - 1), x=st.tuples(_POLICY_X, _POLICY_X),
+           v=st.tuples(_POLICY_V, _POLICY_V), t=st.sampled_from([0.0, 1e308]),
+           gamma=st.sampled_from([1.0, 1.5, 1e200]),
+           h=st.sampled_from([0.1, -0.1, 1e308, math.nan, 1e-320]),
+           w1=st.sampled_from([0.5, 0.3, 1.0]), i=st.sampled_from([1, 2]))
+    def test_returns_a_finite_state_or_raises_a_named_error(self, k, x, v, t, gamma, h, w1, i):
+        model, call = _PUBLIC_STEPS[k]
+        split = kepler_split((w1, 1.0 - w1))
+        s = PhaseState(x, v) if model == "kepler" else ExtPhaseState(t, x, gamma, v)
+        try:
+            out = call(s, split, min(i, len(split)), h)
+        except GeodynError:
+            return
+        assert type(out) is type(s) and all(map(math.isfinite, _flat(out)))
 
 
 # --- Each fused table kernel equals its sub-flow composition, bit for bit ---

@@ -165,6 +165,12 @@ class TestConserved:
         with pytest.raises(NonNegativeEnergyError, match="H = inf"):
             orbit_elements(PhaseState(np.array([1e308, 0.0]), np.array([1e-320, 1e308])))
 
+    def test_energy_and_lrl_vector_overflow_without_warnings(self):
+        # |v|^2 overflows in the matmul, and 0 * inf is nan (warnings are errors here)
+        s = PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1e200]))
+        assert energy(s) == math.inf
+        assert not np.isfinite(lrl_vector(s)).any()
+
 
 class TestOrbitElements:
     def test_wide_orbit(self):

@@ -17,6 +17,7 @@ from geodyn.errors import (
     TrajectoryTooShortError,
     UnknownMethodError,
 )
+from geodyn.integrators import TwoStepState, bootstrap_first_point, run
 from geodyn.kepler import (
     OrbitElements,
     PhaseState,
@@ -41,12 +42,36 @@ from geodyn.modified import (
     shadowing_error,
     shadowing_ratio,
 )
+from geodyn.relativistic import ExtPhaseState, run_relativistic
 
 BASE = PhaseState(np.array([-3.0, 0.0]), np.array([0.0, 0.45]))
 # generic (off-axis) state of the same orbit; periapsis/apoapsis starts sit on
 # the orbit's symmetry axis and suppress the leading drift term
 GENERIC = analytic_reference(BASE, 3.0)
 CCW = PhaseState(np.array([-3.0, 0.0]), np.array([0.0, -0.45]))
+
+
+# Every library entry point that takes a step size checks it with one rule; the
+# linear-scheme functions are held to it in TestLinearSeries. integrators.step and
+# the discrete Lagrangians accept any h, negative included.
+STEP_SIZE_ENTRY_POINTS = {
+    "run": lambda h: run("sv", BASE, h, 3),
+    "run_relativistic": lambda h: run_relativistic("k1", ExtPhaseState(0.0, BASE.x, 1.1, BASE.v), h, 3),
+    "TwoStepState": lambda h: TwoStepState(BASE.x, BASE.x, h),
+    "bootstrap_first_point": lambda h: bootstrap_first_point(BASE, "L1st", h),
+    "predicted_drift": lambda h: predicted_drift("sv", orbit_elements(BASE), h),
+    "drift_sweep": lambda h: drift_sweep("sv", BASE, (h,)),
+    "per_period_drift": lambda h: per_period_drift("sv", "ecc", BASE, h),
+    "measured_drift_order": lambda h: measured_drift_order("sv", "ecc", GENERIC, (h, 0.1, 0.05, 0.02)),
+    "shadowing_error": lambda h: shadowing_error(BASE, h),
+}
+
+
+@pytest.mark.parametrize("h", [math.nan, 0.0, -0.1, math.inf])
+@pytest.mark.parametrize("entry", STEP_SIZE_ENTRY_POINTS)
+def test_one_step_size_rule(entry, h):
+    with pytest.raises(ValueError, match=r"step size h must be positive and finite, got "):
+        STEP_SIZE_ENTRY_POINTS[entry](h)
 
 
 class TestLinearSeries:

@@ -1,6 +1,8 @@
-"""Source hygiene: every name a module imports is used, exported or re-imported."""
+"""Source hygiene: every name a module imports is used, exported or re-imported, and
+every function the benchmark tracer names exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geodyn"
@@ -43,3 +45,23 @@ def dead_imports(src: Path = SRC) -> list[str]:
 
 def test_no_dead_imports():
     assert dead_imports() == []
+
+
+def traced_names(path: Path = SRC.parent.parent / "perfbench" / "tracing.py") -> list[str]:
+    """``module.name`` for each function the benchmark tracer's ``TRACED`` table names,
+    read from its source without importing the benchmark."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return [f"{mod}.{fn}" for mod, fns in ast.literal_eval(node.value).items() for fn in fns]
+    raise AssertionError(f"no TRACED table in {path}")
+
+
+def test_traced_names_resolve():
+    # the tracer looks each name up with getattr; a missing one fails every traced run
+    missing = []
+    for name in traced_names():
+        mod, _, fn = name.partition(".")
+        if not callable(getattr(importlib.import_module(f"geodyn.{mod}"), fn, None)):
+            missing.append(name)
+    assert missing == []
