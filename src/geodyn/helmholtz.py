@@ -48,7 +48,6 @@ class SecondOrderSystem:
     mass: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
     amat: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    x_box: tuple[float, float] = (-2.0, 2.0)
     v_box: tuple[float, float] = (-1.0, 1.0)
     exclusion_radius: float = 0.0
 
@@ -107,11 +106,11 @@ def _radical_inverse(index: int, base: int) -> float:
 
 
 def sample_cloud(system: SecondOrderSystem, count: int = 64) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Deterministic Halton cloud of (t, x, v) samples avoiding the singularity."""
+    """Deterministic Halton cloud of (t, x, v) samples, x in [-2, 2]^n, avoiding the singularity."""
     dims = 1 + 2 * system.n
     if dims > len(_PRIMES):
         raise ValueError("sample cloud supports n <= 4")
-    xl, xh = system.x_box
+    xl, xh = -2.0, 2.0
     vl, vh = system.v_box
     samples = []
     index = 20   # skip the correlated low-index prefix

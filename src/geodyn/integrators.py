@@ -591,29 +591,26 @@ def _midpoint_stage(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotent
 
 
 def _newton(residual, guess: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """Damped Newton, at most 50 iterations, with a finite-difference Jacobian (delta = 1e-7)."""
-    x = guess.astype(float).copy()
+    """The one Newton solver: undamped, with the forward-difference Jacobian
+    (residual(x + delta e_j) - r) / delta, delta = 1e-7. It returns x once
+    max|residual(x)| < tol; a singular Jacobian, or no such x within 50
+    iterations, raises NonConvergenceError naming ``what``."""
+    x = np.array(guess, dtype=float)
     for _ in range(50):
         r = residual(x)
         norm = float(np.max(np.abs(r)))
         if norm < tol:
             return x
-        jac = central_diff(residual, x, 1e-7)
+        jac = np.empty((r.size, x.size))
+        for j in range(x.size):
+            e = np.zeros(x.size)
+            e[j] = 1e-7
+            jac[:, j] = (residual(x + e) - r) / 1e-7
         try:
-            dx = np.linalg.solve(jac, r)
+            x = x - np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"{what}: singular Jacobian") from exc
-        lam = 1.0
-        for _ in range(20):
-            trial = x - lam * dx
-            if float(np.max(np.abs(residual(trial)))) < norm or lam < 1e-4:
-                x = trial
-                break
-            lam *= 0.5
-    r = residual(x)
-    if float(np.max(np.abs(r))) < tol:
-        return x
-    raise NonConvergenceError(f"{what}: Newton failed after 50 iterations")
+    raise NonConvergenceError(f"{what} did not settle in 50 iterations: residual {norm:.3e}")
 
 
 def bootstrap_first_point(s0: PhaseState, lag_id: str, h: float,

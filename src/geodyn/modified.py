@@ -17,12 +17,11 @@ import numpy as np
 
 from geodyn.errors import (
     CircularOrbitError,
-    NonConvergenceError,
     NonFiniteStateError,
     StabilityBoundaryError,
     TrajectoryTooShortError,
 )
-from geodyn.integrators import TrajectoryRecord, method, run
+from geodyn.integrators import TrajectoryRecord, _newton, method, run
 from geodyn.kepler import (
     CIRCULAR_TOL,
     LagrangianField,
@@ -216,6 +215,9 @@ def predicted_drift(method_id: str, elements: OrbitElements, h: float,
     avg_a2, avg_a1 = _period_averages(lbar, ("A2", "A1"), s0, nodes, refine_tol=1e-8)
     decc = -eps(h) * elements.T * avg_a2
     dangle = eps(h) * elements.T / elements.e * avg_a1
+    if not (math.isfinite(decc) and math.isfinite(dangle)):
+        raise NonFiniteStateError(f"predicted drift ({decc}, {dangle}) is not finite "
+                                  f"for h = {h!r}")
     return decc, dangle
 
 
@@ -244,15 +246,25 @@ def drift_sweep(method_id: str, seed: PhaseState, hs,
     out = {"ecc": [], "angle": [], "pos": []}
     for h in hs:
         check_step_size(h)
-        steps = int(math.ceil(period / h)) + 3
+        per_period = _steps_per_period(period, h)
+        steps = int(math.ceil(per_period)) + 3
         if steps + 1 < 8:
             raise TrajectoryTooShortError(f"h = {h}: {steps + 1} samples over T = {period:.6g}; need 8")
         rec = run(method_id, seed, h, steps, split=split, diagnostics=True)
         for metric in ("ecc", "angle"):
             out[metric].append(_drift_over_period(rec, metric, period))
-        n = int(round(period / h))
+        n = int(round(per_period))
         out["pos"].append(float(np.linalg.norm(rec.xs[n] - analytic_reference(seed, n * h).x)))
     return out
+
+
+def _steps_per_period(period: float, h: float) -> float:
+    """T/h; ValueError when it overflows, as for a tiny positive h."""
+    per_period = period / h
+    if not math.isfinite(per_period):
+        raise ValueError(f"step size h = {h!r} is too small for the period T = {period:.6g}: "
+                         "T/h overflows")
+    return per_period
 
 
 def fitted_order(hs, values) -> float:
@@ -375,10 +387,6 @@ def _rk4(z, h: float, t_span: float, substeps: int) -> tuple[float, float, float
     return x1, x2, v1, v2
 
 
-_SHOOT_TOL = 1e-13
-_SHOOT_MAXITER = 20
-
-
 def shadowing_error(seed: PhaseState, h: float,
                     split: SplitPotential | None = None,
                     substeps: int = 100) -> float:
@@ -395,38 +403,20 @@ def shadowing_error(seed: PhaseState, h: float,
     if split.weights != (0.5, 0.5):
         raise ValueError("the shadowing flow is the modified equation of the equal split "
                          f"(0.5, 0.5); vi1 with weights {split.weights} shadows another flow")
-    period = orbit_elements(seed).T
-    steps = int(round(period / h))
+    steps = int(round(_steps_per_period(orbit_elements(seed).T, h)))
     rec = run(method_id="vi1", s0=seed, h=h, steps=steps, split=split)
 
     x0 = tuple(seed.x.tolist())
     target = rec.xs[1]
-    v = seed.v.copy()
 
     def shoot(v):
         return _rk4(x0 + tuple(v.tolist()), h, h, substeps)
 
-    for _ in range(_SHOOT_MAXITER):
-        z = shoot(v)
-        x1 = np.array(z[:2])
-        res = x1 - target
-        gap = float(np.linalg.norm(res))
-        if gap < _SHOOT_TOL:
-            break
-        jac = np.empty((2, 2))
-        for j in range(2):
-            dv = v.copy()
-            dv[j] += 1e-7
-            jac[:, j] = (np.array(shoot(dv)[:2]) - x1) / 1e-7
-        v = v - np.linalg.solve(jac, res)
-    else:
-        raise NonConvergenceError(
-            f"shadowing shoot did not settle in {_SHOOT_MAXITER} iterations: "
-            f"residual {gap:.3e}"
-        )
-
+    v = _newton(lambda v: np.array(shoot(v)[:2]) - target, seed.v, tol=1e-13,
+                what="shadowing shoot")
     # the settled shoot is the flow's step 1, and its gap is the first one
-    worst = gap
+    z = shoot(v)
+    worst = float(np.linalg.norm(np.array(z[:2]) - target))
     for n in range(2, steps + 1):
         z = _rk4(z, h, h, substeps)
         worst = max(worst, float(np.linalg.norm(np.array(z[:2]) - rec.xs[n])))

@@ -427,6 +427,13 @@ class TestModifiedCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
 
+    def test_overflowing_drift_prediction_exits_1(self, capsys):
+        # the prediction overflowed to -inf and was printed as a success
+        assert main(["modified", "--drift", "sv", "--h", "1e200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: predicted drift (-inf, -inf) is not finite for h = 1e+200\n"
+
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_lambda_is_usage_error(self, lam):
         proc = cli("modified", "--linear", "--lambda", lam)

@@ -12,6 +12,7 @@ from geodyn import integrators, kepler
 from geodyn.cli import build_parser
 from geodyn.errors import (
     GeodynError,
+    NonConvergenceError,
     NonFiniteStateError,
     SingularOriginError,
     UnknownMethodError,
@@ -232,6 +233,19 @@ class TestDiscreteLagrangians:
             assert np.array_equal(legendre_minus(lag_id, x0, x1, H, split),
                                   d / H + H * grad_potential(x0))
             assert np.array_equal(legendre_plus(lag_id, x0, x1, H, split), d / H)
+
+    def test_newton_singular_jacobian_raises(self):
+        # the residual ignores x2, so every Jacobian has a zero column
+        with pytest.raises(NonConvergenceError, match="^test solve: singular Jacobian$"):
+            integrators._newton(lambda x: np.array([x[0] - 1.0, x[0] + 1.0]),
+                                np.zeros(2), tol=1e-12, what="test solve")
+
+    def test_newton_residual_floor_raises(self):
+        # sqrt(x^2 + 1e-6) has no root: Newton runs to its floor 1e-3 and stays there
+        with pytest.raises(NonConvergenceError,
+                           match=r"^test solve did not settle in 50 iterations: residual 1\.000e-03$"):
+            integrators._newton(lambda x: np.sqrt(x * x + 1e-6), np.ones(1), tol=1e-12,
+                                what="test solve")
 
     @pytest.mark.parametrize("lag_id", ["L1", "L1st", "Lstar", "L2nd"])
     def test_two_part_split_rejects_non_planar_points(self, lag_id):

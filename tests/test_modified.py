@@ -1,6 +1,7 @@
 """Backward-error analysis tests: linear series, modified Lagrangians, drift."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -232,6 +233,12 @@ class TestPredictedDrift:
         decc, dangle = predicted_drift(method, self.pinned_orbit(), 0.05, nodes=32)
         assert (decc.hex(), dangle.hex()) == self.PINNED[method]
 
+    @pytest.mark.parametrize("method,h", [("sv", 1e200), ("vi1", 1e308)])
+    def test_overflowing_drift_is_a_named_error(self, method, h):
+        # eps(h) * T * average overflows to (-inf, -inf) and (-inf, inf)
+        with pytest.raises(NonFiniteStateError, match=re.escape(f"not finite for h = {h!r}")):
+            predicted_drift(method, self.EL, h)
+
     def test_one_analytic_orbit_call_per_prediction(self, monkeypatch):
         calls = []
         original = kepler._analytic_states
@@ -358,6 +365,12 @@ class TestMeasuredDrift:
         cw = per_period_drift("sv", "angle", BASE, 0.05)
         ccw = per_period_drift("sv", "angle", CCW, 0.05)
         assert cw == pytest.approx(-ccw, rel=1e-6)
+
+    @pytest.mark.parametrize("entry", ["drift_sweep", "per_period_drift", "shadowing_error"])
+    def test_step_count_overflow_is_a_value_error(self, entry):
+        # T/h is infinite for a tiny positive h; int() of it raised OverflowError
+        with pytest.raises(ValueError, match=r"h = 1e-320 is too small for the period T = 19\.8"):
+            STEP_SIZE_ENTRY_POINTS[entry](1e-320)
 
     def test_sweep_needs_eight_samples_per_run(self):
         # T = 1.44: h = 0.4 makes a run of 8 samples, exactly the drift fit's

@@ -1,5 +1,5 @@
-"""Source hygiene: every name a module imports is used, exported or re-imported, and
-every function the benchmark tracer names exists."""
+"""Source hygiene: every name a module imports is used, exported or re-imported, every
+function the benchmark tracer names exists, and one function holds the Newton loop."""
 
 import ast
 import importlib
@@ -65,3 +65,31 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"geodyn.{mod}"), fn, None)):
             missing.append(name)
     assert missing == []
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def solves_in_loops(src: Path = SRC) -> list[str]:
+    """``module.function`` for each ``np.linalg.solve`` call inside a loop, named by
+    the innermost function around it."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.solve"):
+                continue
+            chain = [node]
+            while chain[-1] in parent:
+                chain.append(parent[chain[-1]])
+            if any(isinstance(n, _LOOPS) for n in chain):
+                fn = next((n.name for n in chain if isinstance(n, ast.FunctionDef)), "<module>")
+                found.append(f"{path.stem}.{fn}")
+    return found
+
+
+def test_one_newton_loop():
+    # every Newton solve goes through integrators._newton: the bootstrap, the L2nd
+    # midpoint stage and the shadowing shoot
+    assert solves_in_loops() == ["integrators._newton"]
