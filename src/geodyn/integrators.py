@@ -587,7 +587,13 @@ def _midpoint_stage(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotent
         return legendre_plus("Lstar", x0, xm, g, split) - legendre_minus("L1st", xm, x1, g, split)
 
     xm = 0.5 * (x0 + x1)
-    return _newton(residual, xm, tol=1e-13, what="L2nd midpoint stage")
+    return _newton(residual, xm, tol=_momentum_tol(1e-13, g, x0, x1), what="L2nd midpoint stage")
+
+
+def _momentum_tol(tol: float, h: float, x0: np.ndarray, x1: np.ndarray) -> float:
+    """``tol``, or 8 ulps of the largest coordinate of x0 and x1 over |h| if that is
+    larger: a momentum difference (x1 - x0)/h cannot settle below that floor."""
+    return max(tol, 8.0 * float(np.spacing(max(np.abs(x0).max(), np.abs(x1).max()))) / abs(h))
 
 
 def _newton(residual, guess: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -621,7 +627,8 @@ def bootstrap_first_point(s0: PhaseState, lag_id: str, h: float,
     def residual(x1):
         return legendre_minus(lag_id, s0.x, x1, h, split) - s0.v
 
-    return _newton(residual, s0.x + h * s0.v, tol=1e-12, what=f"bootstrap for {lag_id}")
+    x1 = s0.x + h * s0.v
+    return _newton(residual, x1, _momentum_tol(1e-12, h, s0.x, x1), f"bootstrap for {lag_id}")
 
 
 def del_two_step_vi1(ts: TwoStepState, split: SplitPotential) -> np.ndarray:

@@ -240,29 +240,41 @@ def periapsis_state(el: OrbitElements) -> PhaseState:
 
 def solve_kepler_equation(mean_anomaly: float, e: float) -> float:
     """Solve E - e*sin(E) = M by Newton iteration with bisection fallback."""
-    m = math.remainder(mean_anomaly, 2.0 * math.pi)
-    ecc_anom = m if e < 0.8 else math.pi if m >= 0 else -math.pi
+    return float(_solve_kepler(np.float64(mean_anomaly), e))
+
+
+def _solve_kepler(mean, e: float) -> np.ndarray:
+    """E with E - e*sin(E) = mean at each node of ``mean`` (0-d for one solve): one vectorised
+    Newton iteration, then bisection on [-pi, pi] of the nodes still unsettled after
+    KEPLER_EQ_MAXITER iterations. A non-finite mean anomaly raises ValueError."""
+    mean = np.asarray(mean, dtype=float)
+    if not np.isfinite(mean).all():
+        raise ValueError(f"mean anomaly must be finite, got {mean[~np.isfinite(mean)][0]}")
+    m = np.fmod(mean, 2.0 * math.pi)
+    m = m - 2.0 * math.pi * np.round(m / (2.0 * math.pi))     # exact, as math.remainder
+    ecc_anom = m if e < 0.8 else np.where(m >= 0, math.pi, -math.pi)
     for _ in range(KEPLER_EQ_MAXITER):
-        f = ecc_anom - e * math.sin(ecc_anom) - m
-        if abs(f) < KEPLER_EQ_TOL:
-            return ecc_anom + (mean_anomaly - m)
-        ecc_anom -= f / (1.0 - e * math.cos(ecc_anom))
+        res = ecc_anom - e * np.sin(ecc_anom) - m
+        todo = ~(np.abs(res) < KEPLER_EQ_TOL)
+        if not todo.any():
+            break
+        ecc_anom = np.where(todo, ecc_anom - res / (1.0 - e * np.cos(ecc_anom)), ecc_anom)
     # Newton stalled (possible only for corrupted elements); bisect on [-pi, pi].
-    lo, hi = -math.pi, math.pi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - e * math.sin(mid) - m > 0:
-            hi = mid
+    for i in np.flatnonzero(todo):
+        mi = float(np.ravel(m)[i])
+        lo, hi = -math.pi, math.pi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid - e * math.sin(mid) - mi > 0:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo < KEPLER_EQ_TOL:
+                break
         else:
-            lo = mid
-        if hi - lo < KEPLER_EQ_TOL:
-            return 0.5 * (lo + hi) + (mean_anomaly - m)
-    raise NonConvergenceError("Kepler-equation solve failed; corrupted elements?")
-
-
-def _rot(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+            raise NonConvergenceError("Kepler-equation solve failed; corrupted elements?")
+        ecc_anom.flat[i] = 0.5 * (lo + hi)
+    return ecc_anom + (mean - m)
 
 
 def _orbit_frame(s0: PhaseState):
@@ -272,8 +284,6 @@ def _orbit_frame(s0: PhaseState):
     and m0, its periapsis angle and mean anomaly at t = 0, are 0 if circular.
     """
     cs = conserved(s0)
-    if cs.H >= 0.0:
-        raise NonNegativeEnergyError("analytic reference requires H < 0")
     el = _elements(cs)
     sign = np.array([1.0, -1.0]) if cs.m < 0.0 else np.array([1.0, 1.0])
     x0, v0 = s0.x * sign, s0.v * sign
@@ -281,7 +291,8 @@ def _orbit_frame(s0: PhaseState):
         return sign, x0, v0, el, 0.0, 0.0
     # mirroring negates A2 exactly, so this is the mirrored state's LRL angle
     omega = math.atan2(cs.A[1] * sign[1], cs.A[0])
-    back = _rot(-omega)
+    c, s = math.cos(-omega), math.sin(-omega)
+    back = np.array([[c, -s], [s, c]])
     xp, vp = back @ x0, back @ v0
     a, e = el.a, el.e
     r0 = float(np.linalg.norm(xp))
@@ -292,58 +303,37 @@ def _orbit_frame(s0: PhaseState):
 
 
 def analytic_reference(s0: PhaseState, t: float) -> PhaseState:
-    """Exact elliptic-orbit state at time t from the state s0 at time 0.
-
-    Propagates via the eccentric anomaly; clockwise orbits are handled by
-    mirroring across the x1-axis.
-    """
-    sign, x0, v0, el, omega, m0 = _orbit_frame(s0)
-    a, b, e = el.a, el.b, el.e
-    mean_motion = a**-1.5
-    if e < CIRCULAR_TOL:
-        rot = _rot(mean_motion * t)
-        return PhaseState((rot @ x0) * sign, (rot @ v0) * sign)
-    ecc_anom = solve_kepler_equation(m0 + mean_motion * t, e)
-    ce, se = math.cos(ecc_anom), math.sin(ecc_anom)
-    edot = mean_motion / (1.0 - e * ce)
-    xp_t = np.array([a * (ce - e), b * se])
-    vp_t = np.array([-a * se * edot, b * ce * edot])
-    fwd = _rot(omega)
-    return PhaseState((fwd @ xp_t) * sign, (fwd @ vp_t) * sign)
+    """Exact elliptic-orbit state at time t from the state s0 at time 0."""
+    return PhaseState(*_analytic_states(s0, t))
 
 
 def _analytic_states(s0: PhaseState, ts) -> tuple[np.ndarray, np.ndarray]:
     """Positions and velocities, each of shape (2,) + ts.shape, at the times ts.
 
-    One vectorised Newton iteration solves the Kepler equation at all nodes;
-    nodes unsettled after KEPLER_EQ_MAXITER iterations go to solve_kepler_equation.
+    Propagates via the eccentric anomaly, from one Kepler-equation solve over
+    all times; clockwise orbits are handled by mirroring across the x1-axis.
+    A non-finite time, or one whose mean anomaly overflows, raises ValueError.
     """
     sign, x0, v0, el, omega, m0 = _orbit_frame(s0)
     a, b, e = el.a, el.b, el.e
     mean_motion = a**-1.5
     ts = np.asarray(ts, dtype=float)
+    with np.errstate(over="ignore"):
+        phase = mean_motion * ts
+    if not np.isfinite(phase).all():
+        raise ValueError(f"time t = {ts[~np.isfinite(phase)][0]} is not finite or overflows n*t")
     if e < CIRCULAR_TOL:
-        c, s = np.cos(mean_motion * ts), np.sin(mean_motion * ts)
+        c, s = np.cos(phase), np.sin(phase)
         xp, vp = x0, v0
     else:
-        mean = m0 + mean_motion * ts
-        m = np.fmod(mean, 2.0 * math.pi)
-        m -= 2.0 * math.pi * np.round(m / (2.0 * math.pi))     # exact, as math.remainder
-        ecc_anom = m if e < 0.8 else np.where(m >= 0, math.pi, -math.pi)
-        for _ in range(KEPLER_EQ_MAXITER):
-            res = ecc_anom - e * np.sin(ecc_anom) - m
-            todo = ~(np.abs(res) < KEPLER_EQ_TOL)
-            if not todo.any():
-                break
-            ecc_anom = np.where(todo, ecc_anom - res / (1.0 - e * np.cos(ecc_anom)), ecc_anom)
-        ecc_anom = np.array(ecc_anom + (mean - m))
-        for i in np.flatnonzero(todo):      # Newton stalled at these nodes
-            ecc_anom.flat[i] = solve_kepler_equation(float(np.ravel(mean)[i]), e)
+        ecc_anom = _solve_kepler(m0 + phase, e)
         ce, se = np.cos(ecc_anom), np.sin(ecc_anom)
         edot = mean_motion / (1.0 - e * ce)
         xp, vp = (a * (ce - e), b * se), (-a * se * edot, b * ce * edot)
         c, s = math.cos(omega), math.sin(omega)
-    return tuple(np.stack(np.broadcast_arrays(c * p[0] - s * p[1], sign[1] * (s * p[0] + c * p[1])))
+    # each sum starts at +0.0, as a matrix product does, so a zero component is +0.0
+    return tuple(np.stack(np.broadcast_arrays(0.0 + c * p[0] - s * p[1],
+                                              sign[1] * (0.0 + s * p[0] + c * p[1])))
                  for p in (xp, vp))
 
 

@@ -28,8 +28,8 @@ from geodyn.kepler import (
     OrbitElements,
     PhaseState,
     SplitPotential,
+    _analytic_states,
     _period_averages,
-    analytic_reference,
     check_step_size,
     kepler_split,
     orbit_elements,
@@ -243,18 +243,21 @@ def drift_sweep(method_id: str, seed: PhaseState, hs,
     than 8 samples, too few for the drift fit, raises TrajectoryTooShortError.
     """
     period = orbit_elements(seed).T
-    out = {"ecc": [], "angle": [], "pos": []}
+    sweep = []      # (h, steps, n) for each h, every h checked before the first run
     for h in hs:
         check_step_size(h)
         per_period = _steps_per_period(period, h)
         steps = int(math.ceil(per_period)) + 3
         if steps + 1 < 8:
             raise TrajectoryTooShortError(f"h = {h}: {steps + 1} samples over T = {period:.6g}; need 8")
+        sweep.append((h, steps, int(round(per_period))))
+    refs = _analytic_states(seed, [n * h for h, _, n in sweep])[0].T
+    out = {"ecc": [], "angle": [], "pos": []}
+    for (h, steps, n), ref in zip(sweep, refs):
         rec = run(method_id, seed, h, steps, split=split, diagnostics=True)
         for metric in ("ecc", "angle"):
             out[metric].append(_drift_over_period(rec, metric, period))
-        n = int(round(per_period))
-        out["pos"].append(float(np.linalg.norm(rec.xs[n] - analytic_reference(seed, n * h).x)))
+        out["pos"].append(float(np.linalg.norm(rec.xs[n] - ref)))
     return out
 
 
@@ -309,33 +312,13 @@ def measured_drift_order(method_id: str, metric: str, seed: PhaseState,
 
 # --- Modified-flow shadowing for the first-order coordinate composition ---
 
-def _modified_accel_vi1(x1: float, x2: float, v1: float, v2: float,
-                        h: float) -> tuple[float, float]:
-    """Acceleration of the order-h truncated modified equation, on plain floats.
-
-    ``_rk4`` writes this formula out in each of its stages, in the same
-    operation order; the tests hold the two equal bit for bit.
-    """
-    r = sqrt(x1 * x1 + x2 * x2)
-    r3 = r**3
-    f = -1.5 * h * x1 * x2 / r**5
-    return -x1 / r3 + f * v2, -x2 / r3 + f * -v1
-
-
-def modified_rhs_vi1(x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
-    """Acceleration of the order-h truncated modified equation (equal split)."""
-    x1, x2 = np.asarray(x, dtype=float).tolist()
-    v1, v2 = np.asarray(v, dtype=float).tolist()
-    return np.array(_modified_accel_vi1(x1, x2, v1, v2, h))
-
-
 def _rk4(z, h: float, t_span: float, substeps: int) -> tuple[float, float, float, float]:
     """Fixed-step classical 4th-order integration of the modified flow.
 
     ``z`` is the planar state (x1, x2, v1, v2); the stages keep the order of
     the vector form x + (0.5*dt)*k and dt/6*(k1 + 2*k2 + 2*k3 + k4). Each
-    stage writes out ``_modified_accel_vi1`` in its operation order, because
-    four calls per substep cost more than their arithmetic.
+    stage writes out ``_modified_accel_vi1`` of tests/test_modified.py in its operation
+    order; ``TestShadowing._reference_rk4`` there holds the two equal bit for bit.
     """
     n = max(1, int(round(t_span / h * substeps)))
     dt = t_span / n
@@ -404,7 +387,7 @@ def shadowing_error(seed: PhaseState, h: float,
         raise ValueError("the shadowing flow is the modified equation of the equal split "
                          f"(0.5, 0.5); vi1 with weights {split.weights} shadows another flow")
     steps = int(round(_steps_per_period(orbit_elements(seed).T, h)))
-    rec = run(method_id="vi1", s0=seed, h=h, steps=steps, split=split)
+    rec = run(method_id="vi1", s0=seed, h=h, steps=steps, split=split, diagnostics=False)
 
     x0 = tuple(seed.x.tolist())
     target = rec.xs[1]

@@ -214,6 +214,17 @@ class TestDiscreteLagrangians:
         assert np.max(np.abs(x1 - ref.x)) < 1e-10
         assert np.max(np.abs(p1 - ref.v)) < 1e-10
 
+    @pytest.mark.parametrize("h", [0.007, 0.005, 0.002])
+    def test_l2nd_bootstrap_settles_at_small_h(self, h):
+        # the Newton residuals are momentum differences with a round-off floor of
+        # about ulp(|x|)/h; an absolute tolerance left the midpoint stage stalled
+        # at residual 1.776e-13 for h = 0.005
+        x1 = bootstrap_first_point(S_WIDE, "L2nd", h, SPLIT)
+        p1 = legendre_plus("L2nd", S_WIDE.x, x1, h, SPLIT)
+        ref = step_vi2(S_WIDE, SPLIT, h)
+        assert np.max(np.abs(x1 - ref.x)) < 1e-13
+        assert np.max(np.abs(p1 - ref.v)) < 1e-11
+
     def test_bootstrap_satisfies_legendre_condition(self):
         x1 = bootstrap_first_point(S0, "L2", H)
         assert np.max(np.abs(legendre_minus("L2", S0.x, x1, H) - S0.v)) < 1e-11

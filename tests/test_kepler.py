@@ -40,6 +40,42 @@ S_CANONICAL = PhaseState(np.array([0.4, 0.0]), np.array([0.0, 2.0]))
 S_WIDE = PhaseState(np.array([-3.0, 0.0]), np.array([0.0, 0.45]))
 
 
+def _scalar_kepler(mean_anomaly, e):
+    """E - e*sin(E) = M by scalar Newton iteration on ``math`` floats, bisection fallback."""
+    m = math.remainder(mean_anomaly, 2.0 * math.pi)
+    ecc_anom = m if e < 0.8 else math.pi if m >= 0 else -math.pi
+    for _ in range(kepler.KEPLER_EQ_MAXITER):
+        f = ecc_anom - e * math.sin(ecc_anom) - m
+        if abs(f) < kepler.KEPLER_EQ_TOL:
+            return ecc_anom + (mean_anomaly - m)
+        ecc_anom -= f / (1.0 - e * math.cos(ecc_anom))
+    lo, hi = -math.pi, math.pi
+    while hi - lo >= kepler.KEPLER_EQ_TOL:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if mid - e * math.sin(mid) - m > 0 else (mid, hi)
+    return 0.5 * (lo + hi) + (mean_anomaly - m)
+
+
+def _scalar_reference(s0, t):
+    """One analytic-orbit state by scalar propagation and rotation matrices, the
+    vectorised path's independent reference."""
+    def rot(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        return np.array([[c, -s], [s, c]])
+
+    sign, x0, v0, el, omega, m0 = kepler._orbit_frame(s0)
+    a, b, e = el.a, el.b, el.e
+    mean_motion = a**-1.5
+    if e < kepler.CIRCULAR_TOL:
+        return PhaseState((rot(mean_motion * t) @ x0) * sign, (rot(mean_motion * t) @ v0) * sign)
+    ecc_anom = _scalar_kepler(m0 + mean_motion * t, e)
+    ce, se = math.cos(ecc_anom), math.sin(ecc_anom)
+    edot = mean_motion / (1.0 - e * ce)
+    xp = np.array([a * (ce - e), b * se])
+    vp = np.array([-a * se * edot, b * ce * edot])
+    return PhaseState((rot(omega) @ xp) * sign, (rot(omega) @ vp) * sign)
+
+
 class TestPhaseState:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", ["x", "v"])
@@ -203,6 +239,17 @@ class TestKeplerEquation:
     def test_zero_anomaly(self):
         assert solve_kepler_equation(0.0, 0.5) == 0.0
 
+    def test_bits_match_scalar_solve(self):
+        rng = np.random.default_rng(3)
+        for mean, e in zip(rng.uniform(-40.0, 40.0, 500), rng.uniform(0.0, 0.999, 500)):
+            assert solve_kepler_equation(mean, e) == _scalar_kepler(mean, e)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_anomaly_rejected(self, bad):
+        # a NaN was returned as the solution; an infinity raised "math domain error"
+        with pytest.raises(ValueError, match=f"mean anomaly must be finite, got {bad}"):
+            solve_kepler_equation(bad, 0.5)
+
 
 class TestAnalyticReference:
     @pytest.mark.parametrize("seed", [S_CANONICAL, S_WIDE])
@@ -271,6 +318,18 @@ class TestAnalyticReference:
         s = analytic_reference(self.SEEDS[name], t)
         assert tuple(c.hex() for c in np.concatenate([s.x, s.v]).tolist()) == self.PINNED[key]
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(SEEDS))
+    def test_non_finite_time_rejected(self, name, t):
+        with pytest.raises(ValueError, match=f"time t = {t} is not finite"):
+            analytic_reference(self.SEEDS[name], t)
+
+    def test_overflowing_mean_anomaly_rejected(self):
+        # mean motion n = 11**1.5, about 36: n*t overflows for this finite t
+        seed = PhaseState(np.array([0.1, 0.0]), np.array([0.0, 3.0]))
+        with pytest.raises(ValueError, match=r"time t = 1e\+308 is not finite or overflows n\*t"):
+            analytic_reference(seed, 1e308)
+
     def test_orbit_set_up_once_per_call(self, monkeypatch):
         calls = []
         original = kepler.conserved
@@ -296,7 +355,7 @@ class TestAnalyticStates:
     def assert_matches_reference(seed, ts, x, v, ulps=4):
         assert x.shape == v.shape == (2,) + ts.shape
         for idx in np.ndindex(ts.shape):
-            ref = analytic_reference(seed, float(ts[idx]))
+            ref = _scalar_reference(seed, float(ts[idx]))
             scale = max(np.max(np.abs(ref.x)), np.max(np.abs(ref.v)))
             tol = ulps * np.finfo(float).eps * scale
             assert np.max(np.abs(x[(slice(None),) + idx] - ref.x)) <= tol
@@ -310,28 +369,19 @@ class TestAnalyticStates:
 
     def test_scalar_time(self):
         x, v = kepler._analytic_states(S_WIDE, 2.0)
-        ref = analytic_reference(S_WIDE, 2.0)
+        ref = _scalar_reference(S_WIDE, 2.0)
         assert x.shape == v.shape == (2,)
         assert np.max(np.abs(x - ref.x)) < 1e-14 and np.max(np.abs(v - ref.v)) < 1e-14
 
     @pytest.mark.parametrize("name", ["cw", "e0.9"])
     def test_stalled_newton_falls_back_to_scalar_solve(self, monkeypatch, name):
-        # one Newton step settles no node, so every node goes through
-        # solve_kepler_equation, which then bisects
+        # one Newton step settles no node, so every node falls back to the scalar
+        # bisection on [-pi, pi], as the scalar reference then does too
         seed = self.SEEDS[name]
         ts = self.grid(seed)
         settled = kepler._analytic_states(seed, ts)
-        calls = []
-        original = kepler.solve_kepler_equation
-
-        def counting(mean, e):
-            calls.append(mean)
-            return original(mean, e)
-
         monkeypatch.setattr(kepler, "KEPLER_EQ_MAXITER", 1)
-        monkeypatch.setattr(kepler, "solve_kepler_equation", counting)
         x, v = kepler._analytic_states(seed, ts)
-        assert len(calls) == ts.size
         self.assert_matches_reference(seed, ts, x, v)
         assert np.max(np.abs(x - settled[0])) < 1e-12
         assert np.max(np.abs(v - settled[1])) < 1e-11

@@ -36,7 +36,6 @@ from geodyn.modified import (
     linear_modified_series,
     measured_drift_order,
     modified_lagrangian,
-    modified_rhs_vi1,
     per_period_drift,
     perturbation_field,
     predicted_drift,
@@ -50,6 +49,26 @@ BASE = PhaseState(np.array([-3.0, 0.0]), np.array([0.0, 0.45]))
 # the orbit's symmetry axis and suppress the leading drift term
 GENERIC = analytic_reference(BASE, 3.0)
 CCW = PhaseState(np.array([-3.0, 0.0]), np.array([0.0, -0.45]))
+
+
+def _modified_accel_vi1(x1: float, x2: float, v1: float, v2: float,
+                        h: float) -> tuple[float, float]:
+    """Acceleration of the order-h truncated modified equation, on plain floats.
+
+    ``modified._rk4`` writes this formula out in each of its stages, in the same
+    operation order; ``TestShadowing`` holds the two equal bit for bit.
+    """
+    r = math.sqrt(x1 * x1 + x2 * x2)
+    r3 = r**3
+    f = -1.5 * h * x1 * x2 / r**5
+    return -x1 / r3 + f * v2, -x2 / r3 + f * -v1
+
+
+def modified_rhs_vi1(x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """Acceleration of the order-h truncated modified equation (equal split)."""
+    x1, x2 = np.asarray(x, dtype=float).tolist()
+    v1, v2 = np.asarray(v, dtype=float).tolist()
+    return np.array(_modified_accel_vi1(x1, x2, v1, v2, h))
 
 
 # Every library entry point that takes a step size checks it with one rule; the
@@ -190,7 +209,7 @@ class TestModifiedLagrangian:
         for x, v, h in zip(rng.uniform(-3.0, 3.0, size=(200, 2)),
                            rng.uniform(-1.0, 1.0, size=(200, 2)),
                            rng.uniform(0.01, 0.5, size=200)):
-            kernel = np.array(modified._modified_accel_vi1(*x.tolist(), *v.tolist(), h))
+            kernel = np.array(_modified_accel_vi1(*x.tolist(), *v.tolist(), h))
             r = float(np.linalg.norm(x))
             f = -1.5 * h * x[0] * x[1] / r**5
             vector = -x / r**3 + f * np.array([v[1], -v[0]])
@@ -382,6 +401,19 @@ class TestMeasuredDrift:
             with pytest.raises(TrajectoryTooShortError, match=r"h = 0\.5: 7 samples over T = 1\.44"):
                 drift_sweep("sv", seed, [0.25, 0.5])
 
+    def test_one_analytic_orbit_call_per_sweep(self, monkeypatch):
+        # every h is checked first, then one call gives each run's reference position
+        calls = []
+        original = kepler._orbit_frame
+        monkeypatch.setattr(kepler, "_orbit_frame", lambda s0: calls.append(s0) or original(s0))
+        hs = (0.2, 0.1, 0.05)
+        pos = drift_sweep("sv", BASE, hs)["pos"]
+        assert len(calls) == 1
+        for h, err in zip(hs, pos):
+            n = round(orbit_elements(BASE).T / h)
+            ref = analytic_reference(BASE, n * h).x
+            assert err == float(np.linalg.norm(run("sv", BASE, h, n).xs[n] - ref))
+
     @pytest.mark.parametrize("order", [-1.0, 1.0, 2.0, 4.0])
     def test_fitted_order_recovers_a_power_law(self, order):
         hs = (0.5, 0.25, 0.125, 0.0625)
@@ -418,7 +450,7 @@ class TestShadowing:
         dt = t_span / n
         half = 0.5 * dt
         sixth = dt / 6.0
-        accel = modified._modified_accel_vi1
+        accel = _modified_accel_vi1
         x1, x2, v1, v2 = z
         for _ in range(n):
             a11, a12 = accel(x1, x2, v1, v2, h)

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is used, exported or re-imported, every
-function the benchmark tracer names exists, and one function holds the Newton loop."""
+function the benchmark tracer names exists, one function holds the Newton loop and one
+the Kepler-equation iteration."""
 
 import ast
 import importlib
@@ -93,3 +94,23 @@ def test_one_newton_loop():
     # every Newton solve goes through integrators._newton: the bootstrap, the L2nd
     # midpoint stage and the shadowing shoot
     assert solves_in_loops() == ["integrators._newton"]
+
+
+def functions_reading(name: str, src: Path = SRC) -> list[str]:
+    """``module.function`` for each function of ``src`` that reads the global ``name``,
+    named by the innermost function around the read."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+                while node in parent and not isinstance(node, ast.FunctionDef):
+                    node = parent[node]
+                found.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_one_kepler_solve():
+    # the scalar solve and the analytic orbit both go through kepler._solve_kepler
+    assert functions_reading("KEPLER_EQ_MAXITER") == ["kepler._solve_kepler"]
