@@ -40,7 +40,7 @@ class StabilityBoundaryError(GeodynError):
 
 
 class TrajectoryTooShortError(GeodynError):
-    """Finite-difference diagnostics need at least three samples."""
+    """Too few samples: a finite-difference diagnostic needs at least three, a drift-sweep run eight."""
 
 
 class CircularOrbitError(GeodynError):

@@ -398,7 +398,9 @@ def load_system_file(path: str) -> SecondOrderSystem:
     """Load a user system from a key=value file of arithmetic expressions.
 
     Recognized keys: ``n``, ``structure``, ``f1..fN``, and optionally
-    ``m<ij>``, ``a<ij>``, ``phi1..phiN`` depending on the structure tag.
+    ``m<ij>``, ``a<ij>``, ``phi1..phiN`` depending on the structure tag; any
+    other key raises ExpressionError at its line. Missing ``m`` entries are
+    those of the identity, missing ``a`` entries zero.
     """
     raw: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
@@ -423,6 +425,12 @@ def load_system_file(path: str) -> SecondOrderSystem:
     structure = raw.pop("structure", ("constant-mass", 0))[0]
     if structure not in STRUCTURES:
         raise ExpressionError(f"unknown structure tag {structure!r}")
+    index = range(1, n + 1)
+    known = {f"{p}{i}" for p in ("f", "phi") for i in index}
+    known |= {f"{p}{i}{j}" for p in ("m", "a") for i in index for j in index}
+    for key, (_, lineno) in raw.items():
+        if key not in known:
+            raise ExpressionError(f"unknown key {key!r} for n = {n}", lineno, 1)
 
     exprs = {key: parse_expression(text, line) for key, (text, line) in raw.items()}
 
@@ -446,14 +454,14 @@ def load_system_file(path: str) -> SecondOrderSystem:
             return out
         return at
 
-    def matrix(prefix):
+    def matrix(prefix, default):
         keys = {(i, j): f"{prefix}{i + 1}{j + 1}" for i in range(n) for j in range(n)}
         if not any(k in exprs for k in keys.values()):
             return None
 
         def at(t, x, v):
             e = env(t, x, v)
-            out = np.zeros((len(x), n, n))
+            out = np.repeat(default[None], len(x), axis=0)
             for (i, j), key in keys.items():
                 if key in exprs:
                     out[:, i, j] = exprs[key](e)
@@ -461,14 +469,14 @@ def load_system_file(path: str) -> SecondOrderSystem:
         return at
 
     force = vector("f")
-    amat = matrix("a")
+    amat = matrix("a", np.zeros((n, n)))
     phi = vector("phi")
     if force is None:
         if structure == "velocity-mass" and amat is not None and phi is not None:
             force = lambda t, x, v: (amat(t, x, v) @ v[..., None])[..., 0] + phi(t, x, v)
         else:
             raise ExpressionError(f"missing force entries f1..f{n}")
-    mass = matrix("m")
+    mass = matrix("m", np.eye(n))
     return SecondOrderSystem(
         name=path, n=n, structure=structure,
         force=force,

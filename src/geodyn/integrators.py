@@ -49,7 +49,7 @@ LAGRANGIAN_IDS = ("L1", "L2", "L1st", "Lstar", "L2nd")
 
 @dataclass(frozen=True)
 class TwoStepState:
-    """Consecutive positions of a two-step recurrence."""
+    """Consecutive positions of a two-step recurrence, finite and of one shape (else ValueError)."""
     x_prev: np.ndarray
     x_curr: np.ndarray
     h: float
@@ -57,6 +57,9 @@ class TwoStepState:
     def __post_init__(self):
         object.__setattr__(self, "x_prev", np.asarray(self.x_prev, dtype=float))
         object.__setattr__(self, "x_curr", np.asarray(self.x_curr, dtype=float))
+        if self.x_prev.shape != self.x_curr.shape or not np.isfinite([self.x_prev, self.x_curr]).all():
+            raise ValueError("positions must be finite and of one shape, "
+                             f"got {self.x_prev.tolist()}, {self.x_curr.tolist()}")
         check_step_size(self.h)
 
 
@@ -489,7 +492,10 @@ def discrete_lagrangian(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
 
 def _require_split(lag_id, split, n):
     """(lag_id, split), the default split filled in and checked against the points of
-    every split Lagrangian, L1 included; L1 is L1st on the one-part split."""
+    every split Lagrangian, L1 included; L1 is L1st on the one-part split, and L2 takes
+    no split."""
+    if lag_id == "L2":
+        return lag_id, split
     if split is None:
         split = kepler_split()
     if len(split) != 1 and (len(split), n) != (2, 2):
@@ -539,52 +545,32 @@ def legendre_minus(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
 
 def legendre_plus(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
                   split: SplitPotential | None = None) -> np.ndarray:
-    """p_{n+1} = h d2 L(x_n, x_{n+1}, h) for the named discrete Lagrangian."""
+    """p_{n+1} = h d2 L(x_n, x_{n+1}, h), the minus transform of the adjoint
+    L*(x0, x1, h) = L(x1, x0, -h) at (x_{n+1}, x_n, -h): the adjoint swaps L1st
+    and Lstar (L1 is L1st on the one-part split), and L2 and L2nd are their own."""
     x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    if lag_id == "L2":
-        return (x1 - x0) / h - 0.5 * h * grad_potential(x1)
     lag_id, split = _require_split(lag_id, split, x0.size)
-    if lag_id == "L1st":
-        return _l1st_plus(x0, x1, h, split)
-    if lag_id == "Lstar":
-        return _l1st_minus(x1, x0, -h, split)
-    if lag_id == "L2nd":
-        xm = _midpoint_stage(x0, x1, h, split)
-        return legendre_plus("L1st", xm, x1, 0.5 * h, split)
-    raise UnknownMethodError(f"unknown discrete Lagrangian {lag_id!r}")
+    adjoint = {"L1st": "Lstar", "Lstar": "L1st"}.get(lag_id, lag_id)
+    return legendre_minus(adjoint, x1, x0, -h, split)
 
 
 def legendre_fd(lag_id: str, x0, x1, h, split=None):
-    """Finite-difference cross-check of both Legendre transforms (delta = 1e-6)."""
+    """Finite-difference cross-check of both Legendre transforms: for each coordinate
+    i, (L(x + delta e_i) - L(x - delta e_i)) / (2 delta) with delta = 1e-6."""
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    p_minus = -h * central_diff(lambda x: discrete_lagrangian(lag_id, x, x1, h, split), x0, 1e-6)
-    p_plus = h * central_diff(lambda x: discrete_lagrangian(lag_id, x0, x, h, split), x1, 1e-6)
+    lag = partial(discrete_lagrangian, lag_id, h=h, split=split)
+    p_minus = -h * (np.stack([lag(x0 + e, x1) - lag(x0 - e, x1) for e in np.eye(x0.size) * 1e-6]) / 2e-6)
+    p_plus = h * (np.stack([lag(x0, x1 + e) - lag(x0, x1 - e) for e in np.eye(x1.size) * 1e-6]) / 2e-6)
     return p_minus, p_plus
-
-
-def central_diff(fn, x: np.ndarray, delta: float) -> np.ndarray:
-    """(fn(x + delta e_i) - fn(x - delta e_i)) / (2 delta) for each coordinate i.
-
-    The differences are stacked along the last axis, so for a vector-valued
-    ``fn`` the result is its Jacobian, column i the derivative along e_i.
-    """
-    n = x.size
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = delta
-        cols.append((fn(x + e) - fn(x - e)) / (2 * delta))
-    return np.stack(cols, axis=-1)
 
 
 def _midpoint_stage(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotential) -> np.ndarray:
     """Internal stage of L2nd: momentum matching of the two half Lagrangians."""
     g = 0.5 * h
 
-    def residual(xm):
-        return legendre_plus("Lstar", x0, xm, g, split) - legendre_minus("L1st", xm, x1, g, split)
+    def residual(xm):       # Lstar's plus transform at (x0, xm) is L1st's minus one at (xm, x0, -g)
+        return legendre_minus("L1st", xm, x0, -g, split) - legendre_minus("L1st", xm, x1, g, split)
 
     xm = 0.5 * (x0 + x1)
     return _newton(residual, xm, tol=_momentum_tol(1e-13, g, x0, x1), what="L2nd midpoint stage")

@@ -106,15 +106,6 @@ def grad_potential(x: np.ndarray) -> np.ndarray:
     return x / r**3
 
 
-def hess_potential(x: np.ndarray) -> np.ndarray:
-    """Hessian of the Kepler potential: I/r^3 - 3 x x^T / r^5."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    return np.eye(x.size) / r**3 - 3.0 * np.outer(x, x) / r**5
-
-
 # --- Planar float forms for the step kernels ---
 
 def potential_xy(x1: float, x2: float) -> float:
@@ -399,48 +390,36 @@ _SPACE_DELTA = 1e-4
 _TIME_DELTA = 2e-2
 
 
-class LagrangianField:
-    """Scalar field L(x, v) on (2, ...) arrays; its gradients are 4th-order central differences."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def grad_x(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self._fd_grad(x, v, wrt="x")
-
-    def grad_v(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self._fd_grad(x, v, wrt="v")
-
-    def _fd_grad(self, x, v, wrt):
-        """Gradient of shape (2, ...) from one value call on every stencil point."""
-        coeffs, offsets = _D1_4
-        n, trail = x.shape[0], (1,) * (x.ndim - 1)
-        # shift[j, k, i]: coordinate j moved by offsets[k] * delta at stencil point (k, i) if i == j
-        shift = np.eye(n)[:, None, :] * (np.array(offsets) * _SPACE_DELTA)[:, None]
-        pert = (x if wrt == "x" else v)[:, None, None] + shift.reshape(shift.shape + trail)
-        other = np.broadcast_to((v if wrt == "x" else x)[:, None, None], pert.shape)
-        vals = self.value(pert, other) if wrt == "x" else self.value(other, pert)
-        return sum(c * vals[k] for k, c in enumerate(coeffs)) / _SPACE_DELTA
+def _fd_grad(value, x, v, wrt):
+    """Gradient (2, ...) of the field ``value(x, v)`` in x or v from one call on every stencil point."""
+    coeffs, offsets = _D1_4
+    n, trail = x.shape[0], (1,) * (x.ndim - 1)
+    # shift[j, k, i]: coordinate j moved by offsets[k] * delta at stencil point (k, i) if i == j
+    shift = np.eye(n)[:, None, :] * (np.array(offsets) * _SPACE_DELTA)[:, None]
+    pert = (x if wrt == "x" else v)[:, None, None] + shift.reshape(shift.shape + trail)
+    other = np.broadcast_to((v if wrt == "x" else x)[:, None, None], pert.shape)
+    vals = value(pert, other) if wrt == "x" else value(other, pert)
+    return sum(c * vals[k] for k, c in enumerate(coeffs)) / _SPACE_DELTA
 
 
-def euler_lagrange_on_orbit(lbar: LagrangianField, s0: PhaseState, t) -> np.ndarray:
-    """EL(lbar) = d/dt(dL/dv) - dL/dx on the analytic orbit, shape (2,) + shape(t)."""
+def euler_lagrange_on_orbit(lbar, s0: PhaseState, t) -> np.ndarray:
+    """EL(lbar) = d/dt(dL/dv) - dL/dx of the field lbar(x, v) on the analytic orbit, shape (2,) + shape(t)."""
     return _euler_lagrange(lbar, s0, t)[0]
 
 
-def _euler_lagrange(lbar: LagrangianField, s0: PhaseState, ts):
+def _euler_lagrange(lbar, s0: PhaseState, ts):
     """(EL vectors, positions, velocities) at the times ts, from one analytic-orbit call."""
     ts = np.asarray(ts, dtype=float)
     coeffs, offsets = _D1_7
     x, v = _analytic_states(s0, ts + np.array(offsets).reshape((7,) + (1,) * ts.ndim) * _TIME_DELTA)
-    gv = lbar.grad_v(x, v)
+    gv = _fd_grad(lbar, x, v, "v")
     ddt = sum(c * gv[:, k] for k, c in enumerate(coeffs) if c) / _TIME_DELTA
     x, v = x[:, 3], v[:, 3]     # the offset-0 row: the nodes themselves
-    return ddt - lbar.grad_x(x, v), x, v
+    return ddt - _fd_grad(lbar, x, v, "x"), x, v
 
 
 def perturbation_average(
-    lbar: LagrangianField,
+    lbar,
     char,
     orbit: PhaseState | OrbitElements,
     nodes: int = 2048,
@@ -459,7 +438,7 @@ def perturbation_average(
     return _period_averages(lbar, (char,), s0, nodes, refine_tol)[0]
 
 
-def _period_averages(lbar: LagrangianField, chars, s0: PhaseState, nodes: int,
+def _period_averages(lbar, chars, s0: PhaseState, nodes: int,
                      refine_tol: float) -> list[float]:
     """Fine Simpson averages of <EL(lbar), char> for each char, one EL per node.
 

@@ -24,7 +24,6 @@ from geodyn.errors import (
 from geodyn.integrators import TrajectoryRecord, _newton, method, run
 from geodyn.kepler import (
     CIRCULAR_TOL,
-    LagrangianField,
     OrbitElements,
     PhaseState,
     SplitPotential,
@@ -122,7 +121,7 @@ def modified_lagrangian(method_id: str, s: PhaseState, h: float,
     Kepler split and must have two coordinate parts for vi1/vi2.
     """
     eps, lbar = perturbation_field(method_id, split)
-    return 0.5 * float(s.v @ s.v) - potential(s.x) + eps(h) * float(lbar.value(s.x, s.v))
+    return 0.5 * float(s.v @ s.v) - potential(s.x) + eps(h) * float(lbar(s.x, s.v))
 
 
 def perturbation_field(method_id: str, split: SplitPotential | None = None):
@@ -131,8 +130,8 @@ def perturbation_field(method_id: str, split: SplitPotential | None = None):
     The epsilon factor is the size of the leading perturbation: h/2 for the first-order
     methods, h^2/24 for Stormer-Verlet, h^2 for the second-order coordinate
     composition (whose bracket carries its own 1/96 and 1/24 weights). vi1
-    and vi2 need a two-part split; a one-part split raises ValueError. The
-    field takes (2, ...) arrays of positions and velocities.
+    and vi2 need a two-part split; a one-part split raises ValueError. Lbar is
+    the function ``value(x, v)`` of (2, ...) arrays of positions and velocities.
     """
     method(method_id)      # UnknownMethodError for all but the Kepler methods
     split = split if split is not None else kepler_split()
@@ -141,14 +140,14 @@ def perturbation_field(method_id: str, split: SplitPotential | None = None):
         def value(x, v):
             g1, g2, _ = _kepler_grad(x)
             return -(v[0] * g1 + v[1] * g2)
-        return (lambda h: 0.5 * h), LagrangianField(value)
+        return (lambda h: 0.5 * h), value
 
     if method_id == "sv":
         def value(x, v):
             r = np.sqrt(x[0] * x[0] + x[1] * x[1])
             xv = x[0] * v[0] + x[1] * v[1]
             return 1.0 / r**4 - 2.0 * (v[0] * v[0] + v[1] * v[1]) / r**3 + 6.0 * xv * xv / r**5
-        return (lambda h: h * h / 24.0), LagrangianField(value)
+        return (lambda h: h * h / 24.0), value
 
     if len(split) != 2:
         raise ValueError(f"the {method_id} modified Lagrangian needs a two-part split, "
@@ -161,7 +160,7 @@ def perturbation_field(method_id: str, split: SplitPotential | None = None):
         def value(x, v):
             g1, g2, _ = _kepler_grad(x)
             return -((w1 * g1 + w2 * g1) * v[0] + (w2 * g2 - w1 * g2) * v[1])
-        return (lambda h: 0.5 * h), LagrangianField(value)
+        return (lambda h: 0.5 * h), value
 
     def value(x, v):       # vi2; part i's gradient is w_i grad(phi), its Hessian w_i hess(phi)
         g1, g2, r = _kepler_grad(x)
@@ -177,7 +176,7 @@ def perturbation_field(method_id: str, split: SplitPotential | None = None):
                - 4.0 * (w2 * h12) * v[0] * v[1]
                - 2.0 * (w2 * h22) * v[1] ** 2)
         return quad / 96.0 + kin / 24.0
-    return (lambda h: h * h), LagrangianField(value)
+    return (lambda h: h * h), value
 
 
 # --- Per-period LRL drift: prediction and measurement ---

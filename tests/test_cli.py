@@ -317,6 +317,28 @@ class TestCheckCommand:
     def test_unknown_system(self):
         assert cli("check", "nosuchsystem").returncode == 2
 
+    def test_unknown_key_exit_status(self, tmp_path, capsys):
+        # a key that is not n, structure, f<i>, m<ij>, a<ij> or phi<i> is an error, not ignored
+        path = tmp_path / "bad.sys"
+        path.write_text("n = 2\nf1 = -x1\nf2 = -x2\nbogus = 1/0.5\nf3 = x3\n")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: line 4, column 1: unknown key 'bogus' for n = 2\n"
+
+    @pytest.mark.parametrize("structure", ["", "structure = general\n"])
+    def test_missing_mass_entries_default_to_identity(self, tmp_path, capsys, structure):
+        # m11 = 2 alone is the mass diag(2, 1), not the singular diag(2, 0)
+        outs = []
+        for name, mass in (("one", "m11 = 2\n"), ("both", "m11 = 2\nm22 = 1\n")):
+            (tmp_path / name).mkdir()
+            path = tmp_path / name / "osc.sys"
+            path.write_text(structure + "n = 2\nf1 = -x1\nf2 = -x2\n" + mass)
+            assert main(["check", str(path)]) == 0
+            outs.append(capsys.readouterr().out.replace(str(path), "osc.sys"))
+        assert outs[0] == outs[1]
+        assert outs[0].endswith("PASS\n")
+
     @pytest.mark.parametrize("force,message,column", [
         ("1/(x1-x1)", "division by zero", 2),
         ("(-x1)^0.5", "complex result", 6),

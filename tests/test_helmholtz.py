@@ -235,6 +235,23 @@ class TestSystemFiles:
         with pytest.raises(ExpressionError, match="force"):
             load_system_file(str(path))
 
+    @pytest.mark.parametrize("key", ["bogus", "f3", "m13", "phi0", "x1"])
+    def test_unknown_key_rejected_at_its_line(self, tmp_path, key):
+        path = tmp_path / "bad.sys"
+        path.write_text(f"n = 2\nf1 = -x1\nf2 = -x2\n{key} = 1/0.5\n")
+        with pytest.raises(ExpressionError, match=f"unknown key '{key}' for n = 2") as info:
+            load_system_file(str(path))
+        assert info.value.line == 4
+
+    def test_missing_mass_entries_default_to_identity(self, tmp_path):
+        path = tmp_path / "osc.sys"
+        path.write_text("n = 2\nf1 = -x1\nf2 = -x2\nm11 = 2\nm12 = 0.5\nm21 = 0.5\na12 = 1\n")
+        system = load_system_file(str(path))
+        x = np.zeros((3, 2))
+        t = np.zeros(3)
+        assert np.array_equal(system.mass(t, x, x), np.broadcast_to([[2.0, 0.5], [0.5, 1.0]], (3, 2, 2)))
+        assert np.array_equal(system.amat(t, x), np.broadcast_to([[0.0, 1.0], [0.0, 0.0]], (3, 2, 2)))
+
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "bad.sys"
         path.write_text("n = 1\nf1 = -x1 $\n")

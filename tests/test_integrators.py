@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodyn import integrators, kepler
@@ -266,6 +266,70 @@ class TestDiscreteLagrangians:
                 fn(lag_id, x0, x1, H, SPLIT)
 
 
+# --- The plus transforms as closed forms, held to the adjoint's minus transform ---
+
+def _ref_legendre_plus(lag_id, x0, x1, h, split=None):
+    """p_{n+1} = h d2 L(x_n, x_{n+1}, h) written out per Lagrangian, as legendre_plus
+    computed it before it became the minus transform of the adjoint."""
+    x0 = np.asarray(x0, dtype=float)
+    x1 = np.asarray(x1, dtype=float)
+    if lag_id == "L2":
+        return (x1 - x0) / h - 0.5 * h * grad_potential(x1)
+    lag_id, split = integrators._require_split(lag_id, split, x0.size)
+    if lag_id == "L1st":
+        return integrators._l1st_plus(x0, x1, h, split)
+    if lag_id == "Lstar":
+        return integrators._l1st_minus(x1, x0, -h, split)
+    if lag_id == "L2nd":
+        g = 0.5 * h
+
+        def residual(xm):       # Lstar's plus transform minus L1st's minus transform
+            return integrators._l1st_minus(xm, x0, -g, split) - integrators._l1st_minus(xm, x1, g, split)
+
+        xm = integrators._newton(residual, 0.5 * (x0 + x1), integrators._momentum_tol(1e-13, g, x0, x1),
+                                 "L2nd midpoint stage")
+        return integrators._l1st_plus(xm, x1, g, split)
+    raise UnknownMethodError(f"unknown discrete Lagrangian {lag_id!r}")
+
+
+def _plus_outcome(fn, lag_id, x0, x1, h, split):
+    """The momentum as float.hex strings, or the exception's type and message."""
+    try:
+        return [float.hex(float(p)) for p in fn(lag_id, x0, x1, h, split)]
+    except (GeodynError, ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+_POINT = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1e-12, 1e-300]))
+
+
+class TestLegendrePlusIsTheAdjointsMinus:
+    """legendre_plus keeps the bits of the closed forms it replaced, with one exception:
+    the sign of an L2 component that is zero because x0_i == x1_i and h/2 grad_i(x1) is
+    zero (x1_i zero, or the product underflows). The closed form is 0/h - h/2 grad_i
+    there and the adjoint's minus transform 0/(-h) + (-h)/2 grad_i, zeros of each sign."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @example(x0=[0.0, 1.0], dx=[0.0] * 3, same=True, h=0.1, sign=1.0, lag_id="L2", split=None)
+    @example(x0=[1.0, 5e-324], dx=[0.0] * 3, same=True, h=0.1, sign=1.0, lag_id="L2", split=None)
+    @given(x0=st.lists(_POINT, min_size=2, max_size=3), dx=st.lists(_POINT, min_size=3, max_size=3),
+           same=st.booleans(), h=st.floats(1e-3, 1.0), sign=st.sampled_from([1.0, -1.0]),
+           lag_id=st.sampled_from(LAGRANGIAN_IDS + ("L9",)),
+           split=st.one_of(st.none(), st.just(SplitPotential((1.0,))),
+                           st.builds(lambda w: SplitPotential((w, 1.0 - w)), st.floats(-0.5, 1.5))))
+    def test_bits_match_the_closed_forms(self, x0, dx, same, h, sign, lag_id, split):
+        x0 = np.array(x0)
+        x1 = x0.copy() if same else x0 + 0.1 * np.array(dx[:x0.size])
+        ref = _plus_outcome(_ref_legendre_plus, lag_id, x0, x1, sign * h, split)
+        new = _plus_outcome(legendre_plus, lag_id, x0, x1, sign * h, split)
+        if lag_id == "L2" and isinstance(ref, list) and isinstance(new, list):
+            for i in np.flatnonzero(x0 == x1):
+                if float.fromhex(ref[i]) == 0.0:
+                    assert float.fromhex(new[i]) == 0.0
+                    new[i] = ref[i]
+        assert new == ref
+
+
 class TestDelRecurrence:
     def test_matches_vi1_composition(self):
         x1 = bootstrap_first_point(S0, "L1st", H, SPLIT)
@@ -286,6 +350,20 @@ class TestDelRecurrence:
         ts = TwoStepState(np.array([1.0, 0.2, 0.1]), np.array([0.98, 0.25, 0.1]), H)
         with pytest.raises(ValueError, match="planar"):
             del_two_step_vi1(ts, SPLIT)
+
+    @pytest.mark.parametrize("x_prev,x_curr,message", [
+        ([math.nan, 0.0], [1.0, 0.0], "finite"),
+        ([1.0, 0.0], [1.0, -math.inf], "finite"),
+        ([1.0, 0.0], [0.9, 0.1, 0.0], "one shape"),
+    ])
+    def test_state_rejects_bad_positions(self, x_prev, x_curr, message):
+        with pytest.raises(ValueError, match=message):
+            TwoStepState(x_prev, x_curr, H)
+
+    def test_state_keeps_any_dimension(self):
+        ts = TwoStepState(np.array([1.0, 0.2, 0.1]), np.array([0.98, 0.25, 0.1]), H)
+        out = del_two_step_vi1(ts, SplitPotential((1.0,)))
+        assert np.array_equal(out, 2.0 * ts.x_curr - ts.x_prev - H**2 * grad_potential(ts.x_curr))
 
 
 class TestRun:

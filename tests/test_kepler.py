@@ -14,7 +14,6 @@ from geodyn.errors import (
     TrajectoryTooShortError,
 )
 from geodyn.kepler import (
-    LagrangianField,
     PhaseState,
     analytic_reference,
     characteristics,
@@ -24,7 +23,6 @@ from geodyn.kepler import (
     euler_lagrange_on_orbit,
     grad_potential,
     grad_potential_xy,
-    hess_potential,
     kepler_split,
     lrl_vector,
     noether_residual,
@@ -103,15 +101,6 @@ class TestPotential:
             dx[i] = 1e-6
             fd = (potential(x + dx) - potential(x - dx)) / 2e-6
             assert abs(g[i] - fd) < 1e-9
-
-    def test_hessian_matches_finite_differences(self):
-        x = np.array([0.9, 0.4])
-        hess = hess_potential(x)
-        for j in range(2):
-            dx = np.zeros(2)
-            dx[j] = 1e-6
-            fd = (grad_potential(x + dx) - grad_potential(x - dx)) / 2e-6
-            assert np.max(np.abs(hess[:, j] - fd)) < 1e-8
 
     def test_origin_rejected(self):
         with pytest.raises(SingularOriginError):
@@ -424,13 +413,13 @@ class TestPerturbationAverage:
     def test_total_derivative_has_zero_average(self):
         # Lbar = -v . grad(phi) is d/dt(-phi) on shell: every period average
         # against a conservation-law characteristic vanishes.
-        field = LagrangianField(_kepler_rate)
+        field = _kepler_rate
         avg = perturbation_average(field, "A2", S_WIDE, nodes=512)
         assert abs(avg) < 1e-10
 
     def test_euler_lagrange_of_classical_lagrangian_vanishes(self):
-        field = LagrangianField(lambda x, v: 0.5 * (v[0] ** 2 + v[1] ** 2)
-                                + 1.0 / np.hypot(x[0], x[1]))
+        def field(x, v):
+            return 0.5 * (v[0] ** 2 + v[1] ** 2) + 1.0 / np.hypot(x[0], x[1])
         el = euler_lagrange_on_orbit(field, S_WIDE, 2.0)
         assert el.shape == (2,)
         assert np.max(np.abs(el)) < 1e-7
@@ -438,7 +427,7 @@ class TestPerturbationAverage:
     def test_euler_lagrange_matches_scalar_stencil_loop(self):
         # reference: per-node loop over analytic_reference states and a
         # per-coordinate 5-point stencil, as the quadrature once evaluated it
-        field = LagrangianField(_inverse_r4)
+        field = _inverse_r4
         ts = np.array([[0.0, 1.3], [7.7, 20.0]])
         coeffs = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
@@ -476,14 +465,14 @@ class TestPerturbationAverage:
 
         monkeypatch.setattr(kepler, "_analytic_states", counting)
         n = 8
-        perturbation_average(LagrangianField(_kepler_rate), "A2", S_CANONICAL, nodes=n,
+        perturbation_average(_kepler_rate, "A2", S_CANONICAL, nodes=n,
                              refine_tol=1.0)
         assert len(calls) == 1
         assert calls[0].shape == (7, 2 * n + 1)
         assert np.unique(calls[0]).size == 7 * (2 * n + 1)
 
     def test_callable_characteristic_matches_named(self):
-        field = LagrangianField(_inverse_r4)
+        field = _inverse_r4
         named = perturbation_average(field, "A1", S_WIDE, nodes=16, refine_tol=1.0)
         shapes = []
 
@@ -496,6 +485,6 @@ class TestPerturbationAverage:
         assert shapes == [((2, 33), (2, 33))]
 
     def test_unsettled_refinement_raises(self):
-        field = LagrangianField(_inverse_r4)
+        field = _inverse_r4
         with pytest.raises(NonConvergenceError, match="did not settle"):
             perturbation_average(field, "A1", S_WIDE, nodes=4, refine_tol=1e-14)

@@ -1,10 +1,12 @@
 """Source hygiene: every name a module imports is used, exported or re-imported, every
 function the benchmark tracer names exists, one function holds the Newton loop and one
-the Kepler-equation iteration."""
+the Kepler-equation iteration, and two hold the closed-form Legendre transforms."""
 
 import ast
 import importlib
 from pathlib import Path
+
+from geodyn.integrators import LAGRANGIAN_IDS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geodyn"
 
@@ -114,3 +116,33 @@ def functions_reading(name: str, src: Path = SRC) -> list[str]:
 def test_one_kepler_solve():
     # the scalar solve and the analytic orbit both go through kepler._solve_kepler
     assert functions_reading("KEPLER_EQ_MAXITER") == ["kepler._solve_kepler"]
+
+
+def functions_comparing(name: str, values, src: Path = SRC) -> list[str]:
+    """``module.function`` for each function of ``src`` that compares the name ``name``
+    with one of the string ``values``, alone or in a tuple, list or set."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Compare):
+                    continue
+                operands = [node.left, *node.comparators]
+                consts = {c.value for op in operands
+                          for c in (op.elts if isinstance(op, (ast.Tuple, ast.List, ast.Set)) else [op])
+                          if isinstance(c, ast.Constant)}
+                if any(isinstance(op, ast.Name) and op.id == name for op in operands) \
+                        and consts & set(values):
+                    found.add(f"{path.stem}.{fn.name}")
+    return sorted(found)
+
+
+def test_one_legendre_dispatch():
+    # discrete_lagrangian and legendre_minus write out the closed forms, legendre_plus is
+    # the adjoint's minus transform, and _require_split resolves L1 to L1st on the
+    # one-part split and passes L2 through
+    assert functions_comparing("lag_id", LAGRANGIAN_IDS) == [
+        "integrators._require_split", "integrators.discrete_lagrangian", "integrators.legendre_minus"]
