@@ -411,7 +411,11 @@ def load_system_file(path: str) -> SecondOrderSystem:
             if "=" not in stripped:
                 raise ExpressionError("expected key = expression", lineno, 1)
             key, _, rhs = stripped.partition("=")
-            raw[key.strip()] = (rhs.strip(), lineno)
+            key = key.strip()
+            if key in raw:
+                raise ExpressionError(f"repeated key {key!r}, first set on line {raw[key][1]}",
+                                      lineno, 1)
+            raw[key] = (rhs.strip(), lineno)
     if "n" not in raw:
         raise ExpressionError("missing dimension entry 'n'")
     text, lineno = raw.pop("n")
@@ -422,9 +426,9 @@ def load_system_file(path: str) -> SecondOrderSystem:
     if not (n >= 1 and n.is_integer()):
         raise ExpressionError(f"dimension n must be a positive integer, got {text!r}", lineno, 1)
     n = int(n)
-    structure = raw.pop("structure", ("constant-mass", 0))[0]
+    structure, lineno = raw.pop("structure", ("constant-mass", 0))
     if structure not in STRUCTURES:
-        raise ExpressionError(f"unknown structure tag {structure!r}")
+        raise ExpressionError(f"unknown structure tag {structure!r}", lineno, 1)
     index = range(1, n + 1)
     known = {f"{p}{i}" for p in ("f", "phi") for i in index}
     known |= {f"{p}{i}{j}" for p in ("m", "a") for i in index for j in index}

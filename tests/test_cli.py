@@ -326,6 +326,15 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err == "parse error: line 4, column 1: unknown key 'bogus' for n = 2\n"
 
+    def test_repeated_key_exit_status(self, tmp_path, capsys):
+        # the second f1 used to replace the first without a word, and the damped system passed
+        path = tmp_path / "bad.sys"
+        path.write_text("n = 1\nf1 = -x1 - v1\n# undamped\nf1 = -x1\n")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: line 4, column 1: repeated key 'f1', first set on line 2\n"
+
     @pytest.mark.parametrize("structure", ["", "structure = general\n"])
     def test_missing_mass_entries_default_to_identity(self, tmp_path, capsys, structure):
         # m11 = 2 alone is the mass diag(2, 1), not the singular diag(2, 0)

@@ -243,6 +243,13 @@ class TestSystemFiles:
             load_system_file(str(path))
         assert info.value.line == 4
 
+    def test_unknown_structure_tag_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.sys"
+        path.write_text("n = 1\nstructure = bogus\nf1 = -x1\n")
+        with pytest.raises(ExpressionError, match="line 2, column 1: unknown structure tag 'bogus'") as info:
+            load_system_file(str(path))
+        assert info.value.line == 2
+
     def test_missing_mass_entries_default_to_identity(self, tmp_path):
         path = tmp_path / "osc.sys"
         path.write_text("n = 2\nf1 = -x1\nf2 = -x2\nm11 = 2\nm12 = 0.5\nm21 = 0.5\na12 = 1\n")

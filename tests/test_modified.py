@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodyn import kepler, modified
+from geodyn import integrators, kepler, modified
 from geodyn.errors import (
     CircularOrbitError,
     NonConvergenceError,
@@ -391,6 +391,19 @@ class TestMeasuredDrift:
         with pytest.raises(ValueError, match=r"h = 1e-320 is too small for the period T = 19\.8"):
             STEP_SIZE_ENTRY_POINTS[entry](1e-320)
 
+    @pytest.mark.parametrize("entry", ["drift_sweep", "per_period_drift", "shadowing_error"])
+    def test_step_count_is_capped(self, entry, monkeypatch):
+        # h = 1e-9 asks for 2e10 steps over T = 19.87; the rule refuses before any step
+        def stepped(*args, **kwargs):
+            raise AssertionError("stepped past the steps-per-period cap")
+
+        monkeypatch.setattr(integrators, "run", stepped)
+        monkeypatch.setattr(modified, "run", stepped)
+        monkeypatch.setattr(modified, "_rk4", stepped)
+        with pytest.raises(ValueError, match=r"h = 1e-09 is too small for the period T = 19\.8"
+                                             r".*exceeds 1000000 steps"):
+            STEP_SIZE_ENTRY_POINTS[entry](1e-9)
+
     def test_sweep_needs_eight_samples_per_run(self):
         # T = 1.44: h = 0.4 makes a run of 8 samples, exactly the drift fit's
         # window; h = 0.5 makes 7, too few for a degree-7 fit
@@ -429,9 +442,20 @@ class TestShadowing:
         assert err < 0.01
 
     def test_bits_pinned(self):
+        # float.hex at the default 16 substeps per vi1 step
+        assert shadowing_error(BASE, 0.05).hex() == "0x1.9f7a24c746b1fp-9"
+        assert shadowing_ratio(BASE, 0.05).hex() == "0x1.ffec007cb1553p+1"
+
+    def test_rk4_bits_pinned_at_100_substeps(self):
         # float.hex of the RK4 loop that called _modified_accel_vi1 per stage
-        assert shadowing_error(BASE, 0.05).hex() == "0x1.9f7a24d272433p-9"
-        assert shadowing_ratio(BASE, 0.05).hex() == "0x1.ffec0087ff5acp+1"
+        assert shadowing_error(BASE, 0.05, substeps=100).hex() == "0x1.9f7a24d272433p-9"
+
+    @pytest.mark.parametrize("per_period", [20, 40, 80])
+    def test_default_substeps_within_bound(self, per_period):
+        # RK4's relative error is O(h^2/substeps^4): the stated 1e-6 holds for h <= T/20
+        h = orbit_elements(BASE).T / per_period
+        assert shadowing_error(BASE, h) == pytest.approx(shadowing_error(BASE, h, substeps=100),
+                                                          rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("weights", [(0.3, 0.7), (1.0, 0.0)], ids=["0.3-0.7", "1-0"])
     def test_unequal_split_rejected(self, weights):
