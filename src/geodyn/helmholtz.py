@@ -4,7 +4,10 @@ Each checker evaluates the condition families appropriate to the structure of
 the system (general, velocity-dependent mass with f = A(t,x) xdot + phi(t,x),
 or constant mass) over the deterministic low-discrepancy ``sample_cloud``,
 using central finite differences of step DEFAULT_DELTA for partials and
-on-shell jet shifts of step _TIME_DELTA for total time derivatives. A
+on-shell jet shifts of step _TIME_DELTA for total time derivatives. The
+general conditions are read off the momentum p = M xdot and the force. The
+on-shell equation dp/dt + (dp/dx) xdot + (dp/dv) xddot = f is linear in the
+acceleration, so one solve gives it; a singular dp/dv raises GeodynError. A
 condition passes when its worst residual is below PASS_TOLERANCE. Each stage
 of a check stacks every sample and stencil point of the cloud into one batch,
 so the system's callables run once per stage, on arrays (see
@@ -171,39 +174,29 @@ def _contract(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return sum(m[..., k] * vk[..., k] for k in range(v.shape[1]))
 
 
-def _solve(m: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(m, f[..., None])[..., 0]
+def _momentum(system: SecondOrderSystem):
+    """p(t, x, v) = M v of a batch, shape (S, n)."""
+    return lambda t, x, v: _contract(system.mass_at(t, x, v), v)
 
 
 def _accelerations(system: SecondOrderSystem, t, x, v) -> np.ndarray:
-    """On-shell accelerations of a batch, solving M a = f - (dM/dt) v by fixed-point iteration.
-
-    Each sample stops iterating once its own update is below 1e-13, or after 40 iterations.
-    """
+    """On-shell accelerations of a batch: d/dt(M v) = f is linear in a, one solve per sample."""
     f = np.broadcast_to(np.asarray(system.force(t, x, v), dtype=float), x.shape)
     if system.mass is None:
-        return f      # the solve against the identity returns f unchanged
+        return f      # p = v: dp/dv is the identity, dp/dt and dp/dx vanish
     n = system.n
-    m = system.mass_at(t, x, v)
-    dm = _partials(system.mass_at, t, x, v, "txv", (n, n))
-    a = _solve(m, f)
-    done = np.zeros(len(x), dtype=bool)
-    for _ in range(40):
-        mdot = dm[:, 0]
-        for l in range(n):
-            mdot = mdot + dm[:, 1 + l] * v[:, l, None, None]
-            mdot = mdot + dm[:, 1 + n + l] * a[:, l, None, None]
-        a_new = _solve(m, f - (mdot @ v[..., None])[..., 0])
-        settled = np.max(np.abs(a_new - a), axis=-1) < 1e-13
-        a = np.where(done[:, None], a, a_new)
-        done |= settled
-        if done.all():
-            break
-    return a
+    # dp[s, i, d]: dp_i/dt for d = 0, dp_i/dx_j for d = 1 + j, dp_i/dv_j for d = 1 + n + j
+    dp = _partials(_momentum(system), t, x, v, "txv", (n,)).swapaxes(1, 2)
+    rhs = f - dp[:, :, 0] - _contract(dp[:, :, 1:n + 1], v)
+    try:
+        return np.linalg.solve(dp[:, :, n + 1:], rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise GeodynError(f"{system.name}: dp/dv = d(M v)/dv is singular, "
+                          "so the acceleration is not determined") from None
 
 
 def acceleration(system: SecondOrderSystem, t, x, v) -> np.ndarray:
-    """On-shell acceleration at one sample, solving M a = f - (dM/dt) v."""
+    """On-shell acceleration at one sample: (dp/dv) a = f - dp/dt - (dp/dx) v with p = M v."""
     batch = (np.array([t], dtype=float), np.asarray(x, dtype=float)[None],
              np.asarray(v, dtype=float)[None])
     return np.array(_accelerations(system, *batch)[0])
@@ -254,8 +247,8 @@ def check_constant_mass(system: SecondOrderSystem) -> CheckReport:
         t, x, v)
     return _report(system, [
         ("a", "df_i/dv_j + df_j/dv_i = 0", _worst(dfv + dfv.swapaxes(1, 2))),
-        ("b", "df_i/dx_j - df_j/dx_i + d/dt df_i/dv_j = 0",
-         _worst(dfx - dfx.swapaxes(1, 2) + ddt)),
+        ("b", "df_i/dx_j - df_j/dx_i - d/dt df_i/dv_j = 0",
+         _worst(dfx - dfx.swapaxes(1, 2) - ddt)),
     ])
 
 
@@ -289,26 +282,23 @@ def check_general(system: SecondOrderSystem) -> CheckReport:
     """Full condition families for M = M(t, x, v) without structural shortcuts."""
     t, x, v = _arrays(sample_cloud(system))
     n = system.n
-    # dm[s, d, i, k]: dM_ik/dv_j for d = j < n, dM_ik/dx_j for d = n + j
-    dm = _partials(system.mass_at, t, x, v, "vx", (n, n))
-    dmv, dmx = dm[:, :n], dm[:, n:]
+    momentum = _momentum(system)
+    # dp[s, i, d]: dp_i/dv_j for d = j < n, dp_i/dx_j for d = n + j; df likewise
+    dp = _partials(momentum, t, x, v, "vx", (n,)).swapaxes(1, 2)
+    dpv, dpx = dp[:, :, :n], dp[:, :, n:]
     df = _partials(system.force, t, x, v, "vx", (n,)).swapaxes(1, 2)
     dfv, dfx = df[:, :, :n], df[:, :, n:]
-    # term_a[s, j, i] = sum_k (dM_ik/dv_j - dM_jk/dv_i) v_k
-    term_a = _contract(dmv - dmv.swapaxes(1, 2), v)
-    # term_b[s, i, j] = sum_k (dM_ik/dx_j + dM_jk/dx_i) v_k - df_i/dv_j - df_j/dv_i
-    term_b = _contract(dmx + dmx.swapaxes(1, 2), v).swapaxes(1, 2) - dfv - dfv.swapaxes(1, 2)
-    # ddt_m[s, j, i] = d/dt sum_k dM_ik/dx_j v_k, ddt_f[s, i, j] = d/dt df_j/dv_i
-    ddt_m, ddt_f = _total_derivatives(
+    # ddt_p[s, j, i] = d/dt dp_i/dx_j, ddt_f[s, i, j] = d/dt df_j/dv_i
+    ddt_p, ddt_f = _total_derivatives(
         system,
-        lambda tt, xx, vv: [
-            _contract(_partials(system.mass_at, tt, xx, vv, "x", (n, n)), vv),
-            _partials(system.force, tt, xx, vv, "v", (n,))],
+        lambda tt, xx, vv: [_partials(momentum, tt, xx, vv, "x", (n,)),
+                            _partials(system.force, tt, xx, vv, "v", (n,))],
         t, x, v)
-    term_c = ddt_m.swapaxes(1, 2) - dfx + dfx.swapaxes(1, 2) + ddt_f
+    term_c = ddt_p.swapaxes(1, 2) - dfx + dfx.swapaxes(1, 2) - ddt_f
     return _report(system, [
-        ("a", "velocity-mass contraction antisymmetry", _worst(term_a)),
-        ("b", "mass/force cross symmetry", _worst(term_b)),
+        ("a", "velocity-mass contraction antisymmetry", _worst(dpv - dpv.swapaxes(1, 2))),
+        ("b", "mass/force cross symmetry",
+         _worst(dpx + dpx.swapaxes(1, 2) - dfv - dfv.swapaxes(1, 2))),
         ("c", "curl consistency with total derivatives", _worst(term_c)),
     ])
 

@@ -554,17 +554,6 @@ def legendre_plus(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
     return legendre_minus(adjoint, x1, x0, -h, split)
 
 
-def legendre_fd(lag_id: str, x0, x1, h, split=None):
-    """Finite-difference cross-check of both Legendre transforms: for each coordinate
-    i, (L(x + delta e_i) - L(x - delta e_i)) / (2 delta) with delta = 1e-6."""
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    lag = partial(discrete_lagrangian, lag_id, h=h, split=split)
-    p_minus = -h * (np.stack([lag(x0 + e, x1) - lag(x0 - e, x1) for e in np.eye(x0.size) * 1e-6]) / 2e-6)
-    p_plus = h * (np.stack([lag(x0, x1 + e) - lag(x0, x1 - e) for e in np.eye(x1.size) * 1e-6]) / 2e-6)
-    return p_minus, p_plus
-
-
 def _midpoint_stage(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotential) -> np.ndarray:
     """Internal stage of L2nd: momentum matching of the two half Lagrangians."""
     g = 0.5 * h

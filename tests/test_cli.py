@@ -348,6 +348,40 @@ class TestCheckCommand:
         assert outs[0] == outs[1]
         assert outs[0].endswith("PASS\n")
 
+    @pytest.mark.parametrize("text", [
+        # L = |v|^2/2 + t x1 v2: a time-dependent uniform field with its induced E
+        "n = 2\nf1 = t*v2\nf2 = -x1 - t*v1\n",
+        # L = (|v|^2 - |x|^2)/2 + (x1 + x1^2/2) v2: a static field 1 + x1
+        "n = 2\nf1 = -x1 + (1 + x1)*v2\nf2 = -x2 - (1 + x1)*v1\n",
+        # L = (1 + x1^2/4) |v|^2/2: a position-dependent mass
+        "n = 2\nstructure = general\nm11 = 1 + x1^2/4\nm22 = 1 + x1^2/4\n"
+        "f1 = x1/4*(v1^2 + v2^2)\nf2 = 0\n",
+    ], ids=["time-dependent-field", "static-field", "position-mass"])
+    def test_variational_systems_pass(self, tmp_path, capsys, text):
+        # d/dt df/dv enters condition (b) and the general (c) with a minus sign; with
+        # a plus these three failed at residuals of 2.0, 1.99 and 0.98
+        path = tmp_path / "field.sys"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("PASS\nPASS\n")
+
+    def test_field_without_its_induced_e_fails(self, tmp_path, capsys):
+        # the field B = t without the electric field its change induces is not variational
+        path = tmp_path / "field.sys"
+        path.write_text("n = 2\nf1 = t*v2\nf2 = -t*v1\n")
+        assert main(["check", str(path)]) == 1
+        assert "residual=1.000000e+00 FAIL\nFAIL\n" in capsys.readouterr().out
+
+    def test_singular_momentum_jacobian_is_named(self, tmp_path, capsys):
+        # m22 = 0 leaves a2 undetermined; numpy's "Singular matrix" used to exit 2
+        path = tmp_path / "singular.sys"
+        path.write_text("n = 2\nstructure = general\nf1 = -x1\nf2 = -x2\nm11 = 1\nm22 = 0\n")
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: dp/dv = d(M v)/dv is singular, "
+                                "so the acceleration is not determined\n")
+
     @pytest.mark.parametrize("force,message,column", [
         ("1/(x1-x1)", "division by zero", 2),
         ("(-x1)^0.5", "complex result", 6),
@@ -371,7 +405,7 @@ _POLY_FORCE = (
     " + 1.032 * x1^1 * x2^2 + -1.484 * x1^2 * x2^1 + -0.212 * x1^3 * x2^0{d2}\n"
 )
 _CONSTANT_MASS = ("condition (a) df_i/dv_j + df_j/dv_i = 0: residual={a}\n"
-                  "condition (b) df_i/dx_j - df_j/dx_i + d/dt df_i/dv_j = 0: residual={b}\n")
+                  "condition (b) df_i/dx_j - df_j/dx_i - d/dt df_i/dv_j = 0: residual={b}\n")
 # stdout of `geodyn check`, as printed before the checks were batched over the cloud
 _CHECK_STDOUT = {
     "kepler": "system: kepler (structure: constant-mass)\n" + _CONSTANT_MASS.format(

@@ -73,29 +73,45 @@ def test_traced_names_resolve():
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
+def _innermost(chain) -> str:
+    return next((n.name for n in chain if isinstance(n, ast.FunctionDef)), "<module>")
+
+
 def solves_in_loops(src: Path = SRC) -> list[str]:
-    """``module.function`` for each ``np.linalg.solve`` call inside a loop, named by
-    the innermost function around it."""
-    found = []
+    """``module.function`` for each call inside a loop to ``np.linalg.solve``, or to a
+    function of ``src`` whose own body calls it, named by the innermost function
+    around the call."""
+    calls = []      # (module, call, the call and its ancestors, innermost first)
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.solve"):
-                continue
-            chain = [node]
-            while chain[-1] in parent:
-                chain.append(parent[chain[-1]])
-            if any(isinstance(n, _LOOPS) for n in chain):
-                fn = next((n.name for n in chain if isinstance(n, ast.FunctionDef)), "<module>")
-                found.append(f"{path.stem}.{fn}")
-    return found
+            if isinstance(node, ast.Call):
+                chain = [node]
+                while chain[-1] in parent:
+                    chain.append(parent[chain[-1]])
+                calls.append((path.stem, node, chain))
+    is_solve = lambda call: ast.unparse(call.func) == "np.linalg.solve"
+    solvers = {_innermost(chain) for _, call, chain in calls if is_solve(call)}
+    return [f"{stem}.{_innermost(chain)}" for stem, call, chain in calls
+            if (is_solve(call) or getattr(call.func, "id", getattr(call.func, "attr", None)) in solvers)
+            and any(isinstance(n, _LOOPS) for n in chain)]
 
 
 def test_one_newton_loop():
     # every Newton solve goes through integrators._newton: the bootstrap, the L2nd
-    # midpoint stage and the shadowing shoot
+    # midpoint stage and the shadowing shoot; a solve behind a helper counts too
     assert solves_in_loops() == ["integrators._newton"]
+
+
+def test_solve_rule_sees_through_helpers(tmp_path):
+    # a solve one call away from the loop is still a solve in the loop
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n\n"
+        "def _solve(m, f):\n    return np.linalg.solve(m, f)\n\n"
+        "def once(m, f):\n    return _solve(m, f)\n\n"
+        "def iterate(m, f):\n    for _ in range(3):\n        f = _solve(m, f)\n    return f\n")
+    assert solves_in_loops(tmp_path) == ["mod.iterate"]
 
 
 def functions_reading(name: str, src: Path = SRC) -> list[str]:
