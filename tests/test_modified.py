@@ -442,20 +442,58 @@ class TestShadowing:
         assert err < 0.01
 
     def test_bits_pinned(self):
-        # float.hex at the default 16 substeps per vi1 step
-        assert shadowing_error(BASE, 0.05).hex() == "0x1.9f7a24c746b1fp-9"
-        assert shadowing_ratio(BASE, 0.05).hex() == "0x1.ffec007cb1553p+1"
+        # float.hex at the default substeps: 4 per vi1 step at h = 0.05, 3 at 0.025
+        assert shadowing_error(BASE, 0.05).hex() == "0x1.9f7a19ea48ab2p-9"
+        assert shadowing_ratio(BASE, 0.05).hex() == "0x1.ffebfd3445bebp+1"
 
     def test_rk4_bits_pinned_at_100_substeps(self):
         # float.hex of the RK4 loop that called _modified_accel_vi1 per stage
         assert shadowing_error(BASE, 0.05, substeps=100).hex() == "0x1.9f7a24d272433p-9"
 
-    @pytest.mark.parametrize("per_period", [20, 40, 80])
+    @pytest.mark.parametrize("per_period", [5, 10, 20, 40, 80, 0.05, 0.025])
     def test_default_substeps_within_bound(self, per_period):
-        # RK4's relative error is O(h^2/substeps^4): the stated 1e-6 holds for h <= T/20
-        h = orbit_elements(BASE).T / per_period
+        # RK4's relative error is O(h^2/s^4), and the default s holds it at its
+        # T/20 value; an int is steps per period, a float is criterion 8's h
+        # (16 substeps at every h gave 1.4e-5 at T/5 and 2.9e-6 at T/10)
+        h = orbit_elements(BASE).T / per_period if isinstance(per_period, int) else per_period
         assert shadowing_error(BASE, h) == pytest.approx(shadowing_error(BASE, h, substeps=100),
                                                           rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("step, want", [(20, 16), (40, 12), (80, 8), (0.05, 4)],
+                             ids=["T/20", "T/40", "T/80", "0.05"])
+    def test_default_substeps_follow_the_bound(self, monkeypatch, step, want):
+        # s = ceil(16*sqrt(20*h/T)), handed to every _rk4 call of the shoot and the flow
+        original = modified._rk4
+        seen = set()
+
+        def recording(z, h, t_span, substeps):
+            seen.add(substeps)
+            return original(z, h, t_span, substeps)
+
+        monkeypatch.setattr(modified, "_rk4", recording)
+        shadowing_error(BASE, orbit_elements(BASE).T / step if isinstance(step, int) else step)
+        assert seen == {want}
+
+    @pytest.mark.parametrize("substeps", [0, -3, True, 2.5], ids=["0", "-3", "True", "2.5"])
+    def test_bad_substeps_rejected(self, monkeypatch, substeps):
+        # each used to run silently: 0, -3 and True as one substep, 2.5 rounded
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(modified, "run", no_step)
+        monkeypatch.setattr(modified, "_rk4", no_step)
+        with pytest.raises(ValueError, match=re.escape(f"got {substeps!r}")):
+            shadowing_error(BASE, 0.05, substeps=substeps)
+
+    def test_vectorised_gap_equals_norm_per_row(self):
+        # shadowing_error takes its gaps as sqrt(vecdot(d, d)) over all steps at
+        # once; norm(axis=1), einsum and (d*d).sum(1) each differ from the 1-d
+        # norm in the last bit on about 8 % of these rows
+        rng = np.random.default_rng(24)
+        d = rng.standard_normal((20000, 2)) * 10.0 ** rng.uniform(-9.0, 3.0, (20000, 1))
+        got = np.sqrt(np.vecdot(d, d))
+        want = np.array([np.linalg.norm(row) for row in d])
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("weights", [(0.3, 0.7), (1.0, 0.0)], ids=["0.3-0.7", "1-0"])
     def test_unequal_split_rejected(self, weights):
