@@ -9,6 +9,7 @@ failure, 2 usage (a bad path included), parse or expression-evaluation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -216,6 +217,7 @@ def _add_seed_options(p: argparse.ArgumentParser) -> None:
                    help="coordinate split weights (must sum to 1)")
 
 
+@functools.cache    # parsing never mutates the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geodyn",
@@ -233,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--format", choices=("csv", "svg"), default="csv")
     p_run.add_argument("--output", "-o", default=None)
     _add_seed_options(p_run)
-    p_run.set_defaults(func=cmd_run)
 
     p_conv = sub.add_parser("convergence", help="per-period drift sweep over step sizes")
     p_conv.add_argument("--methods", nargs="*", choices=METHOD_IDS, default=None)
@@ -242,11 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of halvings from h0 = 0.5")
     p_conv.add_argument("--output", "-o", default=None)
     _add_seed_options(p_conv)
-    p_conv.set_defaults(func=cmd_convergence)
 
     p_check = sub.add_parser("check", help="variational self-adjointness check")
     p_check.add_argument("system", help="builtin system name or expression file")
-    p_check.set_defaults(func=cmd_check)
 
     p_mod = sub.add_parser("modified", help="modified-equation demos")
     p_mod.add_argument("--linear", action="store_true")
@@ -255,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mod.add_argument("--drift", default=None, metavar="METHOD")
     p_mod.add_argument("--metric", default="ecc")
     _add_seed_options(p_mod)
-    p_mod.set_defaults(func=cmd_modified)
     return parser
 
 
@@ -294,7 +292,7 @@ def main(argv=None) -> int:
         if getattr(args, "command", None) is None:
             parser.print_usage(sys.stderr)
             return 2
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)    # the cmd_* bound now, not at build
     except (UsageError, UnknownMethodError, CircularOrbitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

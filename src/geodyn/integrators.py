@@ -5,12 +5,13 @@ Stormer-Verlet, vi1 (order 1) and vi2 (order 2) for the Kepler problem, and
 k1 (order 1) and k2 (order 2) for the relativistic system of
 ``geodyn.relativistic``. Each entry gives the model, the plain-float step
 kernel and its adjoint, and the predicted drift orders. vi1 and k1 compose
-exact sub-flows; vi2 and k2 pair a half step with its adjoint (``paired``).
-Each kernel is its composition written out as one float function (vi2 pairs
-the written-out vi1 halves); the sub-flows stay as the public sub-steps and
-as the reference the kernels equal bit for bit. vi1 and vi2 also exist in
-two-step discrete Euler-Lagrange form, equivalent to the compositions once
-the first point is seeded through the discrete Legendre transform.
+exact sub-flows, and their adjoints are the same sub-flows in reverse order;
+vi2 and k2 are the adjoint half step followed by the half step. Each step
+kernel, and symplectic Euler's adjoint, is written out as one float function;
+the sub-flows stay as the public sub-steps, as the adjoints of vi1 and k1, and
+as the reference the written-out kernels equal bit for bit. vi1 and vi2 also
+exist in two-step discrete Euler-Lagrange form, equivalent to the compositions
+once the first point is seeded through the discrete Legendre transform.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ def _flow_adjoint(i, z, h, w):
 def _vi1_kernels(split: SplitPotential | None):
     """vi1 kernel and its adjoint for a split (default: the equal Kepler split).
 
-    The step is _flow(2, _flow(1, z)), the adjoint _flow_adjoint(1, _flow_adjoint(2, z)).
+    The step is _flow(2, _flow(1, z)) written out; the adjoint is the reverse
+    composition _flow_adjoint(1, _flow_adjoint(2, z)) itself.
     """
     w = (split if split is not None else kepler_split()).weights
     if len(w) == 1:
@@ -198,34 +200,61 @@ def _vi1_kernels(split: SplitPotential | None):
         r3 = r**3
         return y1, y2, v1 - h * (w2 * (y1 / r3)), v2 - h * (w2 * (y2 / r3))
 
-    def adjoint(z, h):
+    return step, lambda z, h: _flow_adjoint(1, _flow_adjoint(2, z, h, w2), h, w1)
+
+
+def _vi2_kernel(split: SplitPotential | None):
+    """The vi1* half step, then the vi1 half step, as one function (sym-euler's on one part)."""
+    w = (split if split is not None else kepler_split()).weights
+    if len(w) == 1:
+        return lambda z, h: _sym_euler(_sym_euler_adjoint(z, 0.5 * h), 0.5 * h)
+    w1, w2 = w
+
+    def kernel(z, h):
+        c = 0.5 * h
         x1, x2, v1, v2 = z
         r = sqrt(x1 * x1 + x2 * x2)
         if r < ORIGIN_TOL:
             raise origin_error(r)
         r3 = r**3
-        v1, v2 = v1 - h * (w2 * (x1 / r3)), v2 - h * (w2 * (x2 / r3))
-        y2 = x2 + h * v2
+        v1, v2 = v1 - c * (w2 * (x1 / r3)), v2 - c * (w2 * (x2 / r3))
+        y2 = x2 + c * v2
         if -ORIGIN_TOL < x1 < ORIGIN_TOL:
             check_segment_xy(x1, x2, x1, y2)
         r = sqrt(x1 * x1 + y2 * y2)
         if r < ORIGIN_TOL:
             raise origin_error(r)
         r3 = r**3
-        v1, v2 = v1 - h * (w1 * (x1 / r3)), v2 - h * (w1 * (y2 / r3))
-        y1 = x1 + h * v1
+        v1, v2 = v1 - c * (w1 * (x1 / r3)), v2 - c * (w1 * (y2 / r3))
+        y1 = x1 + c * v1
         if -ORIGIN_TOL < y2 < ORIGIN_TOL:
             check_segment_xy(x1, y2, y1, y2)
-        return y1, y2, v1, v2
+        x1 = y1 + c * v1
+        if -ORIGIN_TOL < y2 < ORIGIN_TOL:
+            check_segment_xy(y1, y2, x1, y2)
+        r = sqrt(x1 * x1 + y2 * y2)
+        if r < ORIGIN_TOL:
+            raise origin_error(r)
+        r3 = r**3
+        v1, v2 = v1 - c * (w1 * (x1 / r3)), v2 - c * (w1 * (y2 / r3))
+        x2 = y2 + c * v2
+        if -ORIGIN_TOL < x1 < ORIGIN_TOL:
+            check_segment_xy(x1, y2, x1, x2)
+        r = sqrt(x1 * x1 + x2 * x2)
+        if r < ORIGIN_TOL:
+            raise origin_error(r)
+        r3 = r**3
+        return x1, x2, v1 - c * (w2 * (x1 / r3)), v2 - c * (w2 * (x2 / r3))
 
-    return step, adjoint
+    return kernel
 
 
 # --- Kernels on the relativistic planar state z = (t, x1, x2, gamma, u1, u2) ---
 #
-# k1 is _flow_hi(2, _flow_hi(1, _flow_ht(z))) written out, k1* the reverse. A drift's
-# gamma update reuses phi(start) from the flow before; k1* evaluates its first
-# phi(start) after the drift check and phi(end), as _flow_hi does.
+# k1 is _flow_hi(2, _flow_hi(1, _flow_ht(z))) written out; k1* is the reverse
+# composition itself. A drift's gamma update reuses phi(start) from the flow before;
+# k2's first drift evaluates its phi(start) after the drift check and phi(end), as
+# _flow_hi does.
 
 def _flow_ht(z, h):
     t, x1, x2, gamma, u1, u2 = z
@@ -264,32 +293,8 @@ def _k1(z, h):
     return t + hg, y1, y2, gamma - (-1.0 / r - p1), u1, u2
 
 
-def _k1_adjoint(z, h):
-    t, x1, x2, gamma, u1, u2 = z
-    y2 = x2 + h * u2
-    if -ORIGIN_TOL < x1 < ORIGIN_TOL:
-        check_segment_xy(x1, x2, x1, y2)
-    r = sqrt(x1 * x1 + y2 * y2)
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    p1 = -1.0 / r
-    r = sqrt(x1 * x1 + x2 * x2)
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    gamma = gamma - (p1 - -1.0 / r)
-    y1 = x1 + h * u1
-    if -ORIGIN_TOL < y2 < ORIGIN_TOL:
-        check_segment_xy(x1, y2, y1, y2)
-    r = sqrt(y1 * y1 + y2 * y2)
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    gamma = gamma - (-1.0 / r - p1)
-    r3, hg = r**3, h * gamma
-    return t + hg, y1, y2, gamma, u1 - hg * (y1 / r3), u2 - hg * (y2 / r3)
-
-
 def _k2(z, h):
-    """paired(_k1, _k1_adjoint) written out; its two time/kick flows share one force."""
+    """The k1* half step, then the k1 half step, written out; the time/kick flows share a force."""
     c = 0.5 * h
     t, x1, x2, gamma, u1, u2 = z
     y2 = x2 + c * u2
@@ -330,22 +335,6 @@ def _k2(z, h):
     return t + hg + hg, x1, x2, gamma - (-1.0 / r - p1), u1, u2
 
 
-def paired(step, adjoint):
-    """Self-adjoint kernel Phi_{h/2} o Phi*_{h/2} from a kernel and its adjoint.
-
-    The adjoint half step runs first. This is the map generated by the
-    second-order discrete Lagrangian, and the pairing behind vi2 and k2.
-    """
-    def kernel(z, h):
-        half = 0.5 * h
-        return step(adjoint(z, half), half)
-    return kernel
-
-
-def _self_adjoint(kernel):
-    return kernel, kernel
-
-
 # --- The method table ---
 
 @dataclass(frozen=True)
@@ -367,12 +356,12 @@ class Method:
 METHODS = MappingProxyType({m.id: m for m in (
     Method("sym-euler", "kepler", lambda split: (_sym_euler, _sym_euler_adjoint),
            {"ecc": 2.0, "angle": 2.0}),
-    Method("sv", "kepler", lambda split: _self_adjoint(_sv), {"ecc": 4.0, "angle": 2.0}),
+    Method("sv", "kepler", lambda split: (_sv, _sv), {"ecc": 4.0, "angle": 2.0}),
     Method("vi1", "kepler", _vi1_kernels, {"ecc": 2.0, "angle": 2.0}),
-    Method("vi2", "kepler", lambda split: _self_adjoint(paired(*_vi1_kernels(split))),
-           {"ecc": 4.0, "angle": 2.0}),
-    Method("k1", "relativistic", lambda split: (_k1, _k1_adjoint), None),
-    Method("k2", "relativistic", lambda split: _self_adjoint(_k2), None),
+    Method("vi2", "kepler", lambda split: (_vi2_kernel(split),) * 2, {"ecc": 4.0, "angle": 2.0}),
+    Method("k1", "relativistic",
+           lambda split: (_k1, lambda z, h: _flow_ht(_flow_hi(1, _flow_hi(2, z, h), h), h)), None),
+    Method("k2", "relativistic", lambda split: (_k2, _k2), None),
 )})
 METHOD_IDS = tuple(m.id for m in METHODS.values() if m.model == "kepler")
 REL_METHOD_IDS = tuple(m.id for m in METHODS.values() if m.model == "relativistic")
@@ -458,7 +447,7 @@ def step_vi1(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
 
 
 def step_vi2(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
-    """Self-adjoint second-order step Phi_{h/2} o Phi*_{h/2} of the vi1 halves (``paired``)."""
+    """Self-adjoint second-order step Phi_{h/2} o Phi*_{h/2} of the vi1 halves, written out."""
     return step("vi2", s, h, split)
 
 

@@ -95,10 +95,9 @@ def linear_measured_frequency(lam: float, h: float) -> float:
     for _ in range(1, steps):
         x_prev, x = x, 2.0 * x - x_prev - h2 * (lam * x)
         xs.append(x)
-    crossings = []
-    for n in range(steps):
-        if xs[n] != 0.0 and (xs[n] > 0) != (xs[n + 1] > 0):
-            crossings.append(h * (n + xs[n] / (xs[n] - xs[n + 1])))
+    x = np.array(xs)
+    n = np.flatnonzero((x[:-1] != 0.0) & ((x[:-1] > 0) != (x[1:] > 0)))
+    crossings = h * (n + x[n] / (x[n] - x[n + 1]))
     if len(crossings) < 2:
         raise ValueError(f"too few zero crossings in {steps} steps")
     return float(math.pi * (len(crossings) - 1) / (crossings[-1] - crossings[0]))

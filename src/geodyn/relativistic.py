@@ -84,7 +84,7 @@ def step_k1(s: ExtPhaseState, h: float) -> ExtPhaseState:
 
 
 def step_k2(s: ExtPhaseState, h: float) -> ExtPhaseState:
-    """Palindromic second-order step: the k1 half steps ``paired``, written out as ``_k2``."""
+    """Palindromic second-order step: the k1* half step, then the k1 half step, written out."""
     return step("k2", s, h)
 
 

@@ -550,6 +550,16 @@ class TestConfigAndPlumbing:
     def test_no_command(self):
         assert main([]) == 2
 
+    def test_cached_parser_runs_the_current_handler(self, monkeypatch):
+        # the parser is built once; a handler rebound after that (a tracing wrapper,
+        # say) is still the one that runs
+        assert main(["check", "kepler"]) == 0
+        assert cli_module.build_parser() is cli_module.build_parser()
+        seen = []
+        monkeypatch.setattr(cli_module, "cmd_check", lambda args: seen.append(args.system) or 7)
+        assert main(["check", "kepler"]) == 7
+        assert seen == ["kepler"]
+
     @pytest.mark.parametrize("argv", [
         ["check"],
         ["run", "--method", "sv", "--h", "0.1", "--steps", "3", "-o"],
