@@ -295,7 +295,7 @@ def main(argv=None) -> int:
         return globals()[f"cmd_{args.command}"](args)    # the cmd_* bound now, not at build
     except (UsageError, UnknownMethodError, CircularOrbitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, BrokenPipeError) else 2     # a closed reader is no bad usage
     except EvaluationError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 2

@@ -3,22 +3,22 @@
 ``METHODS`` is the one place that knows the methods: symplectic Euler,
 Stormer-Verlet, vi1 (order 1) and vi2 (order 2) for the Kepler problem, and
 k1 (order 1) and k2 (order 2) for the relativistic system of
-``geodyn.relativistic``. Each entry gives the model, the plain-float step
-kernel and its adjoint, and the predicted drift orders. vi1 and k1 compose
-exact sub-flows, and their adjoints are the same sub-flows in reverse order;
-vi2 and k2 are the adjoint half step followed by the half step. Each step
-kernel, and symplectic Euler's adjoint, is written out as one float function;
-the sub-flows stay as the public sub-steps, as the adjoints of vi1 and k1, and
-as the reference the written-out kernels equal bit for bit. vi1 and vi2 also
+``geodyn.relativistic``. Each entry gives the model, the step kernel and its
+adjoint as plain-float state generators, and the predicted drift orders. vi1
+and k1 compose exact sub-flows, their adjoints the same sub-flows in reverse;
+vi2 and k2 are the adjoint half step followed by the half step. A step kernel
+is one loop that carries its closing force or potential into the next step;
+one-step maps (sub-flows, adjoints) become generators through ``_iterate``, and
+the sub-flows are the reference the kernels equal bit for bit. vi1 and vi2 also
 exist in two-step discrete Euler-Lagrange form, equivalent to the compositions
 once the first point is seeded through the discrete Legendre transform.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, islice
 from math import inf, sqrt
 from types import MappingProxyType
 from typing import Callable
@@ -91,9 +91,10 @@ class TrajectoryRecord:
 
 # --- Step kernels on the planar state z = (x1, x2, v1, v2) ---
 #
-# A kernel maps (z, h) to the next state tuple, on plain floats. A table kernel is
-# its sub-flow composition written out, force x/r**3 and potential -1/r inline in
-# the sub-flows' operation order, e.g. v - h*(w*(x1/r3)). A drift's check_segment_xy
+# A table kernel is a state generator (z, h) -> z_1, z_2, ... on plain floats: its sub-flow
+# composition written out in one loop, force x/r**3 and potential -1/r inline in the sub-flows'
+# operation order, e.g. v - h*(w*(x1/r3)), the closing force (sv, vi2) or potential (k1, k2)
+# kept for the next step. _iterate makes a one-step map a generator. A drift's check_segment_xy
 # runs only where it can raise, which keeps the composition's bits and errors:
 # - a coordinate drift keeps c fixed, the check's nearest point has c exactly, and
 #   fl(c*c) >= fl(tol*tol) once |c| >= tol: only -ORIGIN_TOL < c < ORIGIN_TOL can raise
@@ -103,19 +104,31 @@ class TrajectoryRecord:
 _FAR2 = 16.0 * ORIGIN_TOL * ORIGIN_TOL
 
 
-def _sym_euler(z, h):
+def _iterate(kernel):
+    """The state generator of a one-step map: z_{k+1} = kernel(z_k, h) for k = 0, 1, ..."""
+    def states(z, h):
+        while True:
+            z = kernel(z, h)
+            yield z
+    return states
+
+
+def _sym_euler_states(z, h):
     x1, x2, v1, v2 = z
-    rr = x1 * x1 + x2 * x2
-    r = sqrt(rr)
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    r3 = r**3
-    v1, v2 = v1 - h * (x1 / r3), v2 - h * (x2 / r3)
-    d1, d2 = h * v1, h * v2
-    y1, y2 = x1 + d1, x2 + d2
-    if not (4.0 * (d1 * d1 + d2 * d2) < rr and _FAR2 <= rr < inf):
-        check_segment_xy(x1, x2, y1, y2)
-    return y1, y2, v1, v2
+    tol, far2 = ORIGIN_TOL, _FAR2
+    while True:
+        rr = x1 * x1 + x2 * x2
+        r = sqrt(rr)
+        if r < tol:
+            raise origin_error(r)
+        r3 = r**3
+        v1, v2 = v1 - h * (x1 / r3), v2 - h * (x2 / r3)
+        d1, d2 = h * v1, h * v2
+        y1, y2 = x1 + d1, x2 + d2
+        if not (4.0 * (d1 * d1 + d2 * d2) < rr and far2 <= rr < inf):
+            check_segment_xy(x1, x2, y1, y2)
+        x1, x2 = y1, y2
+        yield x1, x2, v1, v2
 
 
 def _sym_euler_adjoint(z, h):
@@ -132,23 +145,30 @@ def _sym_euler_adjoint(z, h):
     return y1, y2, v1 - h * (y1 / r3), v2 - h * (y2 / r3)
 
 
-def _sv(z, h):
+def _sv_states(z, h):
     x1, x2, v1, v2 = z
+    c, tol, far2 = 0.5 * h, ORIGIN_TOL, _FAR2
     rr = x1 * x1 + x2 * x2
     r = sqrt(rr)
-    if r < ORIGIN_TOL:
+    if r < tol:
         raise origin_error(r)
     r3 = r**3
-    p1, p2 = v1 - 0.5 * h * (x1 / r3), v2 - 0.5 * h * (x2 / r3)
-    d1, d2 = h * p1, h * p2
-    y1, y2 = x1 + d1, x2 + d2
-    if not (4.0 * (d1 * d1 + d2 * d2) < rr and _FAR2 <= rr < inf):
-        check_segment_xy(x1, x2, y1, y2)
-    r = sqrt(y1 * y1 + y2 * y2)
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    r3 = r**3
-    return y1, y2, p1 - 0.5 * h * (y1 / r3), p2 - 0.5 * h * (y2 / r3)
+    g1, g2 = x1 / r3, x2 / r3
+    while True:
+        v1, v2 = v1 - c * g1, v2 - c * g2
+        d1, d2 = h * v1, h * v2
+        y1, y2 = x1 + d1, x2 + d2
+        if not (4.0 * (d1 * d1 + d2 * d2) < rr and far2 <= rr < inf):
+            check_segment_xy(x1, x2, y1, y2)
+        x1, x2 = y1, y2
+        rr = x1 * x1 + x2 * x2
+        r = sqrt(rr)
+        if r < tol:
+            raise origin_error(r)
+        r3 = r**3
+        g1, g2 = x1 / r3, x2 / r3
+        v1, v2 = v1 - c * g1, v2 - c * g2
+        yield x1, x2, v1, v2
 
 
 def _flow(i, z, h, w):
@@ -178,83 +198,90 @@ def _vi1_kernels(split: SplitPotential | None):
     """
     w = (split if split is not None else kepler_split()).weights
     if len(w) == 1:
-        return _sym_euler, _sym_euler_adjoint
+        return _sym_euler_states, _iterate(_sym_euler_adjoint)
     w1, w2 = w
 
-    def step(z, h):
+    def states(z, h):
         x1, x2, v1, v2 = z
-        y1 = x1 + h * v1
-        if -ORIGIN_TOL < x2 < ORIGIN_TOL:
-            check_segment_xy(x1, x2, y1, x2)
-        r = sqrt(y1 * y1 + x2 * x2)
-        if r < ORIGIN_TOL:
-            raise origin_error(r)
-        r3 = r**3
-        v1, v2 = v1 - h * (w1 * (y1 / r3)), v2 - h * (w1 * (x2 / r3))
-        y2 = x2 + h * v2
-        if -ORIGIN_TOL < y1 < ORIGIN_TOL:
-            check_segment_xy(y1, x2, y1, y2)
-        r = sqrt(y1 * y1 + y2 * y2)
-        if r < ORIGIN_TOL:
-            raise origin_error(r)
-        r3 = r**3
-        return y1, y2, v1 - h * (w2 * (y1 / r3)), v2 - h * (w2 * (y2 / r3))
+        tol = ORIGIN_TOL
+        while True:
+            y1 = x1 + h * v1
+            if -tol < x2 < tol:
+                check_segment_xy(x1, x2, y1, x2)
+            r = sqrt(y1 * y1 + x2 * x2)
+            if r < tol:
+                raise origin_error(r)
+            r3 = r**3
+            v1, v2 = v1 - h * (w1 * (y1 / r3)), v2 - h * (w1 * (x2 / r3))
+            y2 = x2 + h * v2
+            if -tol < y1 < tol:
+                check_segment_xy(y1, x2, y1, y2)
+            r = sqrt(y1 * y1 + y2 * y2)
+            if r < tol:
+                raise origin_error(r)
+            r3 = r**3
+            x1, x2, v1, v2 = y1, y2, v1 - h * (w2 * (y1 / r3)), v2 - h * (w2 * (y2 / r3))
+            yield x1, x2, v1, v2
 
-    return step, lambda z, h: _flow_adjoint(1, _flow_adjoint(2, z, h, w2), h, w1)
+    return states, _iterate(lambda z, h: _flow_adjoint(1, _flow_adjoint(2, z, h, w2), h, w1))
 
 
 def _vi2_kernel(split: SplitPotential | None):
-    """The vi1* half step, then the vi1 half step, as one function (sym-euler's on one part)."""
+    """The vi1* half step, then the vi1 half step, as one generator (sym-euler's on one part)."""
     w = (split if split is not None else kepler_split()).weights
     if len(w) == 1:
-        return lambda z, h: _sym_euler(_sym_euler_adjoint(z, 0.5 * h), 0.5 * h)
+        return _iterate(lambda z, h: next(_sym_euler_states(_sym_euler_adjoint(z, 0.5 * h), 0.5 * h)))
     w1, w2 = w
 
-    def kernel(z, h):
-        c = 0.5 * h
+    def states(z, h):
         x1, x2, v1, v2 = z
+        c, tol = 0.5 * h, ORIGIN_TOL
         r = sqrt(x1 * x1 + x2 * x2)
-        if r < ORIGIN_TOL:
+        if r < tol:
             raise origin_error(r)
         r3 = r**3
-        v1, v2 = v1 - c * (w2 * (x1 / r3)), v2 - c * (w2 * (x2 / r3))
-        y2 = x2 + c * v2
-        if -ORIGIN_TOL < x1 < ORIGIN_TOL:
-            check_segment_xy(x1, x2, x1, y2)
-        r = sqrt(x1 * x1 + y2 * y2)
-        if r < ORIGIN_TOL:
-            raise origin_error(r)
-        r3 = r**3
-        v1, v2 = v1 - c * (w1 * (x1 / r3)), v2 - c * (w1 * (y2 / r3))
-        y1 = x1 + c * v1
-        if -ORIGIN_TOL < y2 < ORIGIN_TOL:
-            check_segment_xy(x1, y2, y1, y2)
-        x1 = y1 + c * v1
-        if -ORIGIN_TOL < y2 < ORIGIN_TOL:
-            check_segment_xy(y1, y2, x1, y2)
-        r = sqrt(x1 * x1 + y2 * y2)
-        if r < ORIGIN_TOL:
-            raise origin_error(r)
-        r3 = r**3
-        v1, v2 = v1 - c * (w1 * (x1 / r3)), v2 - c * (w1 * (y2 / r3))
-        x2 = y2 + c * v2
-        if -ORIGIN_TOL < x1 < ORIGIN_TOL:
-            check_segment_xy(x1, y2, x1, x2)
-        r = sqrt(x1 * x1 + x2 * x2)
-        if r < ORIGIN_TOL:
-            raise origin_error(r)
-        r3 = r**3
-        return x1, x2, v1 - c * (w2 * (x1 / r3)), v2 - c * (w2 * (x2 / r3))
+        g1, g2 = x1 / r3, x2 / r3
+        while True:
+            v1, v2 = v1 - c * (w2 * g1), v2 - c * (w2 * g2)
+            y2 = x2 + c * v2
+            if -tol < x1 < tol:
+                check_segment_xy(x1, x2, x1, y2)
+            r = sqrt(x1 * x1 + y2 * y2)
+            if r < tol:
+                raise origin_error(r)
+            r3 = r**3
+            v1, v2 = v1 - c * (w1 * (x1 / r3)), v2 - c * (w1 * (y2 / r3))
+            y1 = x1 + c * v1
+            if -tol < y2 < tol:
+                check_segment_xy(x1, y2, y1, y2)
+            x1 = y1 + c * v1
+            if -tol < y2 < tol:
+                check_segment_xy(y1, y2, x1, y2)
+            r = sqrt(x1 * x1 + y2 * y2)
+            if r < tol:
+                raise origin_error(r)
+            r3 = r**3
+            v1, v2 = v1 - c * (w1 * (x1 / r3)), v2 - c * (w1 * (y2 / r3))
+            x2 = y2 + c * v2
+            if -tol < x1 < tol:
+                check_segment_xy(x1, y2, x1, x2)
+            r = sqrt(x1 * x1 + x2 * x2)
+            if r < tol:
+                raise origin_error(r)
+            r3 = r**3
+            g1, g2 = x1 / r3, x2 / r3
+            v1, v2 = v1 - c * (w2 * g1), v2 - c * (w2 * g2)
+            yield x1, x2, v1, v2
 
-    return kernel
+    return states
 
 
 # --- Kernels on the relativistic planar state z = (t, x1, x2, gamma, u1, u2) ---
 #
 # k1 is _flow_hi(2, _flow_hi(1, _flow_ht(z))) written out; k1* is the reverse
-# composition itself. A drift's gamma update reuses phi(start) from the flow before;
-# k2's first drift evaluates its phi(start) after the drift check and phi(end), as
-# _flow_hi does.
+# composition itself. A drift's gamma update reuses phi(start) from the flow before or
+# the step before; k2's first drift evaluates its first phi(start) after the drift check
+# and phi(end), as _flow_hi does.
 
 def _flow_ht(z, h):
     t, x1, x2, gamma, u1, u2 = z
@@ -269,70 +296,80 @@ def _flow_hi(i, z, h):
     return t, y1, y2, gamma - (potential_xy(y1, y2) - potential_xy(x1, x2)), u1, u2
 
 
-def _k1(z, h):
+def _k1_states(z, h):
     t, x1, x2, gamma, u1, u2 = z
+    tol = ORIGIN_TOL
     r = sqrt(x1 * x1 + x2 * x2)
-    if r < ORIGIN_TOL:
+    if r < tol:
         raise origin_error(r)
-    r3, hg, p0 = r**3, h * gamma, -1.0 / r
-    u1, u2 = u1 - hg * (x1 / r3), u2 - hg * (x2 / r3)
-    y1 = x1 + h * u1
-    if -ORIGIN_TOL < x2 < ORIGIN_TOL:
-        check_segment_xy(x1, x2, y1, x2)
-    r = sqrt(y1 * y1 + x2 * x2)
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    p1 = -1.0 / r
-    gamma = gamma - (p1 - p0)
-    y2 = x2 + h * u2
-    if -ORIGIN_TOL < y1 < ORIGIN_TOL:
-        check_segment_xy(y1, x2, y1, y2)
-    r = sqrt(y1 * y1 + y2 * y2)
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    return t + hg, y1, y2, gamma - (-1.0 / r - p1), u1, u2
+    p0 = -1.0 / r
+    while True:
+        r3, hg = r**3, h * gamma
+        u1, u2 = u1 - hg * (x1 / r3), u2 - hg * (x2 / r3)
+        y1 = x1 + h * u1
+        if -tol < x2 < tol:
+            check_segment_xy(x1, x2, y1, x2)
+        r = sqrt(y1 * y1 + x2 * x2)
+        if r < tol:
+            raise origin_error(r)
+        p1 = -1.0 / r
+        gamma = gamma - (p1 - p0)
+        y2 = x2 + h * u2
+        if -tol < y1 < tol:
+            check_segment_xy(y1, x2, y1, y2)
+        r = sqrt(y1 * y1 + y2 * y2)
+        if r < tol:
+            raise origin_error(r)
+        p0 = -1.0 / r
+        t, x1, x2, gamma = t + hg, y1, y2, gamma - (p0 - p1)
+        yield t, x1, x2, gamma, u1, u2
 
 
-def _k2(z, h):
+def _k2_states(z, h):
     """The k1* half step, then the k1 half step, written out; the time/kick flows share a force."""
-    c = 0.5 * h
     t, x1, x2, gamma, u1, u2 = z
-    y2 = x2 + c * u2
-    if -ORIGIN_TOL < x1 < ORIGIN_TOL:
-        check_segment_xy(x1, x2, x1, y2)
-    r = sqrt(x1 * x1 + y2 * y2)
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    p1 = -1.0 / r
-    r = sqrt(x1 * x1 + x2 * x2)
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    gamma = gamma - (p1 - -1.0 / r)
-    y1 = x1 + c * u1
-    if -ORIGIN_TOL < y2 < ORIGIN_TOL:
-        check_segment_xy(x1, y2, y1, y2)
-    r = sqrt(y1 * y1 + y2 * y2)
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    p2 = -1.0 / r
-    gamma = gamma - (p2 - p1)
-    r3, hg = r**3, c * gamma
-    u1, u2 = u1 - hg * (y1 / r3) - hg * (y1 / r3), u2 - hg * (y2 / r3) - hg * (y2 / r3)
-    x1 = y1 + c * u1
-    if -ORIGIN_TOL < y2 < ORIGIN_TOL:
-        check_segment_xy(y1, y2, x1, y2)
-    r = sqrt(x1 * x1 + y2 * y2)
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    p1 = -1.0 / r
-    gamma = gamma - (p1 - p2)
-    x2 = y2 + c * u2
-    if -ORIGIN_TOL < x1 < ORIGIN_TOL:
-        check_segment_xy(x1, y2, x1, x2)
-    r = sqrt(x1 * x1 + x2 * x2)
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    return t + hg + hg, x1, x2, gamma - (-1.0 / r - p1), u1, u2
+    c, tol, p0 = 0.5 * h, ORIGIN_TOL, None
+    while True:
+        y2 = x2 + c * u2
+        if -tol < x1 < tol:
+            check_segment_xy(x1, x2, x1, y2)
+        r = sqrt(x1 * x1 + y2 * y2)
+        if r < tol:
+            raise origin_error(r)
+        p1 = -1.0 / r
+        if p0 is None:
+            r = sqrt(x1 * x1 + x2 * x2)
+            if r < tol:
+                raise origin_error(r)
+            p0 = -1.0 / r
+        gamma = gamma - (p1 - p0)
+        y1 = x1 + c * u1
+        if -tol < y2 < tol:
+            check_segment_xy(x1, y2, y1, y2)
+        r = sqrt(y1 * y1 + y2 * y2)
+        if r < tol:
+            raise origin_error(r)
+        p2 = -1.0 / r
+        gamma = gamma - (p2 - p1)
+        r3, hg = r**3, c * gamma
+        u1, u2 = u1 - hg * (y1 / r3) - hg * (y1 / r3), u2 - hg * (y2 / r3) - hg * (y2 / r3)
+        x1 = y1 + c * u1
+        if -tol < y2 < tol:
+            check_segment_xy(y1, y2, x1, y2)
+        r = sqrt(x1 * x1 + y2 * y2)
+        if r < tol:
+            raise origin_error(r)
+        p1 = -1.0 / r
+        gamma = gamma - (p1 - p2)
+        x2 = y2 + c * u2
+        if -tol < x1 < tol:
+            check_segment_xy(x1, y2, x1, x2)
+        r = sqrt(x1 * x1 + x2 * x2)
+        if r < tol:
+            raise origin_error(r)
+        p0 = -1.0 / r
+        t, gamma = t + hg + hg, gamma - (p0 - p1)
+        yield t, x1, x2, gamma, u1, u2
 
 
 # --- The method table ---
@@ -342,10 +379,10 @@ class Method:
     """One integrator of the table.
 
     ``model`` is "kepler" or "relativistic". ``kernels(split)`` returns the
-    (step, adjoint) float kernels, each a (z, h) -> z map; the relativistic
-    methods ignore the split, and a split of None is the equal Kepler split.
-    ``drift_order`` maps "ecc" and "angle" to the predicted order of the
-    per-period LRL drift; it is None for the relativistic methods.
+    (step, adjoint) state generators, each (z, h) -> iterator of z_1, z_2, ...;
+    the relativistic methods ignore the split, and a split of None is the equal
+    Kepler split. ``drift_order`` maps "ecc" and "angle" to the predicted order
+    of the per-period LRL drift; it is None for the relativistic methods.
     """
     id: str
     model: str
@@ -354,14 +391,14 @@ class Method:
 
 
 METHODS = MappingProxyType({m.id: m for m in (
-    Method("sym-euler", "kepler", lambda split: (_sym_euler, _sym_euler_adjoint),
+    Method("sym-euler", "kepler", lambda split: (_sym_euler_states, _iterate(_sym_euler_adjoint)),
            {"ecc": 2.0, "angle": 2.0}),
-    Method("sv", "kepler", lambda split: (_sv, _sv), {"ecc": 4.0, "angle": 2.0}),
+    Method("sv", "kepler", lambda split: (_sv_states, _sv_states), {"ecc": 4.0, "angle": 2.0}),
     Method("vi1", "kepler", _vi1_kernels, {"ecc": 2.0, "angle": 2.0}),
     Method("vi2", "kepler", lambda split: (_vi2_kernel(split),) * 2, {"ecc": 4.0, "angle": 2.0}),
-    Method("k1", "relativistic",
-           lambda split: (_k1, lambda z, h: _flow_ht(_flow_hi(1, _flow_hi(2, z, h), h), h)), None),
-    Method("k2", "relativistic", lambda split: (_k2, _k2), None),
+    Method("k1", "relativistic", lambda split: (
+        _k1_states, _iterate(lambda z, h: _flow_ht(_flow_hi(1, _flow_hi(2, z, h), h), h))), None),
+    Method("k2", "relativistic", lambda split: (_k2_states, _k2_states), None),
 )})
 METHOD_IDS = tuple(m.id for m in METHODS.values() if m.model == "kepler")
 REL_METHOD_IDS = tuple(m.id for m in METHODS.values() if m.model == "relativistic")
@@ -385,10 +422,10 @@ def _planar(s) -> tuple[float, ...]:
     return (float(s.t), *s.x.tolist(), float(s.gamma), *s.u.tolist())
 
 
-def _one_step(kernel, s, h: float):
-    """Row 1 of ``trajectory(kernel, _planar(s), h, 1)`` as the state type of ``s``:
+def _one_step(states, s, h: float):
+    """Row 1 of ``trajectory(states, _planar(s), h, 1)`` as the state type of ``s``:
     one step fails as a run does. h may be negative."""
-    z = trajectory(kernel, _planar(s), h, 1)[1].tolist()
+    z = trajectory(states, _planar(s), h, 1)[1].tolist()
     if isinstance(s, PhaseState):
         return PhaseState(z[:2], z[2:])
     return type(s)(z[0], z[1:3], z[3], z[4:])
@@ -430,12 +467,12 @@ def _part_weight(i: int, split: SplitPotential) -> float:
 
 def substep_flow(i: int, s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
     """Sub-map of H(i) = p_i^2/2 + phi^(i): drift coordinate i, then kick."""
-    return _one_step(partial(_flow, i, w=_part_weight(i, split)), s, h)
+    return _one_step(_iterate(partial(_flow, i, w=_part_weight(i, split))), s, h)
 
 
 def substep_flow_adjoint(i: int, s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
     """Adjoint sub-map: kick with phi^(i) at the old point, then drift coordinate i."""
-    return _one_step(partial(_flow_adjoint, i, w=_part_weight(i, split)), s, h)
+    return _one_step(_iterate(partial(_flow_adjoint, i, w=_part_weight(i, split))), s, h)
 
 
 def step_vi1(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
@@ -616,42 +653,46 @@ def del_two_step_vi1(ts: TwoStepState, split: SplitPotential) -> np.ndarray:
 
 # --- Trajectory running ---
 
-def trajectory(kernel, z0: tuple[float, ...], h: float, steps: int) -> np.ndarray:
-    """States z_0 .. z_steps of z_{k+1} = kernel(z_k, h), one row each.
+def trajectory(states, z0: tuple[float, ...], h: float, steps: int) -> np.ndarray:
+    """States z_0 .. z_steps of the state generator ``states(z0, h)``, one row each.
 
     A singular drift or force raises SingularOriginError, and a non-finite
     state or a float overflow raises NonFiniteStateError; both name the step
     and carry it as ``step``, with the last finite state as ``state``.
     """
     width = len(z0)
-    buf = array("d", z0)
-    z = z0
     try:
-        for k in range(1, steps + 1):
-            z = kernel(z, h)
-            buf.extend(z)
+        out = np.fromiter(chain(z0, chain.from_iterable(islice(states(z0, h), steps))),
+                          float, (steps + 1) * width).reshape(steps + 1, width)
+    except (SingularOriginError, OverflowError):
+        pass            # np.fromiter keeps no rows of a failed run: run it again row by row
+    else:
+        _check_finite(out)
+        return out
+    rows = [z0]
+    try:
+        rows.extend(islice(states(z0, h), steps))
     except SingularOriginError as exc:
-        raise SingularOriginError(f"step {k}: {exc}", step=k, state=tuple(z)) from exc
+        raise SingularOriginError(f"step {len(rows)}: {exc}", step=len(rows),
+                                  state=tuple(rows[-1])) from exc
     except OverflowError as exc:
-        _check_finite(np.frombuffer(buf).reshape(k, width))
-        raise NonFiniteStateError(f"step {k}: float overflow ({exc})",
-                                  step=k, state=tuple(z)) from exc
-    out = np.frombuffer(buf).reshape(steps + 1, width)
-    _check_finite(out)
-    return out
+        _check_finite(np.array(rows, float))
+        raise NonFiniteStateError(f"step {len(rows)}: float overflow ({exc})",
+                                  step=len(rows), state=tuple(rows[-1])) from exc
 
 
 def _check_finite(states: np.ndarray, names: tuple[str, ...] = (), *cols: np.ndarray) -> None:
     """Raise NonFiniteStateError at the first non-finite row of ``states`` or, given
     diagnostic columns, at their first non-finite value, one name per column (a 2-D
     column has one per column of it)."""
+    if all(np.isfinite(col).all() for col in cols or (states,)):
+        return
     table = np.column_stack(cols) if cols else states
     finite = np.isfinite(table)
-    if not finite.all():
-        k, j = divmod(int(np.argmin(finite)), table.shape[1])
-        what = f"{names[j]} = {table[k, j]}" if cols else f"state {states[k].tolist()}"
-        raise NonFiniteStateError(f"step {k}: {what} is not finite",
-                                  step=k, state=tuple(states[k - 1].tolist()) if k else None)
+    k, j = divmod(int(np.argmin(finite)), table.shape[1])
+    what = f"{names[j]} = {table[k, j]}" if cols else f"state {states[k].tolist()}"
+    raise NonFiniteStateError(f"step {k}: {what} is not finite",
+                              step=k, state=tuple(states[k - 1].tolist()) if k else None)
 
 
 def _states(method_id: str, model: str, s0, h: float, steps: int,
@@ -677,14 +718,14 @@ def run(method_id: str, s0: PhaseState, h: float, steps: int,
     if not diagnostics:
         return TrajectoryRecord(method_id, h, times, xs, vs)
 
+    x1, x2, v1, v2 = z.T.copy()       # contiguous columns
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.linalg.norm(xs, axis=1)
-        v2 = np.einsum("ij,ij->i", vs, vs)
-        xv = np.einsum("ij,ij->i", xs, vs)
-        H = 0.5 * v2 - 1.0 / r
-        m = xs[:, 0] * vs[:, 1] - xs[:, 1] * vs[:, 0]
-        A = xs * v2[:, None] - vs * xv[:, None] - xs / r[:, None]
-        ecc = np.hypot(A[:, 0], A[:, 1])
-        angle = np.arctan2(A[:, 1], A[:, 0])
-    _check_finite(z, ("H", "m", "A1", "A2", "ecc", "angle"), H, m, A, ecc, angle)
-    return TrajectoryRecord(method_id, h, times, xs, vs, H=H, m=m, A=A, ecc=ecc, angle=angle)
+        r = np.sqrt(x1 * x1 + x2 * x2)
+        vv, xv = v1 * v1 + v2 * v2, x1 * v1 + x2 * v2
+        H, m = 0.5 * vv - 1.0 / r, x1 * v2 - x2 * v1
+        A1, A2 = x1 * vv - v1 * xv - x1 / r, x2 * vv - v2 * xv - x2 / r
+        ecc = np.hypot(A1, A2)
+        angle = np.arctan2(A2, A1)
+    _check_finite(z, ("H", "m", "A1", "A2", "ecc", "angle"), H, m, A1, A2, ecc, angle)
+    return TrajectoryRecord(method_id, h, times, xs, vs, H=H, m=m, A=np.column_stack((A1, A2)),
+                            ecc=ecc, angle=angle)

@@ -89,7 +89,10 @@ def linear_measured_frequency(lam: float, h: float) -> float:
     if lam * h * h >= STABILITY_LIMIT:
         raise StabilityBoundaryError("scheme is unstable for lambda*h^2 >= 4")
     # the central-difference recurrence x+ = 2x - x_prev - h^2 (lam x), on floats
-    h2, steps = h**2, 10_000
+    try:
+        h2, steps = h**2, 10_000
+    except OverflowError as exc:    # a tiny lambda passes the stability check
+        raise NonFiniteStateError(f"h**2 overflows for lambda = {lam!r}, h = {h!r}") from exc
     xs = [0.0, h]
     x_prev, x = xs
     for _ in range(1, steps):

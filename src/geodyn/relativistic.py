@@ -23,6 +23,7 @@ from geodyn.integrators import (
     _check_finite,
     _flow_hi,
     _flow_ht,
+    _iterate,
     _one_step,
     _states,
     step,
@@ -65,7 +66,7 @@ def extended_hamiltonian(s: ExtPhaseState) -> float:
 
 def flow_ht(s: ExtPhaseState, h: float) -> ExtPhaseState:
     """Exact flow of the -gamma^2/2 piece: advance t, kick u; x and gamma fixed."""
-    return _one_step(_flow_ht, s, h)
+    return _one_step(_iterate(_flow_ht), s, h)
 
 
 def flow_hi(i: int, s: ExtPhaseState, h: float) -> ExtPhaseState:
@@ -75,7 +76,7 @@ def flow_hi(i: int, s: ExtPhaseState, h: float) -> ExtPhaseState:
     """
     if i not in (1, 2):
         raise ValueError(f"sub-flow index {i} out of range 1..2")
-    return _one_step(partial(_flow_hi, i), s, h)
+    return _one_step(_iterate(partial(_flow_hi, i)), s, h)
 
 
 def step_k1(s: ExtPhaseState, h: float) -> ExtPhaseState:

@@ -547,6 +547,24 @@ class TestConfigAndPlumbing:
     def test_missing_config(self):
         assert main(["--config", "/nonexistent/cfg", "run"]) == 2
 
+    class _ClosedStdout:
+        """A stdout whose reader has gone, as after ``geodyn ... | head -1``."""
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    @pytest.mark.parametrize("argv", [["run", "--method", "sv", "--h", "0.05", "--steps", "3"],
+                                      ["modified", "--linear"]], ids=["run", "modified-linear"])
+    def test_closed_stdout_is_not_a_usage_error(self, monkeypatch, capsys, argv):
+        with monkeypatch.context() as patch:     # undone before capsys restores stdout
+            patch.setattr(sys, "stdout", self._ClosedStdout())
+            status = main(argv)
+        assert status == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
     def test_no_command(self):
         assert main([]) == 2
 

@@ -28,6 +28,7 @@ from geodyn.integrators import (
     _flow_adjoint,
     _flow_hi,
     _flow_ht,
+    _iterate,
     bootstrap_first_point,
     del_two_step_vi1,
     discrete_lagrangian,
@@ -42,6 +43,7 @@ from geodyn.integrators import (
     step_vi2,
     substep_flow,
     substep_flow_adjoint,
+    trajectory,
 )
 from geodyn.kepler import (
     ORIGIN_TOL,
@@ -162,6 +164,27 @@ class TestSymplecticity:
                          - np.concatenate([sm.x, sm.v])) / (2 * delta)
         defect = jac.T @ self.OMEGA @ jac - self.OMEGA
         assert np.max(np.abs(defect)) < 1e-5
+
+    # dx1^du1 + dx2^du2 - dt^dw in the coordinates (t, x1, x2, w = gamma + phi(x), u1, u2);
+    # with +dt^dw instead the defect below is 0.18 for both methods
+    K_OMEGA = np.zeros((6, 6))
+    K_OMEGA[1, 4] = K_OMEGA[2, 5] = K_OMEGA[3, 0] = 1.0
+    K_OMEGA[4, 1] = K_OMEGA[5, 2] = K_OMEGA[0, 3] = -1.0
+
+    @pytest.mark.parametrize("method", REL_METHOD_IDS)
+    def test_jacobian_preserves_extended_two_form(self, method):
+        def one_step(y):
+            t, x, w, u = y[0], y[1:3], y[3], y[4:]
+            s = step(method, ExtPhaseState(t, x, w - potential(x), u), H)
+            return np.array([s.t, *s.x, s.gamma + potential(s.x), *s.u])
+
+        x, u = np.array([0.7, 0.2]), np.array([-0.3, 1.1])
+        y0 = np.array([0.0, *x, mass_shell_gamma(u) + potential(x), *u])
+        delta = 1e-6
+        jac = np.stack([(one_step(y0 + e) - one_step(y0 - e)) / (2 * delta)
+                        for e in np.eye(6) * delta], axis=1)
+        defect = jac.T @ self.K_OMEGA @ jac - self.K_OMEGA
+        assert np.max(np.abs(defect)) < 1e-5      # 1.1e-10 for k1, 1.2e-10 for k2
 
 
 def _legendre_fd(lag_id, x0, x1, h, split=None):
@@ -495,7 +518,7 @@ class TestMethodTable:
         step, adjoint = METHODS[method_id].kernels(SPLIT)
         s = self.SEED if METHODS[method_id].model == "kepler" else self.EXT_SEED
         z = _flat(s)
-        back = step(adjoint(z, H), -H)
+        back = next(step(next(adjoint(z, H)), -H))
         assert max(abs(a - b) for a, b in zip(back, z)) < 1e-13
 
     @pytest.mark.parametrize("method_id", list(METHODS))
@@ -627,9 +650,11 @@ def _ref_kernels(method_id, split):
 
 
 def _outcome(kernel, z, h):
-    """The next state as float.hex strings, or the exception's type and message."""
+    """The next state as float.hex strings, or the exception's type and message; a table
+    kernel's next state is the first it yields."""
     try:
-        return tuple(map(float.hex, kernel(z, h)))
+        out = kernel(z, h)
+        return tuple(map(float.hex, out if isinstance(out, tuple) else next(out)))
     except (GeodynError, ArithmeticError) as exc:    # SingularOriginError, OverflowError
         return type(exc), str(exc)
 
@@ -703,6 +728,46 @@ class TestFusedKernels:
         for z in _EDGE_STATES:
             for h in (1.0, 2.0, -2.0):
                 assert _outcome(kernel, z, h) == _outcome(composed, z, h), (z, h)
+
+
+# --- A table kernel's run is its composition's run: what it carries is what the next step computes ---
+
+def _run_outcome(kernel, z, h, n):
+    """The rows of an n-step run as bytes, or the error's type, message, step and state."""
+    try:
+        return trajectory(kernel, z, h, n).tobytes()
+    except GeodynError as exc:
+        state = exc.state if exc.state is None else tuple(map(float.hex, exc.state))
+        return type(exc), str(exc), exc.step, state
+
+
+def _assert_runs_equal(method_id, z, h, split, n):
+    """z is a Kepler state; a relativistic method steps (0.5, x1, x2, 1.25, v1, v2)."""
+    if METHODS[method_id].model == "relativistic" and len(z) == 4:
+        z = (0.5, *z[:2], 1.25, *z[2:])
+    for kernel, ref in zip(METHODS[method_id].kernels(split), _ref_kernels(method_id, split)):
+        assert _run_outcome(kernel, z, h, n) == _run_outcome(_iterate(ref), z, h, n), (z, h, n)
+
+
+class TestMultiStepKernels:
+    """Each table kernel and its adjoint run as their one-step composition does, for up
+    to 8 steps: rows, error, failing step and last state."""
+
+    @pytest.mark.parametrize("method_id", list(METHODS))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(z4=st.tuples(_COORD, _COORD, _COORD, _COORD), h=st.floats(1e-3, 1.0),
+           sign=st.sampled_from([1.0, -1.0]), w1=st.floats(-0.5, 1.5), n=st.integers(1, 8))
+    def test_equals_the_composition(self, method_id, z4, h, sign, w1, n):
+        _assert_runs_equal(method_id, z4, sign * h, SplitPotential((w1, 1.0 - w1)), n)
+
+    @pytest.mark.parametrize("method_id", list(METHODS))
+    def test_equals_the_composition_at_the_edges(self, method_id):
+        states = _EDGE_STATES
+        if METHODS[method_id].model == "relativistic":
+            states = states + _REL_EDGE_STATES
+        for z in states:
+            for h in (1.0, 2.0, -2.0):
+                _assert_runs_equal(method_id, z, h, SplitPotential((0.3, 0.7)), 8)
 
 
 # --- The kernels' drift-check prefilters skip only checks that cannot raise ---

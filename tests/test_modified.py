@@ -140,6 +140,11 @@ class TestLinearSeries:
         with pytest.raises(NonFiniteStateError, match="term k = 20 overflows"):
             linear_modified_series(1e16, 1e-8, 20)
 
+    def test_overflowing_h_squared_is_a_named_error(self):
+        # lambda*h^2 ~ 5e-14 is stable, but h**2 overflows
+        with pytest.raises(NonFiniteStateError, match=r"h\*\*2 overflows for lambda = 5e-324, h = 1e\+155"):
+            linear_measured_frequency(5e-324, 1e155)
+
 
 class TestLinearDispersion:
     def test_reference_value(self):

@@ -1,12 +1,16 @@
 """Source hygiene: every name a module imports is used, exported or re-imported, every
-function the benchmark tracer names exists, one function holds the Newton loop and one
-the Kepler-equation iteration, and two hold the closed-form Legendre transforms."""
+function the benchmark tracer names exists, every forward table kernel is a generator of
+its own, one function holds the Newton loop and one the Kepler-equation iteration, and
+two hold the closed-form Legendre transforms."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
-from geodyn.integrators import LAGRANGIAN_IDS
+from geodyn import integrators
+from geodyn.integrators import LAGRANGIAN_IDS, METHODS, _iterate
+from geodyn.kepler import SplitPotential
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geodyn"
 
@@ -68,6 +72,17 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"geodyn.{mod}"), fn, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_table_kernels_are_generators():
+    # each forward table kernel runs its own loop; one behind the _iterate adapter would
+    # pay a call per step again (the one-part vi2 collapse, on neither split here, does)
+    for m in METHODS.values():
+        for split in (None, SplitPotential((0.3, 0.7))):
+            kernel = m.kernels(split)[0]
+            assert inspect.isgeneratorfunction(kernel), m.id
+            assert kernel.__code__.co_filename == integrators.__file__, m.id
+            assert kernel.__code__ is not _iterate(None).__code__, m.id
 
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
