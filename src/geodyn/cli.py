@@ -302,8 +302,8 @@ def main(argv=None) -> int:
     except ExpressionError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except GeodynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GeodynError, MemoryError) as exc:     # numpy's MemoryError names the allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,18 +1,21 @@
 """Numerical self-adjointness checks for second-order systems d/dt(M xdot) = f.
 
-Each checker evaluates the condition families appropriate to the structure of
-the system (general, velocity-dependent mass with f = A(t,x) xdot + phi(t,x),
-or constant mass) over the deterministic low-discrepancy ``sample_cloud``,
-using central finite differences of step DEFAULT_DELTA for partials and
-on-shell jet shifts of step _TIME_DELTA for total time derivatives. The
-general conditions are read off the momentum p = M xdot and the force. The
-on-shell equation dp/dt + (dp/dx) xdot + (dp/dv) xddot = f is linear in the
-acceleration, so one solve gives it; a singular dp/dv raises GeodynError. A
-condition passes when its worst residual is below PASS_TOLERANCE. Each stage
-of a check stacks every sample and stencil point of the cloud into one batch,
-so the system's callables run once per stage, on arrays (see
-SecondOrderSystem). A passing report certifies that a Lagrangian exists; the
-Vainberg construction then reconstructs one by quadrature.
+A system is its force and its mass. Each checker evaluates the condition
+families appropriate to the system's structure tag (general, velocity-dependent
+mass with f = A(t,x) xdot + phi(t,x), or constant mass) over the deterministic
+low-discrepancy ``sample_cloud``, using central finite differences of step
+DEFAULT_DELTA for partials and on-shell jet shifts of step _TIME_DELTA for
+total time derivatives. The velocity-mass checker reads the decomposition off
+the force, phi = f(t,x,0) and A e_j = f(t,x,e_j) - phi, and raises ValueError
+when f is not affine in xdot on the cloud. The general conditions are read off
+the momentum p = M xdot and the force. The on-shell equation dp/dt + (dp/dx)
+xdot + (dp/dv) xddot = f is linear in the acceleration, so one solve gives it;
+a singular dp/dv raises GeodynError. A condition passes when its worst
+residual is below PASS_TOLERANCE. Each stage of a check stacks every sample
+and stencil point of the cloud into one batch, so the system's callables run
+once per stage, on arrays (see SecondOrderSystem). A passing report certifies
+that a Lagrangian exists; the Vainberg construction then reconstructs one by
+quadrature.
 """
 
 from __future__ import annotations
@@ -35,22 +38,21 @@ STRUCTURES = ("general", "velocity-mass", "constant-mass")
 
 @dataclass(frozen=True)
 class SecondOrderSystem:
-    """System d/dt(M(t,x,v) v) = f(t,x,v) with optional structure decomposition.
+    """System d/dt(M(t,x,v) v) = f(t,x,v); ``mass`` None is the identity.
 
     The callables work on a batch of S samples: ``t`` has shape (S,) and
-    ``x``, ``v`` have shape (S, n). ``force`` and ``phi`` return arrays that
-    broadcast to (S, n), ``mass`` and ``amat`` arrays that broadcast to
-    (S, n, n), so a value shared by all samples (a constant matrix, say)
-    may be returned once. For the velocity-mass structure, ``amat`` and
-    ``phi`` decompose the force as f = A(t,x) v + phi(t,x).
+    ``x``, ``v`` have shape (S, n). ``force`` returns an array that
+    broadcasts to (S, n), ``mass`` one that broadcasts to (S, n, n), so a
+    value shared by all samples (a constant matrix, say) may be returned
+    once. The structure tag states a premise the checker relies on:
+    ``constant-mass`` a constant M, ``velocity-mass`` an M(v) and a force
+    f = A(t,x) v + phi(t,x) affine in v.
     """
     name: str
     n: int
     structure: str
     force: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     mass: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
-    amat: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    phi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     v_box: tuple[float, float] = (-1.0, 1.0)
     exclusion_radius: float = 0.0
 
@@ -97,6 +99,7 @@ class CheckReport:
 # --- Sample cloud ---
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+_MAX_N = (len(_PRIMES) - 1) // 2     # one Halton base for t and each x_i and v_i
 
 
 def _radical_inverse(index: int, base: int) -> float:
@@ -110,9 +113,9 @@ def _radical_inverse(index: int, base: int) -> float:
 
 def sample_cloud(system: SecondOrderSystem, count: int = 64) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Deterministic Halton cloud of (t, x, v) samples, x in [-2, 2]^n, avoiding the singularity."""
+    if system.n > _MAX_N:
+        raise ValueError(f"sample cloud supports n <= {_MAX_N}")
     dims = 1 + 2 * system.n
-    if dims > len(_PRIMES):
-        raise ValueError("sample cloud supports n <= 4")
     xl, xh = -2.0, 2.0
     vl, vh = system.v_box
     samples = []
@@ -253,23 +256,33 @@ def check_constant_mass(system: SecondOrderSystem) -> CheckReport:
 
 
 def check_velocity_mass(system: SecondOrderSystem) -> CheckReport:
-    """Conditions for M = M(v), f = A(t,x) v + phi(t,x)."""
+    """Conditions for M = M(v), f = A(t,x) v + phi(t,x), with A and phi read off f."""
     if system.structure != "velocity-mass":
         raise ValueError("check_velocity_mass needs a velocity-mass system")
-    if system.amat is None or system.phi is None:
-        raise ValueError("velocity-mass systems must provide amat and phi")
     t, x, v = _arrays(sample_cloud(system))
     n = system.n
-    amat = lambda tt, xx, vv: system.amat(tt, xx)
-    phi = lambda tt, xx, vv: system.phi(tt, xx)
+    basis = np.concatenate([np.zeros((1, n)), np.eye(n)])
+
+    def parts(tt, xx, vv):
+        # rows phi = f(t, x, 0) and A e_j = f(t, x, e_j) - phi of a batch, shape (S, 1 + n, n)
+        f = system.force(np.repeat(tt, n + 1), np.repeat(xx, n + 1, axis=0),
+                         np.tile(basis, (len(tt), 1)))
+        f = np.broadcast_to(np.asarray(f, dtype=float), (len(tt) * (n + 1), n)).reshape(-1, n + 1, n)
+        return np.concatenate([f[:, :1], f[:, 1:] - f[:, :1]], axis=1)
+
+    g, dg = parts(t, x, v), _partials(parts, t, x, v, "tx", (n + 1, n))
+    # am[s, i, j] = A_ij; da[s, d, i, j] = dA_ij/dt for d = 0, dA_ij/dx_k for d = 1 + k
+    phi, am, da = g[:, 0], g[:, 1:].swapaxes(1, 2), dg[:, :, 1:].swapaxes(2, 3)
+    off = _worst(np.asarray(system.force(t, x, v), dtype=float) - _contract(am, v) - phi)
+    if off >= PASS_TOLERANCE:
+        raise ValueError(f"{system.name}: the force is not affine in v (max|f - A v - phi| = "
+                         f"{off:.6e} on the sample cloud), so the velocity-mass check does not apply")
     # sym[s, j, i] = sum_k dM_ik/dv_j v_k
     sym = _contract(_partials(system.mass_at, t, x, v, "v", (n, n)), v)
-    am = np.broadcast_to(np.asarray(system.amat(t, x), dtype=float), (len(t), n, n))
-    da = _partials(amat, t, x, v, "tx", (n, n))
     # dax[s, i, j, k] = dA_jk/dx_i; the cyclic sum is dA_jk/dx_i + dA_ki/dx_j + dA_ij/dx_k
     da_t, dax = da[:, 0], da[:, 1:]
     cyc = dax + dax.transpose(0, 3, 1, 2) + dax.transpose(0, 2, 3, 1)
-    dphi = _partials(phi, t, x, v, "x", (n,)).swapaxes(1, 2)
+    dphi = dg[:, 1:, 0].swapaxes(1, 2)    # dphi[s, i, j] = dphi_i/dx_j
     return _report(system, [
         ("a", "velocity-mass contraction symmetric", _worst(sym - sym.swapaxes(1, 2))),
         ("b", "A skew-symmetric", _worst(am + am.swapaxes(1, 2))),
@@ -367,15 +380,11 @@ def builtin_systems() -> dict[str, SecondOrderSystem]:
     magnetic = SecondOrderSystem(
         name="magnetic", n=2, structure="velocity-mass",
         force=lambda t, x, v: v @ skew.T - x,
-        amat=lambda t, x: skew,
-        phi=lambda t, x: -x,
     )
     relativistic = SecondOrderSystem(
         name="relativistic", n=2, structure="velocity-mass",
         force=_kepler_force,
         mass=lambda t, x, v: _lorentz_gamma(v)[..., None, None] * np.eye(2),
-        amat=lambda t, x: np.zeros((2, 2)),
-        phi=lambda t, x: _kepler_force(t, x, None),
         v_box=(-0.45, 0.45),
         exclusion_radius=0.5,
     )
@@ -387,10 +396,13 @@ def builtin_systems() -> dict[str, SecondOrderSystem]:
 def load_system_file(path: str) -> SecondOrderSystem:
     """Load a user system from a key=value file of arithmetic expressions.
 
-    Recognized keys: ``n``, ``structure``, ``f1..fN``, and optionally
-    ``m<ij>``, ``a<ij>``, ``phi1..phiN`` depending on the structure tag; any
-    other key raises ExpressionError at its line. Missing ``m`` entries are
-    those of the identity, missing ``a`` entries zero.
+    Recognized keys: ``n`` (at most 4), ``structure``, ``f1..fN`` and
+    ``m<ij>``; a velocity-mass file with no ``f`` entries writes its force
+    f = A(t,x) v + phi(t,x) with ``phi1..phiN`` and ``a<ij>`` instead. Any
+    other key raises ExpressionError at its line, and so does an ``m`` entry
+    that breaks the structure tag: a constant-mass one that uses a variable,
+    a velocity-mass one that uses t or x. Missing ``m`` entries are those of
+    the identity, missing ``a`` entries zero.
     """
     raw: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
@@ -415,66 +427,51 @@ def load_system_file(path: str) -> SecondOrderSystem:
         n = math.nan
     if not (n >= 1 and n.is_integer()):
         raise ExpressionError(f"dimension n must be a positive integer, got {text!r}", lineno, 1)
+    if n > _MAX_N:
+        raise ExpressionError(f"dimension n = {text} exceeds {_MAX_N}, the largest the "
+                              "sample cloud supports", lineno, 1)
     n = int(n)
     structure, lineno = raw.pop("structure", ("constant-mass", 0))
     if structure not in STRUCTURES:
         raise ExpressionError(f"unknown structure tag {structure!r}", lineno, 1)
     index = range(1, n + 1)
-    known = {f"{p}{i}" for p in ("f", "phi") for i in index}
-    known |= {f"{p}{i}{j}" for p in ("m", "a") for i in index for j in index}
-    for key, (_, lineno) in raw.items():
+    # a velocity-mass file with no f entries writes its force f = A v + phi
+    velocity_form = structure == "velocity-mass" and not any(f"f{i}" in raw for i in index)
+    forces = "phi" if velocity_form else "f"
+    known = {f"{forces}{i}" for i in index} | {f"m{i}{j}" for i in index for j in index}
+    if velocity_form:
+        known |= {f"a{i}{j}" for i in index for j in index}
+    # the variables a mass entry may use: none for a constant mass, v for M(v)
+    free = {"constant-mass": set(), "velocity-mass": {f"v{i}" for i in index}}.get(structure)
+    exprs = {}
+    for key, (text, lineno) in raw.items():
         if key not in known:
             raise ExpressionError(f"unknown key {key!r} for n = {n}", lineno, 1)
+        exprs[key] = parse_expression(text, lineno)
+        if key[0] == "m" and free is not None and (used := exprs[key].variables() - free):
+            raise ExpressionError(f"mass entry {key!r} uses {min(used)!r}, which a {structure} "
+                                  "system's mass may not depend on", lineno, 1)
+    if any(f"{forces}{i}" not in exprs for i in index):
+        raise ExpressionError(f"missing force entries {forces}1..{forces}{n}")
 
-    exprs = {key: parse_expression(text, line) for key, (text, line) in raw.items()}
-
-    def env(t, x, v):
-        e = {"t": t}
-        for i in range(n):
-            e[f"x{i + 1}"] = x[:, i]
-            e[f"v{i + 1}"] = v[:, i]
-        return e
-
-    def vector(prefix):
-        keys = [f"{prefix}{i + 1}" for i in range(n)]
-        if not all(k in exprs for k in keys):
+    def table(prefix, default):
+        # entries <prefix><i>[<j>] over a batch, shape (S,) + default.shape; missing ones keep default
+        keys = {ij: prefix + "".join(str(i + 1) for i in ij) for ij in np.ndindex(default.shape)}
+        if not any(key in exprs for key in keys.values()):
             return None
 
         def at(t, x, v):
-            e = env(t, x, v)
-            out = np.empty(x.shape)
-            for i, key in enumerate(keys):
-                out[:, i] = exprs[key](e)
-            return out
-        return at
-
-    def matrix(prefix, default):
-        keys = {(i, j): f"{prefix}{i + 1}{j + 1}" for i in range(n) for j in range(n)}
-        if not any(k in exprs for k in keys.values()):
-            return None
-
-        def at(t, x, v):
-            e = env(t, x, v)
+            e = {"t": t} | {f"{p}{i + 1}": z[:, i] for p, z in (("x", x), ("v", v)) for i in range(n)}
             out = np.repeat(default[None], len(x), axis=0)
-            for (i, j), key in keys.items():
+            for ij, key in keys.items():
                 if key in exprs:
-                    out[:, i, j] = exprs[key](e)
+                    out[(slice(None),) + ij] = exprs[key](e)
             return out
         return at
 
-    force = vector("f")
-    amat = matrix("a", np.zeros((n, n)))
-    phi = vector("phi")
-    if force is None:
-        if structure == "velocity-mass" and amat is not None and phi is not None:
-            force = lambda t, x, v: (amat(t, x, v) @ v[..., None])[..., 0] + phi(t, x, v)
-        else:
-            raise ExpressionError(f"missing force entries f1..f{n}")
-    mass = matrix("m", np.eye(n))
-    return SecondOrderSystem(
-        name=path, n=n, structure=structure,
-        force=force,
-        mass=mass,
-        amat=(lambda t, x: amat(t, x, np.zeros_like(x))) if amat is not None else None,
-        phi=(lambda t, x: phi(t, x, np.zeros_like(x))) if phi is not None else None,
-    )
+    force, amat = table(forces, np.zeros(n)), table("a", np.zeros((n, n)))
+    if amat is not None:
+        phi = force
+        force = lambda t, x, v: (amat(t, x, v) @ v[..., None])[..., 0] + phi(t, x, v)
+    return SecondOrderSystem(name=path, n=n, structure=structure, force=force,
+                             mass=table("m", np.eye(n)))

@@ -382,6 +382,24 @@ class TestCheckCommand:
         assert captured.err == (f"error: {path}: dp/dv = d(M v)/dv is singular, "
                                 "so the acceleration is not determined\n")
 
+    def test_velocity_mass_force_that_is_not_affine_exits_2(self, tmp_path, capsys):
+        # A and phi are read off f, which only holds for f affine in v
+        path = tmp_path / "cubic.sys"
+        path.write_text("n = 2\nstructure = velocity-mass\nf1 = -x1 + v2^3\nf2 = -x2 - v1^3\n")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: the force is not affine in v")
+
+    def test_mass_that_breaks_the_structure_tag_exits_2(self, tmp_path, capsys):
+        # the constant-mass check never reads M, so this file passed with exit 0
+        path = tmp_path / "tagged.sys"
+        path.write_text("n = 2\nf1 = -x1^5\nf2 = -x2\nm11 = 1 + x1^2\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: line 4, column 1: mass entry 'm11' uses 'x1', "
+            "which a constant-mass system's mass may not depend on\n")
+
     @pytest.mark.parametrize("force,message,column", [
         ("1/(x1-x1)", "division by zero", 2),
         ("(-x1)^0.5", "complex result", 6),
@@ -414,8 +432,8 @@ _CHECK_STDOUT = {
         a="2.000000e+00 FAIL", b="1.110229e-07 PASS") + "FAIL\n",
     "magnetic": "system: magnetic (structure: velocity-mass)\n"
     "condition (a) velocity-mass contraction symmetric: residual=0.000000e+00 PASS\n"
-    "condition (b) A skew-symmetric: residual=0.000000e+00 PASS\n"
-    "condition (c) cyclic closedness of A: residual=0.000000e+00 PASS\n"
+    "condition (b) A skew-symmetric: residual=2.220446e-16 PASS\n"
+    "condition (c) cyclic closedness of A: residual=5.551115e-12 PASS\n"
     "condition (d) curl(phi) = dA/dt: residual=0.000000e+00 PASS\n"
     "PASS\n",
     "relativistic": "system: relativistic (structure: velocity-mass)\n"
@@ -564,6 +582,17 @@ class TestConfigAndPlumbing:
             status = main(argv)
         assert status == 1
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 29.8 GiB for an array", ""])
+    def test_allocation_failure_is_one_error_line(self, monkeypatch, capsys, message):
+        # a run too long for memory ended in numpy's raw _ArrayMemoryError traceback
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli_module, "run", no_memory)
+        assert main(["run", "--method", "sv", "--h", "0.05", "--steps", "1000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message or 'out of memory'}\n"
 
     def test_no_command(self):
         assert main([]) == 2

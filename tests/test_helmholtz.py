@@ -70,6 +70,13 @@ class TestBuiltinVerdicts:
         assert not report.passed
         assert np.isnan(report.residual("a"))
 
+    def test_velocity_mass_force_not_affine_in_v_raises(self):
+        cubic = SecondOrderSystem(name="cubic", n=2, structure="velocity-mass",
+                                  force=lambda t, x, v: -x + v[:, ::-1] ** 3 * [1.0, -1.0])
+        with pytest.raises(ValueError, match=r"^cubic: the force is not affine in v \(max\|f - A v "
+                                             r"- phi\| = [0-9.e+-]+ on the sample cloud\)"):
+            check(cubic)
+
     def test_structure_dispatch_guards(self):
         with pytest.raises(ValueError):
             check_constant_mass(SYSTEMS["magnetic"])
@@ -180,6 +187,70 @@ class TestSystemFiles:
         system = load_system_file(str(path))
         assert check(system).passed
 
+    def test_velocity_mass_file_from_phi_alone(self, tmp_path):
+        # missing a entries are 0; this file used to miss its force entries
+        path = tmp_path / "spring.sys"
+        path.write_text("n = 2\nstructure = velocity-mass\nphi1 = -x1\nphi2 = -x2\n")
+        report = check(load_system_file(str(path)))
+        assert report.passed
+        assert [c.residual for c in report.conditions] == [0.0, 0.0, 0.0, 0.0]
+
+    def test_decomposition_next_to_the_force_is_rejected(self, tmp_path):
+        # the check read a11 and phi while the system integrated the damped f: it passed
+        path = tmp_path / "damped.sys"
+        path.write_text("n = 2\nstructure = velocity-mass\nf1 = -x1 - v1\nf2 = -x2 - v2\n"
+                        "a11 = 0\nphi1 = -x1\nphi2 = -x2\n")
+        with pytest.raises(ExpressionError, match="unknown key 'a11' for n = 2") as info:
+            load_system_file(str(path))
+        assert info.value.line == 5
+
+    def test_damped_velocity_mass_force_fails(self, tmp_path):
+        path = tmp_path / "damped.sys"
+        path.write_text("n = 2\nstructure = velocity-mass\nf1 = -x1 - v1\nf2 = -x2 - v2\n")
+        report = check(load_system_file(str(path)))
+        assert not report.passed
+        assert abs(report.residual("b") - 2.0) < 1e-12
+
+    @pytest.mark.parametrize("key", ["a12", "phi1"])
+    def test_decomposition_keys_need_velocity_mass(self, tmp_path, key):
+        path = tmp_path / "bad.sys"
+        path.write_text(f"n = 2\nstructure = constant-mass\nf1 = -x1\nf2 = -x2\n{key} = 1\n")
+        with pytest.raises(ExpressionError, match=f"unknown key '{key}' for n = 2") as info:
+            load_system_file(str(path))
+        assert info.value.line == 5
+
+    @pytest.mark.parametrize("structure,mass,variable", [
+        ("constant-mass", "1 + x1^2", "x1"),
+        ("constant-mass", "1 + v2^2", "v2"),
+        ("constant-mass", "2 + t", "t"),
+        ("velocity-mass", "1 + x2^2", "x2"),
+        ("velocity-mass", "1 + t*v1^2", "t"),
+    ])
+    def test_mass_entry_must_fit_the_structure_tag(self, tmp_path, structure, mass, variable):
+        # a constant-mass check never reads M, so a position-dependent mass passed unseen
+        path = tmp_path / "bad.sys"
+        path.write_text(f"n = 2\nstructure = {structure}\nf1 = -x1\nf2 = -x2\nm11 = {mass}\n")
+        with pytest.raises(ExpressionError, match=f"mass entry 'm11' uses '{variable}'") as info:
+            load_system_file(str(path))
+        assert info.value.line == 5
+
+    @pytest.mark.parametrize("structure,mass", [("constant-mass", "2"),
+                                                ("velocity-mass", "1/sqrt(1 - v1^2 - v2^2)"),
+                                                ("general", "1 + x1^2 + t")])
+    def test_mass_entry_that_fits_its_tag_loads(self, tmp_path, structure, mass):
+        path = tmp_path / "ok.sys"
+        path.write_text(f"n = 2\nstructure = {structure}\nf1 = -x1\nf2 = -x2\nm11 = {mass}\n")
+        assert load_system_file(str(path)).structure == structure
+
+    @pytest.mark.parametrize("n", ["5", "600"])
+    def test_dimension_beyond_the_sample_cloud(self, tmp_path, n):
+        # n = 5 loaded without error, and n = 600 built 720k known keys first
+        path = tmp_path / "big.sys"
+        path.write_text(f"n = {n}\nf1 = -x1\n")
+        with pytest.raises(ExpressionError, match=f"dimension n = {n} exceeds 4") as info:
+            load_system_file(str(path))
+        assert info.value.line == 1
+
     def test_missing_dimension(self, tmp_path):
         path = tmp_path / "bad.sys"
         path.write_text("f1 = -x1\n")
@@ -217,12 +288,11 @@ class TestSystemFiles:
 
     def test_missing_mass_entries_default_to_identity(self, tmp_path):
         path = tmp_path / "osc.sys"
-        path.write_text("n = 2\nf1 = -x1\nf2 = -x2\nm11 = 2\nm12 = 0.5\nm21 = 0.5\na12 = 1\n")
+        path.write_text("n = 2\nf1 = -x1\nf2 = -x2\nm11 = 2\nm12 = 0.5\nm21 = 0.5\n")
         system = load_system_file(str(path))
         x = np.zeros((3, 2))
         t = np.zeros(3)
         assert np.array_equal(system.mass(t, x, x), np.broadcast_to([[2.0, 0.5], [0.5, 1.0]], (3, 2, 2)))
-        assert np.array_equal(system.amat(t, x), np.broadcast_to([[0.0, 1.0], [0.0, 0.0]], (3, 2, 2)))
 
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "bad.sys"
