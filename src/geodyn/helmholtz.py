@@ -396,13 +396,15 @@ def builtin_systems() -> dict[str, SecondOrderSystem]:
 def load_system_file(path: str) -> SecondOrderSystem:
     """Load a user system from a key=value file of arithmetic expressions.
 
-    Recognized keys: ``n`` (at most 4), ``structure``, ``f1..fN`` and
-    ``m<ij>``; a velocity-mass file with no ``f`` entries writes its force
-    f = A(t,x) v + phi(t,x) with ``phi1..phiN`` and ``a<ij>`` instead. Any
-    other key raises ExpressionError at its line, and so does an ``m`` entry
-    that breaks the structure tag: a constant-mass one that uses a variable,
-    a velocity-mass one that uses t or x. Missing ``m`` entries are those of
-    the identity, missing ``a`` entries zero.
+    Recognized keys: ``n`` (at most 4), ``structure``, ``v_box`` (``lo hi``,
+    the velocity sample box), ``f1..fN`` and ``m<ij>``; a velocity-mass file
+    with no ``f`` entries writes its force f = A(t,x) v + phi(t,x) with
+    ``phi1..phiN`` and ``a<ij>`` instead. Any other key raises ExpressionError
+    at its line, and so does a ``v_box`` that is not two finite numbers
+    lo < hi, an ``a`` or ``phi`` entry that uses a v, and an ``m`` entry that
+    breaks the structure tag: a constant-mass one that uses a variable, a
+    velocity-mass one that uses t or x. Missing ``m`` entries are those of the
+    identity, missing ``a`` entries zero.
     """
     raw: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
@@ -434,6 +436,15 @@ def load_system_file(path: str) -> SecondOrderSystem:
     structure, lineno = raw.pop("structure", ("constant-mass", 0))
     if structure not in STRUCTURES:
         raise ExpressionError(f"unknown structure tag {structure!r}", lineno, 1)
+    v_box = SecondOrderSystem.v_box
+    if "v_box" in raw:
+        text, lineno = raw.pop("v_box")
+        try:
+            v_box = tuple(map(float, text.split()))
+        except ValueError:
+            v_box = ()
+        if len(v_box) != 2 or not -math.inf < v_box[0] < v_box[1] < math.inf:
+            raise ExpressionError(f"v_box must be two finite numbers lo < hi, got {text!r}", lineno, 1)
     index = range(1, n + 1)
     # a velocity-mass file with no f entries writes its force f = A v + phi
     velocity_form = structure == "velocity-mass" and not any(f"f{i}" in raw for i in index)
@@ -443,6 +454,7 @@ def load_system_file(path: str) -> SecondOrderSystem:
         known |= {f"a{i}{j}" for i in index for j in index}
     # the variables a mass entry may use: none for a constant mass, v for M(v)
     free = {"constant-mass": set(), "velocity-mass": {f"v{i}" for i in index}}.get(structure)
+    tx = {"t"} | {f"x{i}" for i in index}       # those of A(t,x) and phi(t,x)
     exprs = {}
     for key, (text, lineno) in raw.items():
         if key not in known:
@@ -451,6 +463,9 @@ def load_system_file(path: str) -> SecondOrderSystem:
         if key[0] == "m" and free is not None and (used := exprs[key].variables() - free):
             raise ExpressionError(f"mass entry {key!r} uses {min(used)!r}, which a {structure} "
                                   "system's mass may not depend on", lineno, 1)
+        if velocity_form and key[0] != "m" and (used := exprs[key].variables() - tx):
+            raise ExpressionError(f"entry {key!r} uses {min(used)!r}, but A and phi of "
+                                  "f = A(t,x) v + phi(t,x) may depend on t and x only", lineno, 1)
     if any(f"{forces}{i}" not in exprs for i in index):
         raise ExpressionError(f"missing force entries {forces}1..{forces}{n}")
 
@@ -474,4 +489,4 @@ def load_system_file(path: str) -> SecondOrderSystem:
         phi = force
         force = lambda t, x, v: (amat(t, x, v) @ v[..., None])[..., 0] + phi(t, x, v)
     return SecondOrderSystem(name=path, n=n, structure=structure, force=force,
-                             mass=table("m", np.eye(n)))
+                             mass=table("m", np.eye(n)), v_box=v_box)

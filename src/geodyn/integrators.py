@@ -4,22 +4,25 @@
 Stormer-Verlet, vi1 (order 1) and vi2 (order 2) for the Kepler problem, and
 k1 (order 1) and k2 (order 2) for the relativistic system of
 ``geodyn.relativistic``. Each entry gives the model, the step kernel and its
-adjoint as plain-float state generators, and the predicted drift orders. vi1
-and k1 compose exact sub-flows, their adjoints the same sub-flows in reverse;
-vi2 and k2 are the adjoint half step followed by the half step. A step kernel
-is one loop that carries its closing force or potential into the next step;
-one-step maps (sub-flows, adjoints) become generators through ``_iterate``, and
-the sub-flows are the reference the kernels equal bit for bit. vi1 and vi2 also
-exist in two-step discrete Euler-Lagrange form, equivalent to the compositions
-once the first point is seeded through the discrete Legendre transform.
+adjoint as state generators, and the predicted drift orders. vi1 and k1
+compose exact sub-flows, their adjoints the same sub-flows in reverse; vi2
+and k2 are the adjoint half step followed by the half step. A step kernel is
+one loop that carries its closing force or potential into the next step and
+yields each state as one packed row of floats, which ``trajectory`` joins in
+1024-row chunks; one-step maps (sub-flows, adjoints) become generators through
+``_iterate``, and the sub-flows are the reference the kernels equal bit for
+bit. vi1 and vi2 also exist in two-step discrete Euler-Lagrange form,
+equivalent to the compositions once the first point is seeded through the
+discrete Legendre transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from math import inf, sqrt
+from struct import Struct
 from types import MappingProxyType
 from typing import Callable
 
@@ -94,28 +97,32 @@ class TrajectoryRecord:
 # A table kernel is a state generator (z, h) -> z_1, z_2, ... on plain floats: its sub-flow
 # composition written out in one loop, force x/r**3 and potential -1/r inline in the sub-flows'
 # operation order, e.g. v - h*(w*(x1/r3)), the closing force (sv, vi2) or potential (k1, k2)
-# kept for the next step. _iterate makes a one-step map a generator. A drift's check_segment_xy
-# runs only where it can raise, which keeps the composition's bits and errors:
+# kept for the next step. It yields each state as one row packed by _ROW4 or _ROW6, which
+# trajectory joins 1024 rows at a time. _iterate makes a one-step map such a generator. A
+# drift's check_segment_xy runs only where it can raise, which keeps the composition's bits
+# and errors:
 # - a coordinate drift keeps c fixed, the check's nearest point has c exactly, and
 #   fl(c*c) >= fl(tol*tol) once |c| >= tol: only -ORIGIN_TOL < c < ORIGIN_TOL can raise
 #   (a NaN or infinite c makes the check's nearest point NaN, which never raises);
 # - a full drift from a by d stays beyond |a|/2 >= 2*ORIGIN_TOL if 4|d|^2 < |a|^2 and
 #   16*ORIGIN_TOL^2 <= |a|^2 < inf; the factor 2 covers all rounding. NaN or inf calls it.
 _FAR2 = 16.0 * ORIGIN_TOL * ORIGIN_TOL
+_ROW4, _ROW6 = Struct("4d"), Struct("6d")      # a packed (x1, x2, v1, v2), (t, x1, x2, gamma, u1, u2)
 
 
 def _iterate(kernel):
-    """The state generator of a one-step map: z_{k+1} = kernel(z_k, h) for k = 0, 1, ..."""
+    """The state generator of a one-step map: packed rows z_{k+1} = kernel(z_k, h), k = 0, 1, ..."""
     def states(z, h):
+        pack = (_ROW4 if len(z) == 4 else _ROW6).pack
         while True:
             z = kernel(z, h)
-            yield z
+            yield pack(*z)
     return states
 
 
 def _sym_euler_states(z, h):
     x1, x2, v1, v2 = z
-    tol, far2 = ORIGIN_TOL, _FAR2
+    tol, far2, pack = ORIGIN_TOL, _FAR2, _ROW4.pack
     while True:
         rr = x1 * x1 + x2 * x2
         r = sqrt(rr)
@@ -128,7 +135,7 @@ def _sym_euler_states(z, h):
         if not (4.0 * (d1 * d1 + d2 * d2) < rr and far2 <= rr < inf):
             check_segment_xy(x1, x2, y1, y2)
         x1, x2 = y1, y2
-        yield x1, x2, v1, v2
+        yield pack(x1, x2, v1, v2)
 
 
 def _sym_euler_adjoint(z, h):
@@ -147,7 +154,7 @@ def _sym_euler_adjoint(z, h):
 
 def _sv_states(z, h):
     x1, x2, v1, v2 = z
-    c, tol, far2 = 0.5 * h, ORIGIN_TOL, _FAR2
+    c, tol, far2, pack = 0.5 * h, ORIGIN_TOL, _FAR2, _ROW4.pack
     rr = x1 * x1 + x2 * x2
     r = sqrt(rr)
     if r < tol:
@@ -168,7 +175,7 @@ def _sv_states(z, h):
         r3 = r**3
         g1, g2 = x1 / r3, x2 / r3
         v1, v2 = v1 - c * g1, v2 - c * g2
-        yield x1, x2, v1, v2
+        yield pack(x1, x2, v1, v2)
 
 
 def _flow(i, z, h, w):
@@ -203,7 +210,7 @@ def _vi1_kernels(split: SplitPotential | None):
 
     def states(z, h):
         x1, x2, v1, v2 = z
-        tol = ORIGIN_TOL
+        tol, pack = ORIGIN_TOL, _ROW4.pack
         while True:
             y1 = x1 + h * v1
             if -tol < x2 < tol:
@@ -221,7 +228,7 @@ def _vi1_kernels(split: SplitPotential | None):
                 raise origin_error(r)
             r3 = r**3
             x1, x2, v1, v2 = y1, y2, v1 - h * (w2 * (y1 / r3)), v2 - h * (w2 * (y2 / r3))
-            yield x1, x2, v1, v2
+            yield pack(x1, x2, v1, v2)
 
     return states, _iterate(lambda z, h: _flow_adjoint(1, _flow_adjoint(2, z, h, w2), h, w1))
 
@@ -230,12 +237,13 @@ def _vi2_kernel(split: SplitPotential | None):
     """The vi1* half step, then the vi1 half step, as one generator (sym-euler's on one part)."""
     w = (split if split is not None else kepler_split()).weights
     if len(w) == 1:
-        return _iterate(lambda z, h: next(_sym_euler_states(_sym_euler_adjoint(z, 0.5 * h), 0.5 * h)))
+        return _iterate(lambda z, h: _ROW4.unpack(
+            next(_sym_euler_states(_sym_euler_adjoint(z, 0.5 * h), 0.5 * h))))
     w1, w2 = w
 
     def states(z, h):
         x1, x2, v1, v2 = z
-        c, tol = 0.5 * h, ORIGIN_TOL
+        c, tol, pack = 0.5 * h, ORIGIN_TOL, _ROW4.pack
         r = sqrt(x1 * x1 + x2 * x2)
         if r < tol:
             raise origin_error(r)
@@ -271,7 +279,7 @@ def _vi2_kernel(split: SplitPotential | None):
             r3 = r**3
             g1, g2 = x1 / r3, x2 / r3
             v1, v2 = v1 - c * (w2 * g1), v2 - c * (w2 * g2)
-            yield x1, x2, v1, v2
+            yield pack(x1, x2, v1, v2)
 
     return states
 
@@ -298,7 +306,7 @@ def _flow_hi(i, z, h):
 
 def _k1_states(z, h):
     t, x1, x2, gamma, u1, u2 = z
-    tol = ORIGIN_TOL
+    tol, pack = ORIGIN_TOL, _ROW6.pack
     r = sqrt(x1 * x1 + x2 * x2)
     if r < tol:
         raise origin_error(r)
@@ -322,13 +330,13 @@ def _k1_states(z, h):
             raise origin_error(r)
         p0 = -1.0 / r
         t, x1, x2, gamma = t + hg, y1, y2, gamma - (p0 - p1)
-        yield t, x1, x2, gamma, u1, u2
+        yield pack(t, x1, x2, gamma, u1, u2)
 
 
 def _k2_states(z, h):
     """The k1* half step, then the k1 half step, written out; the time/kick flows share a force."""
     t, x1, x2, gamma, u1, u2 = z
-    c, tol, p0 = 0.5 * h, ORIGIN_TOL, None
+    c, tol, p0, pack = 0.5 * h, ORIGIN_TOL, None, _ROW6.pack
     while True:
         y2 = x2 + c * u2
         if -tol < x1 < tol:
@@ -369,7 +377,7 @@ def _k2_states(z, h):
             raise origin_error(r)
         p0 = -1.0 / r
         t, gamma = t + hg + hg, gamma - (p0 - p1)
-        yield t, x1, x2, gamma, u1, u2
+        yield pack(t, x1, x2, gamma, u1, u2)
 
 
 # --- The method table ---
@@ -379,8 +387,8 @@ class Method:
     """One integrator of the table.
 
     ``model`` is "kepler" or "relativistic". ``kernels(split)`` returns the
-    (step, adjoint) state generators, each (z, h) -> iterator of z_1, z_2, ...;
-    the relativistic methods ignore the split, and a split of None is the equal
+    (step, adjoint) state generators, each (z, h) -> iterator of z_1, z_2, ...
+    as rows packed by ``_ROW4`` or ``_ROW6``; the relativistic methods ignore the split, and a split of None is the equal
     Kepler split. ``drift_order`` maps "ecc" and "angle" to the predicted order
     of the per-period LRL drift; it is None for the relativistic methods.
     """
@@ -656,29 +664,34 @@ def del_two_step_vi1(ts: TwoStepState, split: SplitPotential) -> np.ndarray:
 def trajectory(states, z0: tuple[float, ...], h: float, steps: int) -> np.ndarray:
     """States z_0 .. z_steps of the state generator ``states(z0, h)``, one row each.
 
-    A singular drift or force raises SingularOriginError, and a non-finite
-    state or a float overflow raises NonFiniteStateError; both name the step
-    and carry it as ``step``, with the last finite state as ``state``.
+    The generator's packed rows are joined 1024 at a time onto the packed z0 in
+    one bytearray, which the returned (writable) array views. A singular drift
+    or force raises SingularOriginError, and a non-finite state or a float
+    overflow raises NonFiniteStateError; both name the step and carry it as
+    ``step``, with the last finite state as ``state``.
     """
     width = len(z0)
+    row = _ROW4 if width == 4 else _ROW6
+    buf, gen = bytearray(row.pack(*z0)), states(z0, h)
     try:
-        out = np.fromiter(chain(z0, chain.from_iterable(islice(states(z0, h), steps))),
-                          float, (steps + 1) * width).reshape(steps + 1, width)
+        for n in range(steps, 0, -1024):
+            buf += bytearray().join(islice(gen, min(n, 1024)))
     except (SingularOriginError, OverflowError):
-        pass            # np.fromiter keeps no rows of a failed run: run it again row by row
+        pass            # a failed chunk keeps none of its rows: run it again row by row
     else:
+        out = np.frombuffer(buf, float).reshape(steps + 1, width)
         _check_finite(out)
         return out
-    rows = [z0]
+    rows = [row.pack(*z0)]
     try:
         rows.extend(islice(states(z0, h), steps))
     except SingularOriginError as exc:
         raise SingularOriginError(f"step {len(rows)}: {exc}", step=len(rows),
-                                  state=tuple(rows[-1])) from exc
+                                  state=row.unpack(rows[-1])) from exc
     except OverflowError as exc:
-        _check_finite(np.array(rows, float))
+        _check_finite(np.frombuffer(b"".join(rows), float).reshape(-1, width))
         raise NonFiniteStateError(f"step {len(rows)}: float overflow ({exc})",
-                                  step=len(rows), state=tuple(rows[-1])) from exc
+                                  step=len(rows), state=row.unpack(rows[-1])) from exc
 
 
 def _check_finite(states: np.ndarray, names: tuple[str, ...] = (), *cols: np.ndarray) -> None:

@@ -10,6 +10,7 @@ import pytest
 
 from geodyn import cli as cli_module
 from geodyn.cli import KEPLER_HEADER, RELATIVISTIC_HEADER, canonical_seed, main
+from geodyn.helmholtz import load_system_file
 from geodyn.integrators import run
 from geodyn.kepler import PhaseState, analytic_reference, kepler_split, orbit_elements
 from geodyn.modified import per_period_drift
@@ -399,6 +400,42 @@ class TestCheckCommand:
         assert capsys.readouterr().err == (
             "parse error: line 4, column 1: mass entry 'm11' uses 'x1', "
             "which a constant-mass system's mass may not depend on\n")
+
+    @pytest.mark.parametrize("entries,line,key,var", [
+        ("phi1 = -x1\nphi2 = -x2\na12 = v1\n", 5, "a12", "v1"),
+        ("phi1 = -x1 + 0.5*v2\nphi2 = -x2 - 0.5*v1\n", 3, "phi1", "v2"),
+    ], ids=["a-uses-v", "phi-uses-v"])
+    def test_velocity_form_entry_that_uses_v_exits_2(self, tmp_path, capsys, entries, line, key, var):
+        # the first file failed the affine test naming no line, the second passed with exit 0
+        path = tmp_path / "vform.sys"
+        path.write_text("n = 2\nstructure = velocity-mass\n" + entries)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: line {line}, column 1: entry {key!r} uses {var!r}, but A and phi "
+            "of f = A(t,x) v + phi(t,x) may depend on t and x only\n")
+
+    LORENTZ = ("n = 2\nstructure = velocity-mass\nphi1 = -x1\nphi2 = -x2\na12 = 1\na21 = -1\n"
+               "m11 = 1/sqrt(1 - v1^2 - v2^2)\nm22 = 1/sqrt(1 - v1^2 - v2^2)\n")
+
+    def test_v_box_samples_v_where_the_mass_is_defined(self, tmp_path, capsys):
+        # sampled in [-1, 1]^2, this mass takes the root of a negative number
+        path = tmp_path / "lorentz.sys"
+        path.write_text(self.LORENTZ)
+        assert main(["check", str(path)]) == 2
+        assert "sqrt(-0.46" in capsys.readouterr().err
+        path.write_text(self.LORENTZ + "v_box = -0.45 0.45\n")
+        assert load_system_file(str(path)).v_box == (-0.45, 0.45)
+        assert main(["check", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "PASS" and len(out) == 6 and all(s.endswith(" PASS") for s in out[1:5])
+
+    @pytest.mark.parametrize("box", ["-0.45", "0.45 -0.45", "0 0", "nan 1", "-inf 1", "a b", "-1 0 1"])
+    def test_bad_v_box_exits_2(self, tmp_path, capsys, box):
+        path = tmp_path / "lorentz.sys"
+        path.write_text(self.LORENTZ + f"v_box = {box}\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: line 9, column 1: v_box must be two finite numbers lo < hi, got {box!r}\n")
 
     @pytest.mark.parametrize("force,message,column", [
         ("1/(x1-x1)", "division by zero", 2),

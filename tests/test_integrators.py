@@ -2,7 +2,10 @@
 
 import argparse
 import math
+import struct
+import tracemalloc
 from functools import partial
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -29,6 +32,8 @@ from geodyn.integrators import (
     _flow_hi,
     _flow_ht,
     _iterate,
+    _k2_states,
+    _sv_states,
     bootstrap_first_point,
     del_two_step_vi1,
     discrete_lagrangian,
@@ -518,7 +523,7 @@ class TestMethodTable:
         step, adjoint = METHODS[method_id].kernels(SPLIT)
         s = self.SEED if METHODS[method_id].model == "kepler" else self.EXT_SEED
         z = _flat(s)
-        back = next(step(next(adjoint(z, H)), -H))
+        back = _unpack(next(step(_unpack(next(adjoint(z, H))), -H)))
         assert max(abs(a - b) for a, b in zip(back, z)) < 1e-13
 
     @pytest.mark.parametrize("method_id", list(METHODS))
@@ -649,12 +654,17 @@ def _ref_kernels(method_id, split):
             "vi1": vi1, "vi2": (paired(*vi1),) * 2, "k1": k1, "k2": (paired(*k1),) * 2}[method_id]
 
 
+def _unpack(row):
+    """The floats of a packed row."""
+    return struct.unpack(f"{len(row) // 8}d", row)
+
+
 def _outcome(kernel, z, h):
     """The next state as float.hex strings, or the exception's type and message; a table
-    kernel's next state is the first it yields."""
+    kernel's next state is the first packed row it yields."""
     try:
         out = kernel(z, h)
-        return tuple(map(float.hex, out if isinstance(out, tuple) else next(out)))
+        return tuple(map(float.hex, out if isinstance(out, tuple) else _unpack(next(out))))
     except (GeodynError, ArithmeticError) as exc:    # SingularOriginError, OverflowError
         return type(exc), str(exc)
 
@@ -749,9 +759,23 @@ def _assert_runs_equal(method_id, z, h, split, n):
         assert _run_outcome(kernel, z, h, n) == _run_outcome(_iterate(ref), z, h, n), (z, h, n)
 
 
+def _failing_at(kernel, k, error):
+    """A state generator that yields ``kernel``'s rows 1 .. k-1, then raises an ``error``
+    where row k would be; an ``error`` of None makes row k NaN instead."""
+    def states(z, h):
+        for j, row in enumerate(kernel(z, h), start=1):
+            if j == k:
+                if error is not None:
+                    raise error("raised where row k would be")
+                row = struct.pack(f"{len(z)}d", *[math.nan] * len(z))
+            yield row
+    return states
+
+
 class TestMultiStepKernels:
     """Each table kernel and its adjoint run as their one-step composition does, for up
-    to 8 steps: rows, error, failing step and last state."""
+    to 8 steps and across trajectory's 1024-row chunks: rows, error, failing step and
+    last state."""
 
     @pytest.mark.parametrize("method_id", list(METHODS))
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -768,6 +792,52 @@ class TestMultiStepKernels:
         for z in states:
             for h in (1.0, 2.0, -2.0):
                 _assert_runs_equal(method_id, z, h, SplitPotential((0.3, 0.7)), 8)
+
+    @pytest.mark.parametrize("method_id", list(METHODS))
+    def test_equals_the_composition_across_chunks(self, method_id):
+        z, h = (1.0, 0.0, 0.1, 1.1), 0.01
+        if METHODS[method_id].model == "relativistic":
+            z = (0.5, *z[:2], 1.25, *z[2:])
+        for n in (1023, 1024, 1025, 2049):
+            _assert_runs_equal(method_id, z, h, SplitPotential((0.3, 0.7)), n)
+            for kernel in METHODS[method_id].kernels(SplitPotential((0.3, 0.7))):
+                # the joined chunks are the kernel's rows, each once and in order
+                rows = [struct.pack(f"{len(z)}d", *z), *islice(kernel(z, h), n)]
+                assert trajectory(kernel, z, h, n).tobytes() == b"".join(rows), n
+
+    @pytest.mark.parametrize("error", [SingularOriginError, OverflowError, None],
+                             ids=["singular", "overflow", "nan"])
+    @pytest.mark.parametrize("method_id", ["sv", "k2"])
+    def test_a_failure_past_a_chunk_names_its_step(self, method_id, error):
+        z, h = (1.0, 0.0, 0.1, 1.1), 0.01
+        if METHODS[method_id].model == "relativistic":
+            z = (0.5, *z[:2], 1.25, *z[2:])
+        kernel = METHODS[method_id].kernels(None)[0]
+        rows = trajectory(kernel, z, h, 1500)
+        for k in (2, 1024, 1025, 1500):
+            with pytest.raises(GeodynError) as info:
+                trajectory(_failing_at(kernel, k, error), z, h, 1500)
+            assert type(info.value) is (error if error is SingularOriginError else NonFiniteStateError)
+            assert str(info.value).startswith(f"step {k}: "), (k, str(info.value))
+            assert info.value.step == k
+            assert tuple(map(float.hex, info.value.state)) == tuple(map(float.hex, rows[k - 1])), k
+
+
+@pytest.mark.parametrize("kernel,z", [(_sv_states, (1.0, 0.0, 0.1, 1.1)),
+                                      (_k2_states, (0.5, 1.0, 0.0, 1.25, 0.1, 1.1))],
+                         ids=["sv", "k2"])
+def test_trajectory_memory_stays_bounded(kernel, z):
+    # the packed rows are joined a chunk at a time; one join of all of them would hold
+    # a bytes object per row, several times the result, at its peak. A short untraced
+    # run first: a kernel's first steps under tracemalloc made k2's run take 2-3 s, not 0.5 s
+    trajectory(kernel, z, 0.01, 20)
+    tracemalloc.start()
+    try:
+        out = trajectory(kernel, z, 0.01, 50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes, peak / out.nbytes
 
 
 # --- The kernels' drift-check prefilters skip only checks that cannot raise ---
