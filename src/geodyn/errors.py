@@ -40,7 +40,7 @@ class StabilityBoundaryError(GeodynError):
 
 
 class TrajectoryTooShortError(GeodynError):
-    """Too few samples: a finite-difference diagnostic needs at least three, a drift-sweep run eight."""
+    """Too few samples: a finite-difference diagnostic needs 3, a drift-sweep run 8, a shadowing period 2 steps."""
 
 
 class CircularOrbitError(GeodynError):

@@ -664,34 +664,30 @@ def del_two_step_vi1(ts: TwoStepState, split: SplitPotential) -> np.ndarray:
 def trajectory(states, z0: tuple[float, ...], h: float, steps: int) -> np.ndarray:
     """States z_0 .. z_steps of the state generator ``states(z0, h)``, one row each.
 
-    The generator's packed rows are joined 1024 at a time onto the packed z0 in
-    one bytearray, which the returned (writable) array views. A singular drift
-    or force raises SingularOriginError, and a non-finite state or a float
-    overflow raises NonFiniteStateError; both name the step and carry it as
-    ``step``, with the last finite state as ``state``.
+    One pass: the generator's packed rows are joined 1024 at a time onto the packed
+    z0 in one bytearray, which the returned (writable) array views. A singular drift
+    or force raises SingularOriginError, and a non-finite state or a float overflow
+    raises NonFiniteStateError; both name the step and carry it as ``step``, with the
+    last finite state as ``state``, read off the rows the run already holds.
     """
     width = len(z0)
     row = _ROW4 if width == 4 else _ROW6
-    buf, gen = bytearray(row.pack(*z0)), states(z0, h)
+    buf, gen, rows = bytearray(row.pack(*z0)), states(z0, h), []
     try:
         for n in range(steps, 0, -1024):
-            buf += bytearray().join(islice(gen, min(n, 1024)))
-    except (SingularOriginError, OverflowError):
-        pass            # a failed chunk keeps none of its rows: run it again row by row
-    else:
-        out = np.frombuffer(buf, float).reshape(steps + 1, width)
-        _check_finite(out)
-        return out
-    rows = [row.pack(*z0)]
-    try:
-        rows.extend(islice(states(z0, h), steps))
-    except SingularOriginError as exc:
-        raise SingularOriginError(f"step {len(rows)}: {exc}", step=len(rows),
-                                  state=row.unpack(rows[-1])) from exc
-    except OverflowError as exc:
-        _check_finite(np.frombuffer(b"".join(rows), float).reshape(-1, width))
-        raise NonFiniteStateError(f"step {len(rows)}: float overflow ({exc})",
-                                  step=len(rows), state=row.unpack(rows[-1])) from exc
+            rows.extend(islice(gen, min(n, 1024)))
+            buf += b"".join(rows)
+            rows.clear()
+    except (SingularOriginError, OverflowError) as exc:
+        buf += b"".join(rows)           # list.extend keeps the rows yielded before the raise
+        k, state = len(buf) // row.size, row.unpack_from(buf, len(buf) - row.size)
+        if isinstance(exc, SingularOriginError):
+            raise SingularOriginError(f"step {k}: {exc}", step=k, state=state) from exc
+        _check_finite(np.frombuffer(buf, float).reshape(k, width))
+        raise NonFiniteStateError(f"step {k}: float overflow ({exc})", step=k, state=state) from exc
+    out = np.frombuffer(buf, float).reshape(steps + 1, width)
+    _check_finite(out)
+    return out
 
 
 def _check_finite(states: np.ndarray, names: tuple[str, ...] = (), *cols: np.ndarray) -> None:

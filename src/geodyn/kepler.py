@@ -48,10 +48,20 @@ class PhaseState:
 class SplitPotential:
     """Proportional split of the Kepler potential: phi^(i) = w_i * phi.
 
-    ``weights`` are the shares w_i, one per part; ``kepler_split`` builds
-    and checks them. Part i is 0-based in ``value``/``grad``.
+    ``weights`` are the shares w_i, one per part: finite, at most two (one per
+    coordinate) and summing to 1, else ValueError. Part i is 0-based in
+    ``value``/``grad``.
     """
     weights: tuple[float, ...]
+
+    def __post_init__(self):
+        w = self.weights
+        if not all(map(math.isfinite, w)):      # a nan sum passes the |sum - 1| test
+            raise ValueError(f"split weights must be finite, got {w}")
+        if abs(sum(w) - 1.0) > 1e-12:
+            raise ValueError("split weights must sum to 1")
+        if len(w) > 2:
+            raise ValueError(f"a planar split needs 2 weights, one per coordinate; got {len(w)}")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -156,16 +166,9 @@ def kepler_split(weights: Sequence[float] = (0.5, 0.5)) -> SplitPotential:
     Degenerate weights (a single nonzero entry) collapse to a one-part split.
     """
     w = tuple(float(wi) for wi in weights)
-    if not all(map(math.isfinite, w)):
-        raise ValueError(f"split weights must be finite, got {w}")
-    if abs(sum(w) - 1.0) > 1e-12:
-        raise ValueError("split weights must sum to 1")
-    nonzero = [wi for wi in w if wi != 0.0]
-    if len(nonzero) == 1:
-        return SplitPotential((1.0,))
-    if len(w) != 2:
-        raise ValueError(f"a planar split needs 2 weights, one per coordinate; got {len(w)}")
-    return SplitPotential(w)
+    nonzero = tuple(wi for wi in w if wi != 0.0)
+    split = SplitPotential(nonzero if len(nonzero) == 1 else w)     # checks the weights
+    return SplitPotential((1.0,)) if len(split) == 1 else split
 
 
 # --- Conserved quantities ---

@@ -379,9 +379,11 @@ def shadowing_error(seed: PhaseState, h: float,
 
     The modified trajectory starts at the seed position with its initial
     velocity adjusted (2-d shooting) so the flow passes through the first
-    iterate; the gap over one period is then O(h^2). The flow is the modified
-    equation of the equal split, so any other split raises ValueError. A
-    shoot that does not settle raises NonConvergenceError.
+    iterate; the gap over one period is then O(h^2). Step 1 is the shoot's
+    target, so a period of round(T/h) < 2 steps raises TrajectoryTooShortError
+    before any step. The flow is the modified equation of the equal split, so
+    any other split raises ValueError. A shoot that does not settle raises
+    NonConvergenceError.
 
     The flow takes ``substeps`` classical RK4 steps per vi1 step, a positive
     int (else ValueError). Over one period RK4 errs by O((h/s)^4) against a
@@ -401,6 +403,8 @@ def shadowing_error(seed: PhaseState, h: float,
                          f"(0.5, 0.5); vi1 with weights {split.weights} shadows another flow")
     period = orbit_elements(seed).T
     steps = int(round(_steps_per_period(period, h)))
+    if steps < 2:
+        raise TrajectoryTooShortError(f"h = {h}: {steps} steps over T = {period:.6g}; need 2")
     substeps = substeps or math.ceil(16 * sqrt(20 * h / period))
     rec = run(method_id="vi1", s0=seed, h=h, steps=steps, split=split, diagnostics=False)
 
@@ -422,5 +426,5 @@ def shadowing_error(seed: PhaseState, h: float,
 
 def shadowing_ratio(seed: PhaseState, h: float,
                     split: SplitPotential | None = None) -> float:
-    """Error contraction under h-halving; approximately 4 for the O(h^2) gap."""
+    """Error contraction under h-halving, about 4 for the O(h^2) gap; h > T/1.5 raises TrajectoryTooShortError."""
     return shadowing_error(seed, h, split) / shadowing_error(seed, 0.5 * h, split)

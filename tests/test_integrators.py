@@ -814,13 +814,33 @@ class TestMultiStepKernels:
             z = (0.5, *z[:2], 1.25, *z[2:])
         kernel = METHODS[method_id].kernels(None)[0]
         rows = trajectory(kernel, z, h, 1500)
-        for k in (2, 1024, 1025, 1500):
+        for k in (1, 2, 1024, 1025, 1500):
             with pytest.raises(GeodynError) as info:
                 trajectory(_failing_at(kernel, k, error), z, h, 1500)
             assert type(info.value) is (error if error is SingularOriginError else NonFiniteStateError)
             assert str(info.value).startswith(f"step {k}: "), (k, str(info.value))
             assert info.value.step == k
             assert tuple(map(float.hex, info.value.state)) == tuple(map(float.hex, rows[k - 1])), k
+
+    @pytest.mark.parametrize("error", [SingularOriginError, OverflowError],
+                             ids=["singular", "overflow"])
+    def test_a_failed_run_makes_one_pass(self, error):
+        # the failing step and last state come from the rows already collected;
+        # the run is not made again from z0 to find them
+        z, h, made = (1.0, 0.0, 0.1, 1.1), 0.01, []
+        failing = _failing_at(_sv_states, 1500, error)
+
+        def counted(z, h):
+            made.append(z)
+            return failing(z, h)
+
+        with pytest.raises(GeodynError) as info:
+            trajectory(counted, z, h, 2000)
+        assert len(made) == 1
+        assert type(info.value) is (NonFiniteStateError if error is OverflowError else error)
+        assert str(info.value).startswith("step 1500: ") and info.value.step == 1500
+        last = trajectory(_sv_states, z, h, 1499)[-1]
+        assert tuple(map(float.hex, info.value.state)) == tuple(map(float.hex, last))
 
 
 @pytest.mark.parametrize("kernel,z", [(_sv_states, (1.0, 0.0, 0.1, 1.1)),

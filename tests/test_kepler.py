@@ -15,6 +15,7 @@ from geodyn.errors import (
 )
 from geodyn.kepler import (
     PhaseState,
+    SplitPotential,
     analytic_reference,
     characteristics,
     check_segment_xy,
@@ -158,6 +159,23 @@ class TestSplit:
         with pytest.raises(ValueError, match="2 weights"):
             kepler_split((0.3, 0.3, 0.4))
         assert len(kepler_split((0.0, 0.0, 1.0))) == 1
+
+    @pytest.mark.parametrize("weights, match", [
+        ((0.5, 0.6), "sum to 1"),             # integrated a potential 1.1x too strong
+        ((0.2, 0.3, 0.5), "2 weights"),       # vi1/vi2 failed unpacking the weights
+        ((), "sum to 1"),
+        ((np.nan, 1.0), "finite"),            # a nan discrete Lagrangian
+    ], ids=["0.5-0.6", "three", "none", "nan"])
+    def test_split_potential_checks_its_weights(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            SplitPotential(weights)
+
+    def test_one_nonzero_weight_is_checked_before_it_collapses(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            kepler_split((2.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            kepler_split((np.inf, 0.0))
+        assert kepler_split((0.0, 1.0 + 1e-13)).weights == (1.0,)
 
 
 class TestConserved:

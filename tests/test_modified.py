@@ -490,6 +490,19 @@ class TestShadowing:
         with pytest.raises(ValueError, match=re.escape(f"got {substeps!r}")):
             shadowing_error(BASE, 0.05, substeps=substeps)
 
+    @pytest.mark.parametrize("per_period, steps", [(1.0, 1), (0.5, 0)], ids=["h=T", "h=2T"])
+    def test_under_two_steps_per_period_rejected(self, monkeypatch, per_period, steps):
+        # step 1 is the shoot's target, so h = T returned the shoot's own residual
+        # (9.93e-15) as the gap, and h = 2T failed in run with "steps must be >= 1"
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(modified, "run", no_step)
+        monkeypatch.setattr(modified, "_rk4", no_step)
+        period = orbit_elements(BASE).T
+        with pytest.raises(TrajectoryTooShortError, match=f"{steps} steps over T = {period:.6g}; need 2"):
+            shadowing_error(BASE, period / per_period)
+
     def test_vectorised_gap_equals_norm_per_row(self):
         # shadowing_error takes its gaps as sqrt(vecdot(d, d)) over all steps at
         # once; norm(axis=1), einsum and (d*d).sum(1) each differ from the 1-d
