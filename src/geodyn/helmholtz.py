@@ -28,6 +28,7 @@ import numpy as np
 
 from geodyn.errors import ExpressionError, GeodynError, NonConvergenceError
 from geodyn.expressions import parse_expression
+from geodyn.kepler import grad_potential_arrays
 
 PASS_TOLERANCE = 1e-4
 DEFAULT_DELTA = 1e-5
@@ -357,9 +358,8 @@ def vainberg_lagrangian(nfield, t: float, x: np.ndarray, v: np.ndarray,
 # --- Built-in systems ---
 
 def _kepler_force(t, x, v):
-    # sqrt(vecdot) and float_power round as norm() and a scalar r**3 did
-    r = np.sqrt(np.vecdot(x, x))[..., None]
-    return -x / np.float_power(r, 3)
+    g1, g2, _, _ = grad_potential_arrays(x[..., 0], x[..., 1])
+    return -np.stack((g1, g2), axis=-1)
 
 
 def _lorentz_gamma(v):

@@ -38,6 +38,7 @@ from geodyn.kepler import (
     ORIGIN_TOL,
     PhaseState,
     SplitPotential,
+    _invariants,
     check_segment_xy,
     check_step_size,
     grad_potential,
@@ -727,14 +728,8 @@ def run(method_id: str, s0: PhaseState, h: float, steps: int,
     if not diagnostics:
         return TrajectoryRecord(method_id, h, times, xs, vs)
 
-    x1, x2, v1, v2 = z.T.copy()       # contiguous columns
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = np.sqrt(x1 * x1 + x2 * x2)
-        vv, xv = v1 * v1 + v2 * v2, x1 * v1 + x2 * v2
-        H, m = 0.5 * vv - 1.0 / r, x1 * v2 - x2 * v1
-        A1, A2 = x1 * vv - v1 * xv - x1 / r, x2 * vv - v2 * xv - x2 / r
-        ecc = np.hypot(A1, A2)
-        angle = np.arctan2(A2, A1)
+    H, m, A1, A2 = _invariants(*z.T.copy())       # contiguous columns
+    ecc, angle = np.hypot(A1, A2), np.arctan2(A2, A1)
     _check_finite(z, ("H", "m", "A1", "A2", "ecc", "angle"), H, m, A1, A2, ecc, angle)
     return TrajectoryRecord(method_id, h, times, xs, vs, H=H, m=m, A=np.column_stack((A1, A2)),
                             ecc=ecc, angle=angle)

@@ -100,17 +100,17 @@ def origin_error(r: float) -> SingularOriginError:
 
 
 def potential(x: np.ndarray) -> float:
-    """Kepler potential phi(x) = -1/|x|."""
-    r = float(np.linalg.norm(x))
+    """Kepler potential phi(x) = -1/|x|, |x| from a plain sum of squares."""
+    r = sqrt(sum(c * c for c in np.asarray(x, dtype=float).tolist()))
     if r < ORIGIN_TOL:
         raise origin_error(r)
     return -1.0 / r
 
 
 def grad_potential(x: np.ndarray) -> np.ndarray:
-    """Gradient of the Kepler potential: x/|x|^3."""
+    """Gradient of the Kepler potential: x/|x|^3, |x| from a plain sum of squares."""
     x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
+    r = sqrt(sum(c * c for c in x.tolist()))
     if r < ORIGIN_TOL:
         raise origin_error(r)
     return x / r**3
@@ -136,6 +136,13 @@ def grad_potential_xy(x1: float, x2: float) -> tuple[float, float]:
         raise origin_error(r)
     r3 = r**3
     return x1 / r3, x2 / r3
+
+
+def grad_potential_arrays(x1, x2):
+    """(x1/r^3, x2/r^3, r, r^3) at arrays of planar points; r^3 is one float_power, rounded as a float r**3."""
+    r = np.sqrt(x1 * x1 + x2 * x2)
+    r3 = np.float_power(r, 3)
+    return x1 / r3, x2 / r3, r, r3
 
 
 def check_segment_xy(a1: float, a2: float, b1: float, b2: float) -> None:
@@ -173,22 +180,34 @@ def kepler_split(weights: Sequence[float] = (0.5, 0.5)) -> SplitPotential:
 
 # --- Conserved quantities ---
 
+def _invariants(x1, x2, v1, v2):
+    """(H, m, A1, A2) at planar floats or columns, in plain products; inf or nan, without
+    a warning, where they overflow. The one formula for the Kepler invariants."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.sqrt(x1 * x1 + x2 * x2)
+        vv, xv = v1 * v1 + v2 * v2, x1 * v1 + x2 * v2
+        return (0.5 * vv - 1.0 / r, x1 * v2 - x2 * v1,
+                x1 * vv - v1 * xv - x1 / r, x2 * vv - v2 * xv - x2 / r)
+
+
+def _state_invariants(s: PhaseState, undefined: str = "") -> tuple[float, float, float, float]:
+    """(H, m, A1, A2) of a state; SingularOriginError, saying ``undefined`` if given, for |x| < ORIGIN_TOL."""
+    (x1, x2), (v1, v2) = s.x.tolist(), s.v.tolist()
+    r = sqrt(x1 * x1 + x2 * x2)
+    if r < ORIGIN_TOL:
+        raise SingularOriginError(undefined) if undefined else origin_error(r)
+    return tuple(map(float, _invariants(x1, x2, v1, v2)))
+
+
 def energy(s: PhaseState) -> float:
     """H = |v|^2/2 - 1/|x|; inf or nan, without a warning, if the squares overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * float(s.v @ s.v) + potential(s.x)
+    return _state_invariants(s)[0]
 
 
 def lrl_vector(s: PhaseState) -> np.ndarray:
     """Componentwise LRL vector A_i = x_i |v|^2 - v_i (x.v) - x_i/|x|; inf or nan
     components, without a warning, if the products overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = float(np.linalg.norm(s.x))
-        if r < ORIGIN_TOL:
-            raise SingularOriginError("LRL vector undefined at the origin")
-        v2 = float(s.v @ s.v)
-        xv = float(s.x @ s.v)
-        return s.x * v2 - s.v * xv - s.x / r
+    return np.array(_state_invariants(s, "LRL vector undefined at the origin")[2:])
 
 
 def conserved(s: PhaseState) -> ConservedSet:
@@ -198,14 +217,11 @@ def conserved(s: PhaseState) -> ConservedSet:
     (flagged circular) when the eccentricity is below 1e-12. A state whose
     squares overflow gets inf or nan values, which ``orbit_elements`` rejects.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = energy(s)
-        m = float(s.x[0] * s.v[1] - s.x[1] * s.v[0])
-        A = lrl_vector(s)
-    ecc = float(np.hypot(A[0], A[1]))
+    H, m, A1, A2 = _state_invariants(s)
+    ecc = float(np.hypot(A1, A2))
     circ = ecc < CIRCULAR_TOL
-    omega = 0.0 if circ else float(math.atan2(A[1], A[0]))
-    return ConservedSet(H=H, m=m, A=A, ecc=ecc, omega=omega, circular=circ)
+    omega = 0.0 if circ else math.atan2(A2, A1)
+    return ConservedSet(H=H, m=m, A=np.array([A1, A2]), ecc=ecc, omega=omega, circular=circ)
 
 
 def orbit_elements(s: PhaseState) -> OrbitElements:
@@ -286,12 +302,11 @@ def _orbit_frame(s0: PhaseState):
     # mirroring negates A2 exactly, so this is the mirrored state's LRL angle
     omega = math.atan2(cs.A[1] * sign[1], cs.A[0])
     c, s = math.cos(-omega), math.sin(-omega)
-    back = np.array([[c, -s], [s, c]])
-    xp, vp = back @ x0, back @ v0
+    (x1, x2), (v1, v2) = x0.tolist(), v0.tolist()
+    xp1, xp2, vp1, vp2 = c * x1 - s * x2, s * x1 + c * x2, c * v1 - s * v2, s * v1 + c * v2
     a, e = el.a, el.e
-    r0 = float(np.linalg.norm(xp))
-    cos_e0 = (1.0 - r0 / a) / e
-    sin_e0 = float(xp @ vp) / (e * math.sqrt(a))
+    cos_e0 = (1.0 - sqrt(xp1 * xp1 + xp2 * xp2) / a) / e
+    sin_e0 = (xp1 * vp1 + xp2 * vp2) / (e * math.sqrt(a))
     e0 = math.atan2(sin_e0, cos_e0)
     return sign, x0, v0, el, omega, e0 - e * math.sin(e0)
 
@@ -350,35 +365,28 @@ def _characteristics(x: np.ndarray, v: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _quantity_value(s: PhaseState, which: str) -> float:
-    if which == "H":
-        return energy(s)
-    if which == "m":
-        return float(s.x[0] * s.v[1] - s.x[1] * s.v[0])
-    if which in ("A1", "A2"):
-        return float(lrl_vector(s)[int(which[1]) - 1])
-    raise ValueError(f"unknown quantity id {which!r}")
-
-
 def noether_residual(times: np.ndarray, states: Sequence[PhaseState], which: str) -> float:
     """Max interior defect of dP/dt = Q . N[x] estimated by central differences.
 
     ``times`` must be uniformly spaced. For a trajectory sampled from an exact
-    solution the residual is O(dt^2).
+    solution the residual is O(dt^2). A state within ORIGIN_TOL of the origin
+    raises SingularOriginError.
     """
     if len(states) < 3:
         raise TrajectoryTooShortError("need at least 3 samples for central differences")
+    names = ("H", "m", "A1", "A2")
+    if which not in names:
+        raise ValueError(f"unknown quantity id {which!r}")
     times = np.asarray(times, dtype=float)
-    dt = times[1] - times[0]
-    worst = 0.0
-    for i in range(1, len(states) - 1):
-        s = states[i]
-        p_dot = (_quantity_value(states[i + 1], which) - _quantity_value(states[i - 1], which)) / (2.0 * dt)
-        accel = (states[i + 1].v - states[i - 1].v) / (2.0 * dt)
-        defect = accel + grad_potential(s.x)
-        q = characteristics(s)[which]
-        worst = max(worst, abs(p_dot - float(q @ defect)))
-    return worst
+    dt2 = 2.0 * (times[1] - times[0])
+    x1, x2, v1, v2 = z = np.array([s.x.tolist() + s.v.tolist() for s in states]).T
+    if (r := float(np.sqrt(x1 * x1 + x2 * x2).min())) < ORIGIN_TOL:
+        raise origin_error(r)
+    p = _invariants(x1, x2, v1, v2)[names.index(which)]
+    g1, g2, _, _ = grad_potential_arrays(x1[1:-1], x2[1:-1])
+    d1, d2 = (v1[2:] - v1[:-2]) / dt2 + g1, (v2[2:] - v2[:-2]) / dt2 + g2
+    q = _characteristics(z[:2, 1:-1], z[2:, 1:-1])[which]
+    return float(np.abs((p[2:] - p[:-2]) / dt2 - (q[0] * d1 + q[1] * d2)).max())
 
 
 # --- Perturbation averages along the analytic orbit ---

@@ -30,6 +30,7 @@ from geodyn.kepler import (
     _analytic_states,
     _period_averages,
     check_step_size,
+    grad_potential_arrays,
     kepler_split,
     orbit_elements,
     potential,
@@ -108,13 +109,6 @@ def linear_measured_frequency(lam: float, h: float) -> float:
 
 # --- Modified Lagrangians (truncated at the leading displayed order) ---
 
-def _kepler_grad(x):
-    """(x1/r^3, x2/r^3, r) at (2, ...) arrays of planar points."""
-    r = np.sqrt(x[0] * x[0] + x[1] * x[1])
-    r3 = r**3
-    return x[0] / r3, x[1] / r3, r
-
-
 def modified_lagrangian(method_id: str, s: PhaseState, h: float,
                         split: SplitPotential | None = None) -> float:
     """Truncated modified Lagrangian of the method at state ``s``.
@@ -141,15 +135,15 @@ def perturbation_field(method_id: str, split: SplitPotential | None = None):
 
     if method_id == "sym-euler":
         def value(x, v):
-            g1, g2, _ = _kepler_grad(x)
+            g1, g2, _, _ = grad_potential_arrays(x[0], x[1])
             return -(v[0] * g1 + v[1] * g2)
         return (lambda h: 0.5 * h), value
 
     if method_id == "sv":
         def value(x, v):
-            r = np.sqrt(x[0] * x[0] + x[1] * x[1])
+            _, _, r, r3 = grad_potential_arrays(x[0], x[1])
             xv = x[0] * v[0] + x[1] * v[1]
-            return 1.0 / r**4 - 2.0 * (v[0] * v[0] + v[1] * v[1]) / r**3 + 6.0 * xv * xv / r**5
+            return 1.0 / (r3 * r) - 2.0 * (v[0] * v[0] + v[1] * v[1]) / r3 + 6.0 * xv * xv / (r3 * r * r)
         return (lambda h: h * h / 24.0), value
 
     if len(split) != 2:
@@ -161,16 +155,16 @@ def perturbation_field(method_id: str, split: SplitPotential | None = None):
         # The composition implemented here is the adjoint of the one behind
         # the displayed order-h formula, which flips the sign of the h term.
         def value(x, v):
-            g1, g2, _ = _kepler_grad(x)
+            g1, g2, _, _ = grad_potential_arrays(x[0], x[1])
             return -((w1 * g1 + w2 * g1) * v[0] + (w2 * g2 - w1 * g2) * v[1])
         return (lambda h: 0.5 * h), value
 
     def value(x, v):       # vi2; part i's gradient is w_i grad(phi), its Hessian w_i hess(phi)
-        g1, g2, r = _kepler_grad(x)
-        r5 = r**5
-        h11 = 1.0 / r**3 - 3.0 * x[0] * x[0] / r5
+        g1, g2, r, r3 = grad_potential_arrays(x[0], x[1])
+        r5 = r3 * r * r
+        h11 = 1.0 / r3 - 3.0 * x[0] * x[0] / r5
         h12 = -3.0 * x[0] * x[1] / r5
-        h22 = 1.0 / r**3 - 3.0 * x[1] * x[1] / r5
+        h22 = 1.0 / r3 - 3.0 * x[1] * x[1] / r5
         quad = (7.0 * (w1 * g1 + w2 * g1) ** 2 - 5.0 * (w1 * g2) ** 2
                 + 2.0 * (w1 * g2) * (w2 * g2) + 7.0 * (w2 * g2) ** 2)
         kin = (-2.0 * (w1 * h11 + w2 * h11) * v[0] ** 2

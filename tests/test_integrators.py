@@ -113,6 +113,17 @@ class TestElementarySteps:
         with pytest.raises(SingularOriginError):
             substep_flow(1, s, SPLIT, 2.0)
 
+    @pytest.mark.parametrize("method_id", METHOD_IDS + REL_METHOD_IDS)
+    def test_step_through_origin_rejected(self, method_id):
+        # a diagonal drift of the whole of x, or a coordinate drift along x2 (a half
+        # step's drift for vi2 and k2), from 1 or sqrt(2) before the origin to as far past it
+        z = (1.0, 1.0, -40.0, -40.0) if method_id in ("sym-euler", "sv") else (0.0, 1.0, 0.0, -80.0)
+        s = PhaseState(np.array(z[:2]), np.array(z[2:]))
+        if method_id in REL_METHOD_IDS:
+            s = ExtPhaseState(0.0, s.x, mass_shell_gamma(s.v), s.v)
+        with pytest.raises(SingularOriginError):
+            step(method_id, s, H, SPLIT)
+
 
 class TestAdjoints:
     """Phi*_h is the inverse of Phi_{-h}; composition must return the start."""

@@ -1,6 +1,7 @@
 """Tests for the Kepler model: potentials, conserved quantities, reference flow."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from geodyn.errors import (
     SingularOriginError,
     TrajectoryTooShortError,
 )
+from geodyn.integrators import run
 from geodyn.kepler import (
+    ORIGIN_TOL,
     PhaseState,
     SplitPotential,
     analytic_reference,
@@ -90,6 +93,15 @@ class TestPhaseState:
             PhaseState(np.ones(n), np.zeros(n))
 
 
+def _segment_distance2(a1, a2, b1, b2) -> Fraction:
+    """Exact squared distance from the origin to the segment from (a1, a2) to (b1, b2)."""
+    a1, a2, b1, b2 = map(Fraction, (a1, a2, b1, b2))
+    d1, d2 = b1 - a1, b2 - a2
+    dd = d1 * d1 + d2 * d2
+    t = min(max(-(a1 * d1 + a2 * d2) / dd, Fraction(0)), Fraction(1)) if dd else Fraction(0)
+    return (a1 + t * d1) ** 2 + (a2 + t * d2) ** 2
+
+
 class TestPotential:
     def test_value(self):
         assert potential(np.array([2.0, 0.0])) == -0.5
@@ -132,6 +144,32 @@ class TestPotential:
             check_segment_xy(0.0, 1.0, 0.0, 0.0)   # ends on it
         with pytest.raises(SingularOriginError):  # |d|^2 underflows to 0, heading inward
             check_segment_xy(1e-150, 0.0, 1e-150 - 1e-165, 0.0)
+
+    def test_segment_check_matches_exact_distance(self):
+        # along x1, along x2 and diagonal; through, near and far from the origin. Verdicts
+        # are compared only where the exact distance is under tol/2 or over 2*tol
+        rng = np.random.default_rng(31)
+        tol = Fraction(ORIGIN_TOL)
+        wrong, decided = [], 0
+        for u in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)):
+            normal = (-u[1], u[0])
+            for miss in (0.0, 0.3 * ORIGIN_TOL, 3.0 * ORIGIN_TOL, 0.7):
+                for _ in range(50):
+                    off = miss * rng.uniform(0.5, 1.0)
+                    back, ahead = rng.uniform(-0.5, 3.0, 2)
+                    seg = tuple(off * n + t * c for t in (-back, ahead) for c, n in zip(u, normal))
+                    dist2 = _segment_distance2(*seg)
+                    if tol * tol / 4 < dist2 < 4 * tol * tol:
+                        continue
+                    decided += 1
+                    try:
+                        check_segment_xy(*seg)
+                        raised = False
+                    except SingularOriginError:
+                        raised = True
+                    if raised != (dist2 < tol * tol / 4):
+                        wrong.append(seg)
+        assert wrong == [] and decided > 600
 
 
 class TestSplit:
@@ -213,6 +251,26 @@ class TestConserved:
         s = PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1e200]))
         assert energy(s) == math.inf
         assert not np.isfinite(lrl_vector(s)).any()
+
+
+class TestOneFormula:
+    def test_conserved_equals_run_row_zero(self):
+        # conserved took |v|^2 and x.v from BLAS matmuls, which may fuse a multiply-add,
+        # and run from plain products; on an AVX-512 host 48 of these 200 states differed
+        rng = np.random.default_rng(31)
+        differ = []
+        for k in range(200):
+            r, theta, phi = rng.uniform(0.5, 4.0), *rng.uniform(-math.pi, math.pi, 2)
+            speed = rng.uniform(0.1, 0.95) * math.sqrt(2.0 / r)      # below escape speed
+            s = PhaseState(r * np.array([math.cos(theta), math.sin(theta)]),
+                           speed * np.array([math.cos(phi), math.sin(phi)]))
+            cs = conserved(s)
+            rec = run("sv", s, 0.01, 1)
+            if np.array([cs.H, cs.m, *cs.A]).tobytes() != \
+                    np.array([rec.H[0], rec.m[0], *rec.A[0]]).tobytes() \
+                    or (energy(s), *lrl_vector(s)) != (cs.H, *cs.A):
+                differ.append(k)
+        assert differ == []
 
 
 class TestOrbitElements:

@@ -242,8 +242,8 @@ class TestPredictedDrift:
     # array quadrature (one analytic-orbit call, one stacked stencil per
     # gradient); TestParentDrifts bounds its distance from the per-node loop
     PINNED = {
-        "sv": ("-0x1.c4760a13dd154p-49", "-0x1.09e6717def3cfp-11"),
-        "vi1": ("0x1.eb737ba73eb23p-44", "0x1.a8bcd7603bd82p-39"),
+        "sv": ("-0x1.769c6fecae33fp-49", "-0x1.09e6717ded72ep-11"),
+        "vi1": ("0x1.63ff84fd7070fp-45", "0x1.9d4da11eced97p-39"),
     }
 
     @staticmethod
@@ -545,6 +545,16 @@ class TestShadowing:
             v1 = v1 + sixth * (a11 + 2 * a21 + 2 * a31 + a41)
             v2 = v2 + sixth * (a12 + 2 * a22 + 2 * a32 + a42)
         return x1, x2, v1, v2
+
+    @pytest.mark.parametrize("per_period", [20, 40])
+    def test_default_substeps_hold_the_reference_gap(self, monkeypatch, per_period):
+        # the 100-substep gap comes from _reference_rk4, not from _rk4, so an _rk4 that
+        # miscounts its substeps (one RK4 step per vi1 step in place of s) moves the
+        # default gap off it by far more than the 1e-6 relative the default keeps
+        h = orbit_elements(BASE).T / per_period
+        got = shadowing_error(BASE, h)
+        monkeypatch.setattr(modified, "_rk4", self._reference_rk4)
+        assert got == pytest.approx(shadowing_error(BASE, h, substeps=100), rel=1e-6, abs=0.0)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(r=st.floats(0.5, 4.0), theta=st.floats(-math.pi, math.pi),

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used, exported or re-imported, every
 function the benchmark tracer names exists, every forward table kernel is a generator of
-its own, one function holds the Newton loop and one the Kepler-equation iteration, and
-two hold the closed-form Legendre transforms."""
+its own, one function holds the Newton loop and one the Kepler-equation iteration,
+two hold the closed-form Legendre transforms, and kepler.py rounds in plain products."""
 
 import ast
 import importlib
@@ -177,3 +177,27 @@ def test_one_legendre_dispatch():
     # one-part split and passes L2 through
     assert functions_comparing("lag_id", LAGRANGIAN_IDS) == [
         "integrators._require_split", "integrators.discrete_lagrangian", "integrators.legendre_minus"]
+
+
+_BLAS_CALLS = {"np.linalg.norm", "np.vecdot", "np.dot"}
+
+
+def blas_products(path: Path) -> list[str]:
+    """Each ``@`` and each norm, vecdot or dot call in the module at ``path``, as source."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Attribute) and ast.unparse(node) in _BLAS_CALLS]
+
+
+def test_kepler_rounds_in_plain_products():
+    # a BLAS product may fuse a multiply-add and a norm may rescale, so their bits depend
+    # on the CPU; the invariants, force and frame of kepler.py are plain float products
+    assert blas_products(SRC / "kepler.py") == []
+
+
+def test_blas_rule_sees_each_form(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n\n"
+        "def f(a, b):\n    a @= b\n    return a @ b, np.linalg.norm(a), np.vecdot(a, b), np.dot(a, b)\n")
+    assert blas_products(tmp_path / "mod.py") == [
+        "a @= b", "a @ b", "np.linalg.norm", "np.vecdot", "np.dot"]
