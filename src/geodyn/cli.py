@@ -72,7 +72,7 @@ def _seed_from_args(args) -> PhaseState:
         return PhaseState(np.array(DEFAULT_X0), np.array(DEFAULT_V0))
     if not all(map(math.isfinite, args.x0 + args.v0)):
         raise UsageError(f"--x0/--v0 must be finite, got {args.x0} {args.v0}")
-    if math.hypot(*args.x0) < ORIGIN_TOL:
+    if math.sqrt(sum(c * c for c in args.x0)) < ORIGIN_TOL:     # the kernels' |x|
         raise UsageError(f"--x0 {args.x0} is within ORIGIN_TOL = {ORIGIN_TOL} of the origin")
     return PhaseState(np.array(args.x0), np.array(args.v0))
 

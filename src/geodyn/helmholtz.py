@@ -121,19 +121,17 @@ def sample_cloud(system: SecondOrderSystem, count: int = 64) -> list[tuple[float
     vl, vh = system.v_box
     samples = []
     index = 20   # skip the correlated low-index prefix
-    guard = 0
     while len(samples) < count:
         index += 1
-        guard += 1
-        if guard > 100 * count:
+        if index > 20 + 100 * count:
             raise GeodynError("sampling-domain error: exclusion region rejects the whole box")
         u = [_radical_inverse(index, _PRIMES[d]) for d in range(dims)]
         t = u[0]
-        x = np.array([xl + (xh - xl) * u[1 + i] for i in range(system.n)])
+        x = [xl + (xh - xl) * u[1 + i] for i in range(system.n)]
         v = np.array([vl + (vh - vl) * u[1 + system.n + i] for i in range(system.n)])
-        if system.exclusion_radius > 0 and np.linalg.norm(x) < system.exclusion_radius:
+        if math.sqrt(sum(c * c for c in x)) < system.exclusion_radius:
             continue
-        samples.append((t, x, v))
+        samples.append((t, np.array(x), v))
     return samples
 
 
@@ -348,7 +346,8 @@ def vainberg_lagrangian(nfield, t: float, x: np.ndarray, v: np.ndarray,
     a = np.asarray(a, dtype=float)
     total = 0.0
     for s, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-        val = float(x @ np.asarray(nfield(t, s * x, s * v, s * a), dtype=float))
+        nf = np.asarray(nfield(t, s * x, s * v, s * a), dtype=float).tolist()
+        val = sum(c * f for c, f in zip(x.tolist(), nf, strict=True))
         if not math.isfinite(val):
             raise NonConvergenceError("Vainberg quadrature hit a non-finite integrand")
         total += w * val
@@ -363,7 +362,7 @@ def _kepler_force(t, x, v):
 
 
 def _lorentz_gamma(v):
-    return 1.0 / np.sqrt(1.0 - np.vecdot(v, v))
+    return 1.0 / np.sqrt(1.0 - sum(c * c for c in np.moveaxis(v, -1, 0)))
 
 
 def builtin_systems() -> dict[str, SecondOrderSystem]:
@@ -376,10 +375,9 @@ def builtin_systems() -> dict[str, SecondOrderSystem]:
         name="damped", n=1, structure="constant-mass",
         force=lambda t, x, v: -x - v,
     )
-    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     magnetic = SecondOrderSystem(
         name="magnetic", n=2, structure="velocity-mass",
-        force=lambda t, x, v: v @ skew.T - x,
+        force=lambda t, x, v: np.stack((v[..., 1] - x[..., 0], -v[..., 0] - x[..., 1]), axis=-1),
     )
     relativistic = SecondOrderSystem(
         name="relativistic", n=2, structure="velocity-mass",
@@ -487,6 +485,6 @@ def load_system_file(path: str) -> SecondOrderSystem:
     force, amat = table(forces, np.zeros(n)), table("a", np.zeros((n, n)))
     if amat is not None:
         phi = force
-        force = lambda t, x, v: (amat(t, x, v) @ v[..., None])[..., 0] + phi(t, x, v)
+        force = lambda t, x, v: _contract(amat(t, x, v), v) + phi(t, x, v)
     return SecondOrderSystem(name=path, n=n, structure=structure, force=force,
                              mass=table("m", np.eye(n)), v_box=v_box)

@@ -508,7 +508,7 @@ def discrete_lagrangian(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     d = x1 - x0
-    kinetic = 0.5 * float(d @ d) / h**2
+    kinetic = 0.5 * sum(c * c for c in d.tolist()) / h**2
     if lag_id == "L2":
         return kinetic - 0.5 * (potential(x0) + potential(x1))
     lag_id, split = _require_split(lag_id, split, x0.size)

@@ -118,7 +118,7 @@ def modified_lagrangian(method_id: str, s: PhaseState, h: float,
     Kepler split and must have two coordinate parts for vi1/vi2.
     """
     eps, lbar = perturbation_field(method_id, split)
-    return 0.5 * float(s.v @ s.v) - potential(s.x) + eps(h) * float(lbar(s.x, s.v))
+    return 0.5 * sum(c * c for c in s.v.tolist()) - potential(s.x) + eps(h) * float(lbar(s.x, s.v))
 
 
 def perturbation_field(method_id: str, split: SplitPotential | None = None):
@@ -236,7 +236,7 @@ def drift_sweep(method_id: str, seed: PhaseState, hs,
     Each h makes one run of ceil(T/h) + 3 steps. It gives the signed "ecc"
     and "angle" drifts over the analytic period T and "pos", the position
     error after round(T/h) steps against the analytic orbit. A run of fewer
-    than 8 samples, too few for the drift fit, raises TrajectoryTooShortError.
+    than 8 samples, too few for the drift interpolant, raises TrajectoryTooShortError.
     """
     period = orbit_elements(seed).T
     sweep = []      # (h, steps, n) for each h, every h checked before the first run
@@ -253,7 +253,8 @@ def drift_sweep(method_id: str, seed: PhaseState, hs,
         rec = run(method_id, seed, h, steps, split=split, diagnostics=True)
         for metric in ("ecc", "angle"):
             out[metric].append(_drift_over_period(rec, metric, period))
-        out["pos"].append(float(np.linalg.norm(rec.xs[n] - ref)))
+        d1, d2 = (rec.xs[n] - ref).tolist()
+        out["pos"].append(sqrt(d1 * d1 + d2 * d2))
     return out
 
 
@@ -278,13 +279,14 @@ def _drift_over_period(rec: TrajectoryRecord, metric: str, period: float) -> flo
     drift across the arctan2 branch cut reads as the small drift it is.
     """
     series = rec.ecc if metric == "ecc" else rec.angle
-    # interpolate at t = T over the 8 nearest samples
+    # the degree-7 interpolant through the 8 nearest samples at t = T, in Lagrange form: no SVD fit
     idx = int(round(period / rec.h))
     lo = max(0, min(idx - 4, rec.steps + 1 - 8))
     window = slice(lo, lo + 8)
-    ys = series[window] if metric == "ecc" else np.unwrap(series[window])
-    poly = np.polynomial.Polynomial.fit(rec.times[window], ys, deg=7)
-    drift = float(poly(period) - series[0])
+    ys = (series[window] if metric == "ecc" else np.unwrap(series[window])).tolist()
+    ts = rec.times[window].tolist()
+    drift = sum(ys[j] * math.prod((period - ts[k]) / (ts[j] - ts[k]) for k in range(8) if k != j)
+                for j in range(8)) - float(series[0])
     return drift if metric == "ecc" else math.remainder(drift, 2.0 * math.pi)
 
 
@@ -410,12 +412,12 @@ def shadowing_error(seed: PhaseState, h: float,
 
     v = _newton(lambda v: np.array(shoot(v)[:2]) - target, seed.v, tol=1e-13,
                 what="shadowing shoot")
-    # the settled shoot is the flow's step 1; vecdot keeps the 1-d norm's bits
+    # the settled shoot is the flow's step 1
     zs = [shoot(v)]
     for _ in range(2, steps + 1):
         zs.append(_rk4(zs[-1], h, h, substeps))
-    d = np.array(zs)[:, :2] - rec.xs[1:]
-    return float(np.sqrt(np.vecdot(d, d)).max())
+    d1, d2 = (np.array(zs)[:, :2] - rec.xs[1:]).T
+    return float(np.sqrt(d1 * d1 + d2 * d2).max())
 
 
 def shadowing_ratio(seed: PhaseState, h: float,

@@ -51,15 +51,19 @@ class ExtPhaseState:
 
 
 def mass_shell_gamma(u: np.ndarray) -> float:
-    """On-shell Lorentz factor gamma = sqrt(1 + |u|^2) with c = 1; inf if |u|^2 overflows."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(1.0 + u @ u))
+    """On-shell Lorentz factor sqrt(1 + |u|^2), c = 1, |u|^2 a plain sum; inf if it overflows."""
+    return math.sqrt(1.0 + sum(c * c for c in np.asarray(u, dtype=float).tolist()))
+
+
+def _hamiltonian(u1, u2, gamma):
+    """The one formula for H = (|u|^2 - gamma^2)/2, on floats or columns; inf or nan, unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * ((u1 * u1 + u2 * u2) - gamma * gamma)
 
 
 def extended_hamiltonian(s: ExtPhaseState) -> float:
     """H = (|u|^2 - gamma^2)/2, conserved up to a bounded defect by the methods."""
-    return 0.5 * (float(s.u @ s.u) - s.gamma**2)
+    return float(_hamiltonian(*s.u.tolist(), s.gamma))
 
 
 # --- Public one-step maps: row 1 of a one-step run, as integrators.step ---
@@ -133,7 +137,6 @@ def run_relativistic(method_id: str, s0: ExtPhaseState, h: float, steps: int) ->
     z = _states(method_id, "relativistic", s0, h, steps)
     ts, xs, gs, us = z[:, 0], z[:, 1:3], z[:, 3], z[:, 4:]
     taus = h * np.arange(steps + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = 0.5 * (np.einsum("ij,ij->i", us, us) - gs**2)
+    H = _hamiltonian(us[:, 0], us[:, 1], gs)
     _check_finite(z, ("H",), H)
     return ExtTrajectoryRecord(method_id, h, taus, ts, xs, gs, us, H)

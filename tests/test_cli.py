@@ -1,6 +1,7 @@
 """End-to-end CLI tests: headers, determinism, exit statuses."""
 
 import hashlib
+import math
 import subprocess
 import sys
 import warnings
@@ -153,6 +154,16 @@ class TestRunCommand:
             "--h", "0.05", *seed)
         assert "ORIGIN_TOL" in err and "step" not in err
 
+    @pytest.mark.parametrize("model", ["kepler", "relativistic"])
+    def test_seed_inside_origin_tol_by_the_kernels_distance(self, monkeypatch, capsys, model):
+        # |x0| is 1.000e-12 by hypot but just under it by sqrt(x1*x1 + x2*x2), the
+        # kernels' distance: the usage check passed it and step 1 then failed (exit 1)
+        err = self.rejected_before_any_step(
+            monkeypatch, capsys, "--model", model, "--method", "sv" if model == "kepler" else "k1",
+            "--h", "0.05", "--x0", "9.966071323417085e-13", "8.230567274274718e-14",
+            "--v0", "0", "1")
+        assert "ORIGIN_TOL" in err and "step" not in err
+
     def test_svg_output(self, tmp_path):
         out = tmp_path / "orbit.svg"
         assert main(["run", "--method", "vi1", "--ecc", "0.6", "--h", "0.05",
@@ -218,7 +229,8 @@ class TestConvergenceCommand:
                 steps = int(round(period / h))
                 rec = run(method, seed, h, steps, split=split, diagnostics=False)
                 ref = analytic_reference(seed, steps * h)
-                pos.append(float(np.linalg.norm(rec.xs[-1] - ref.x)))
+                d1, d2 = (rec.xs[-1] - ref.x).tolist()
+                pos.append(math.sqrt(d1 * d1 + d2 * d2))
             for i, h in enumerate(hs):
                 rows.append(",".join([method, repr(h), repr(cols["ecc"][i]),
                                       repr(cols["angle"][i]), repr(pos[i])]))
@@ -691,7 +703,7 @@ _GOLDEN_SHA256 = {
     "run k2": "456ccb00fe433c16d58fdbb623f6d620ced05abd74c654e86aaea89003fa06f2",
     "run vi1 split": "06a1be496eaf485914c8809357f588eead7a6d029391c83939c462b5c95e5f02",
     "run vi2 split": "964ac3dddf1793d3774eb837c9fddd23ea6197d9b6fb18b027da9d81f063faad",
-    "convergence": "aced527de3d3a387494a1f006dbe0e0e0c6e9b363416737a4624c6ff98b3efae",
+    "convergence": "847459e43036e5151803226cc126b37d399a5088bdf3879db9e1527ce2601a50",
 }
 
 

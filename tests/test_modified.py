@@ -430,7 +430,32 @@ class TestMeasuredDrift:
         for h, err in zip(hs, pos):
             n = round(orbit_elements(BASE).T / h)
             ref = analytic_reference(BASE, n * h).x
-            assert err == float(np.linalg.norm(run("sv", BASE, h, n).xs[n] - ref))
+            d1, d2 = (run("sv", BASE, h, n).xs[n] - ref).tolist()
+            assert err == math.sqrt(d1 * d1 + d2 * d2)
+
+    @pytest.mark.parametrize("method", ["sym-euler", "sv", "vi1", "vi2"])
+    def test_drift_reading_is_the_fitted_interpolant(self, method):
+        # through 8 samples the degree-7 least-squares fit is the interpolant, so the
+        # Lagrange reading agrees with Polynomial.fit's up to round-off, on any BLAS
+        rng = np.random.default_rng(32)
+        for _ in range(3):
+            a, e, phase = rng.uniform(0.8, 1.6), rng.uniform(0.1, 0.6), rng.uniform(0, 2 * math.pi)
+            rp, c, s = a * (1.0 - e), math.cos(phase), math.sin(phase)
+            vp = math.sqrt((1.0 + e) / rp)
+            seed = PhaseState(np.array([rp * c, rp * s]), np.array([-vp * s, vp * c]))
+            period = orbit_elements(seed).T
+            hs = [period / k for k in (23, 40, 57, 90)]
+            sweep = drift_sweep(method, seed, hs)
+            for i, h in enumerate(hs):
+                rec = run(method, seed, h, int(math.ceil(period / h)) + 3)
+                window = slice(lo := max(0, min(round(period / h) - 4, rec.steps + 1 - 8)), lo + 8)
+                for metric, series, ys in (("ecc", rec.ecc, rec.ecc[window]),
+                                           ("angle", rec.angle, np.unwrap(rec.angle[window]))):
+                    fit = np.polynomial.Polynomial.fit(rec.times[window], ys, deg=7)
+                    want = float(fit(period) - series[0])
+                    if metric == "angle":
+                        want = math.remainder(want, 2.0 * math.pi)
+                    assert abs(sweep[metric][i] - want) <= 1e-14, (metric, h)
 
     @pytest.mark.parametrize("order", [-1.0, 1.0, 2.0, 4.0])
     def test_fitted_order_recovers_a_power_law(self, order):
@@ -453,7 +478,7 @@ class TestShadowing:
 
     def test_rk4_bits_pinned_at_100_substeps(self):
         # float.hex of the RK4 loop that called _modified_accel_vi1 per stage
-        assert shadowing_error(BASE, 0.05, substeps=100).hex() == "0x1.9f7a24d272433p-9"
+        assert shadowing_error(BASE, 0.05, substeps=100).hex() == "0x1.9f7a24d272432p-9"
 
     @pytest.mark.parametrize("per_period", [5, 10, 20, 40, 80, 0.05, 0.025])
     def test_default_substeps_within_bound(self, per_period):
@@ -504,13 +529,14 @@ class TestShadowing:
             shadowing_error(BASE, period / per_period)
 
     def test_vectorised_gap_equals_norm_per_row(self):
-        # shadowing_error takes its gaps as sqrt(vecdot(d, d)) over all steps at
-        # once; norm(axis=1), einsum and (d*d).sum(1) each differ from the 1-d
-        # norm in the last bit on about 8 % of these rows
+        # shadowing_error takes its gaps as sqrt(d1*d1 + d2*d2) on columns over all
+        # steps at once, the distance drift_sweep takes on floats; np.linalg.norm and
+        # sqrt(vecdot) differ from it in the last bit on about 8 % of these rows
         rng = np.random.default_rng(24)
         d = rng.standard_normal((20000, 2)) * 10.0 ** rng.uniform(-9.0, 3.0, (20000, 1))
-        got = np.sqrt(np.vecdot(d, d))
-        want = np.array([np.linalg.norm(row) for row in d])
+        d1, d2 = d.T
+        got = np.sqrt(d1 * d1 + d2 * d2)
+        want = np.array([math.sqrt(a * a + b * b) for a, b in d.tolist()])
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("weights", [(0.3, 0.7), (1.0, 0.0)], ids=["0.3-0.7", "1-0"])
