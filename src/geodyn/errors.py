@@ -23,8 +23,8 @@ class SingularOriginError(_StepError):
 
 
 class NonFiniteStateError(_StepError):
-    """A trajectory reached an infinite or NaN state or diagnostic value, or its
-    arithmetic overflowed; also a linear modified-series term that overflows."""
+    """A trajectory reached an infinite or NaN state or diagnostic value; also a
+    linear modified-series term that overflows."""
 
 
 class NonConvergenceError(GeodynError):

@@ -96,12 +96,12 @@ class TrajectoryRecord:
 # --- Step kernels on the planar state z = (x1, x2, v1, v2) ---
 #
 # A table kernel is a state generator (z, h) -> z_1, z_2, ... on plain floats: its sub-flow
-# composition written out in one loop, force x/r**3 and potential -1/r inline in the sub-flows'
-# operation order, e.g. v - h*(w*(x1/r3)), the closing force (sv, vi2) or potential (k1, k2)
-# kept for the next step. It yields each state as one row packed by _ROW4 or _ROW6, which
-# trajectory joins 1024 rows at a time. _iterate makes a one-step map such a generator. A
-# drift's check_segment_xy runs only where it can raise, which keeps the composition's bits
-# and errors:
+# composition written out in one loop, force x/r3 (r3 = r * r * r, as grad_potential_xy
+# cubes) and potential -1/r inline in the sub-flows' operation order, e.g. v - h*(w*(x1/r3)),
+# the closing force (sv, vi2) or potential (k1, k2) kept for the next step. It yields each
+# state as one row packed by _ROW4 or _ROW6, which trajectory joins 1024 rows at a time.
+# _iterate makes a one-step map such a generator. A drift's check_segment_xy runs only
+# where it can raise, which keeps the composition's bits and errors:
 # - a coordinate drift keeps c fixed, the check's nearest point has c exactly, and
 #   fl(c*c) >= fl(tol*tol) once |c| >= tol: only -ORIGIN_TOL < c < ORIGIN_TOL can raise
 #   (a NaN or infinite c makes the check's nearest point NaN, which never raises);
@@ -129,7 +129,7 @@ def _sym_euler_states(z, h):
         r = sqrt(rr)
         if r < tol:
             raise origin_error(r)
-        r3 = r**3
+        r3 = r * r * r
         v1, v2 = v1 - h * (x1 / r3), v2 - h * (x2 / r3)
         d1, d2 = h * v1, h * v2
         y1, y2 = x1 + d1, x2 + d2
@@ -149,7 +149,7 @@ def _sym_euler_adjoint(z, h):
     r = sqrt(y1 * y1 + y2 * y2)
     if r < ORIGIN_TOL:
         raise origin_error(r)
-    r3 = r**3
+    r3 = r * r * r
     return y1, y2, v1 - h * (y1 / r3), v2 - h * (y2 / r3)
 
 
@@ -160,7 +160,7 @@ def _sv_states(z, h):
     r = sqrt(rr)
     if r < tol:
         raise origin_error(r)
-    r3 = r**3
+    r3 = r * r * r
     g1, g2 = x1 / r3, x2 / r3
     while True:
         v1, v2 = v1 - c * g1, v2 - c * g2
@@ -173,7 +173,7 @@ def _sv_states(z, h):
         r = sqrt(rr)
         if r < tol:
             raise origin_error(r)
-        r3 = r**3
+        r3 = r * r * r
         g1, g2 = x1 / r3, x2 / r3
         v1, v2 = v1 - c * g1, v2 - c * g2
         yield pack(x1, x2, v1, v2)
@@ -219,7 +219,7 @@ def _vi1_kernels(split: SplitPotential | None):
             r = sqrt(y1 * y1 + x2 * x2)
             if r < tol:
                 raise origin_error(r)
-            r3 = r**3
+            r3 = r * r * r
             v1, v2 = v1 - h * (w1 * (y1 / r3)), v2 - h * (w1 * (x2 / r3))
             y2 = x2 + h * v2
             if -tol < y1 < tol:
@@ -227,7 +227,7 @@ def _vi1_kernels(split: SplitPotential | None):
             r = sqrt(y1 * y1 + y2 * y2)
             if r < tol:
                 raise origin_error(r)
-            r3 = r**3
+            r3 = r * r * r
             x1, x2, v1, v2 = y1, y2, v1 - h * (w2 * (y1 / r3)), v2 - h * (w2 * (y2 / r3))
             yield pack(x1, x2, v1, v2)
 
@@ -248,7 +248,7 @@ def _vi2_kernel(split: SplitPotential | None):
         r = sqrt(x1 * x1 + x2 * x2)
         if r < tol:
             raise origin_error(r)
-        r3 = r**3
+        r3 = r * r * r
         g1, g2 = x1 / r3, x2 / r3
         while True:
             v1, v2 = v1 - c * (w2 * g1), v2 - c * (w2 * g2)
@@ -258,7 +258,7 @@ def _vi2_kernel(split: SplitPotential | None):
             r = sqrt(x1 * x1 + y2 * y2)
             if r < tol:
                 raise origin_error(r)
-            r3 = r**3
+            r3 = r * r * r
             v1, v2 = v1 - c * (w1 * (x1 / r3)), v2 - c * (w1 * (y2 / r3))
             y1 = x1 + c * v1
             if -tol < y2 < tol:
@@ -269,7 +269,7 @@ def _vi2_kernel(split: SplitPotential | None):
             r = sqrt(x1 * x1 + y2 * y2)
             if r < tol:
                 raise origin_error(r)
-            r3 = r**3
+            r3 = r * r * r
             v1, v2 = v1 - c * (w1 * (x1 / r3)), v2 - c * (w1 * (y2 / r3))
             x2 = y2 + c * v2
             if -tol < x1 < tol:
@@ -277,7 +277,7 @@ def _vi2_kernel(split: SplitPotential | None):
             r = sqrt(x1 * x1 + x2 * x2)
             if r < tol:
                 raise origin_error(r)
-            r3 = r**3
+            r3 = r * r * r
             g1, g2 = x1 / r3, x2 / r3
             v1, v2 = v1 - c * (w2 * g1), v2 - c * (w2 * g2)
             yield pack(x1, x2, v1, v2)
@@ -313,7 +313,7 @@ def _k1_states(z, h):
         raise origin_error(r)
     p0 = -1.0 / r
     while True:
-        r3, hg = r**3, h * gamma
+        r3, hg = r * r * r, h * gamma
         u1, u2 = u1 - hg * (x1 / r3), u2 - hg * (x2 / r3)
         y1 = x1 + h * u1
         if -tol < x2 < tol:
@@ -360,7 +360,7 @@ def _k2_states(z, h):
             raise origin_error(r)
         p2 = -1.0 / r
         gamma = gamma - (p2 - p1)
-        r3, hg = r**3, c * gamma
+        r3, hg = r * r * r, c * gamma
         u1, u2 = u1 - hg * (y1 / r3) - hg * (y1 / r3), u2 - hg * (y2 / r3) - hg * (y2 / r3)
         x1 = y1 + c * u1
         if -tol < y2 < tol:
@@ -666,27 +666,23 @@ def trajectory(states, z0: tuple[float, ...], h: float, steps: int) -> np.ndarra
     """States z_0 .. z_steps of the state generator ``states(z0, h)``, one row each.
 
     One pass: the generator's packed rows are joined 1024 at a time onto the packed
-    z0 in one bytearray, which the returned (writable) array views. A singular drift
-    or force raises SingularOriginError, and a non-finite state or a float overflow
-    raises NonFiniteStateError; both name the step and carry it as ``step``, with the
-    last finite state as ``state``, read off the rows the run already holds.
+    z0 in one bytearray, which the returned (writable) array views. A run fails one of
+    two ways, named with the step (``step``) and the last finite state (``state``): a
+    drift or force within ORIGIN_TOL of the origin raises SingularOriginError, the first
+    non-finite state NonFiniteStateError. Past R_MAX the force is +-0.0 (grad_potential_xy).
     """
-    width = len(z0)
-    row = _ROW4 if width == 4 else _ROW6
+    row = _ROW4 if len(z0) == 4 else _ROW6
     buf, gen, rows = bytearray(row.pack(*z0)), states(z0, h), []
     try:
         for n in range(steps, 0, -1024):
             rows.extend(islice(gen, min(n, 1024)))
             buf += b"".join(rows)
             rows.clear()
-    except (SingularOriginError, OverflowError) as exc:
+    except SingularOriginError as exc:
         buf += b"".join(rows)           # list.extend keeps the rows yielded before the raise
         k, state = len(buf) // row.size, row.unpack_from(buf, len(buf) - row.size)
-        if isinstance(exc, SingularOriginError):
-            raise SingularOriginError(f"step {k}: {exc}", step=k, state=state) from exc
-        _check_finite(np.frombuffer(buf, float).reshape(k, width))
-        raise NonFiniteStateError(f"step {k}: float overflow ({exc})", step=k, state=state) from exc
-    out = np.frombuffer(buf, float).reshape(steps + 1, width)
+        raise SingularOriginError(f"step {k}: {exc}", step=k, state=state) from exc
+    out = np.frombuffer(buf, float).reshape(steps + 1, len(z0))
     _check_finite(out)
     return out
 

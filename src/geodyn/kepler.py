@@ -24,6 +24,7 @@ ORIGIN_TOL = 1e-12
 CIRCULAR_TOL = 1e-12
 KEPLER_EQ_TOL = 1e-13
 KEPLER_EQ_MAXITER = 50
+_QUANTITY_IDS = ("H", "m", "A1", "A2")      # the conserved quantities, in _invariants' order
 
 
 # --- Domain types ---
@@ -108,12 +109,12 @@ def potential(x: np.ndarray) -> float:
 
 
 def grad_potential(x: np.ndarray) -> np.ndarray:
-    """Gradient of the Kepler potential: x/|x|^3, |x| from a plain sum of squares."""
+    """Gradient of the Kepler potential: x/|x|^3, |x| from a plain sum of squares, cubed as r * r * r."""
     x = np.asarray(x, dtype=float)
     r = sqrt(sum(c * c for c in x.tolist()))
     if r < ORIGIN_TOL:
         raise origin_error(r)
-    return x / r**3
+    return x / (r * r * r)
 
 
 # --- Planar float forms for the step kernels ---
@@ -129,12 +130,12 @@ def potential_xy(x1: float, x2: float) -> float:
 def grad_potential_xy(x1: float, x2: float) -> tuple[float, float]:
     """Gradient x/|x|^3 at the planar point (x1, x2), on plain floats.
 
-    ``r**3`` raises OverflowError for |x| beyond about 1e102.
+    r^3 is r * r * r, as in the kernels: inf from R_MAX = 5.643803094122362e102 on, where the gradient is +-0.0.
     """
     r = sqrt(x1 * x1 + x2 * x2)
     if r < ORIGIN_TOL:
         raise origin_error(r)
-    r3 = r**3
+    r3 = r * r * r
     return x1 / r3, x2 / r3
 
 
@@ -374,15 +375,14 @@ def noether_residual(times: np.ndarray, states: Sequence[PhaseState], which: str
     """
     if len(states) < 3:
         raise TrajectoryTooShortError("need at least 3 samples for central differences")
-    names = ("H", "m", "A1", "A2")
-    if which not in names:
+    if which not in _QUANTITY_IDS:
         raise ValueError(f"unknown quantity id {which!r}")
     times = np.asarray(times, dtype=float)
     dt2 = 2.0 * (times[1] - times[0])
     x1, x2, v1, v2 = z = np.array([s.x.tolist() + s.v.tolist() for s in states]).T
     if (r := float(np.sqrt(x1 * x1 + x2 * x2).min())) < ORIGIN_TOL:
         raise origin_error(r)
-    p = _invariants(x1, x2, v1, v2)[names.index(which)]
+    p = _invariants(x1, x2, v1, v2)[_QUANTITY_IDS.index(which)]
     g1, g2, _, _ = grad_potential_arrays(x1[1:-1], x2[1:-1])
     d1, d2 = (v1[2:] - v1[:-2]) / dt2 + g1, (v2[2:] - v2[:-2]) / dt2 + g2
     q = _characteristics(z[:2, 1:-1], z[2:, 1:-1])[which]
@@ -458,6 +458,8 @@ def _period_averages(lbar, chars, s0: PhaseState, nodes: int,
     """
     if isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer)) or nodes < 1:
         raise ValueError(f"nodes must be a positive int, got {nodes!r}")
+    if unknown := [c for c in chars if not callable(c) and c not in _QUANTITY_IDS]:
+        raise ValueError(f"unknown quantity id {unknown[0]!r}")
     period = orbit_elements(s0).T
     fine_n = 2 * nodes
     ts = np.linspace(0.0, period, fine_n + 1)

@@ -683,8 +683,8 @@ class TestConfigAndPlumbing:
         assert a.read_bytes() == b.read_bytes()
 
 
-# SHA-256 of the output files, captured before the methods were gathered into
-# one table; the default seed (-3, 0), (0, 0.45) throughout
+# SHA-256 of the output files, the same with and without FMA and SIMD loops;
+# the default seed (-3, 0), (0, 0.45) throughout
 _GOLDEN_ARGS = {
     **{f"run {m}": ["run", "--method", m, "--h", "0.05", "--steps", "200"]
        for m in ("sym-euler", "sv", "vi1", "vi2")},
@@ -695,15 +695,15 @@ _GOLDEN_ARGS = {
     "convergence": ["convergence", "--levels", "3"],
 }
 _GOLDEN_SHA256 = {
-    "run sym-euler": "cee1ffa1af36972366f90cf4037245eec3d93251e96638a8a4139fc35b964397",
-    "run sv": "689ba0d4a7102ee4d9982cfd89cd5444ad59c3b6e7cbe0e3da3e37b0e695a0db",
-    "run vi1": "eb532cff1f3ab3243bda2896e285ecf15e9f8801aafbdd7ea02d3cdc947bc36c",
-    "run vi2": "6a13f6318fc12e7115f7ed3871096829b7e3e032a7b2f1f85dcd18b9ef40ad11",
-    "run k1": "1ae4a04497c12477b8035bdf5581191fce8dc6311065098d7566c429e765bde7",
-    "run k2": "456ccb00fe433c16d58fdbb623f6d620ced05abd74c654e86aaea89003fa06f2",
-    "run vi1 split": "06a1be496eaf485914c8809357f588eead7a6d029391c83939c462b5c95e5f02",
-    "run vi2 split": "964ac3dddf1793d3774eb837c9fddd23ea6197d9b6fb18b027da9d81f063faad",
-    "convergence": "847459e43036e5151803226cc126b37d399a5088bdf3879db9e1527ce2601a50",
+    "run sym-euler": "204b7026ac50157ca3f87e3f570e1a54fa442ceb8f23f2e68c146dcab3ace08a",
+    "run sv": "585f2da5b87018da500a75a6a6232b2536ee61027ea82a28c167c2b0a7b2420f",
+    "run vi1": "ed8f1e7c35edd0beb0af0ff879910f2df77fc8bfde0937d87bc80ee627feec4f",
+    "run vi2": "f629255f7b5725f11c060c4f4f67e40268524a3ffc4a3c6c4e72e63cc1a483b1",
+    "run k1": "e7173fceb753d7f8cf63e72eacb2c5a04fe8859a606d809ee64061c3b58c45a2",
+    "run k2": "2efcc3649fb590570eb6814ea357e0426f56307b0f05997ede5d480b884c1bb6",
+    "run vi1 split": "9b6b5672ed1d367b5beac50949254dab24aea0879da890aabef6d60bd06def78",
+    "run vi2 split": "0f4d4cbe8f057b271f74c1df8088c7bd1822d0ba9c124b5d83941672b7813019",
+    "convergence": "d2d55ce24f86540ccbb51f4d77880875934ec7cdd430285f6387dde6e70a85fb",
 }
 
 

@@ -66,6 +66,8 @@ from geodyn.kepler import (
 from geodyn.modified import modified_lagrangian
 from geodyn.relativistic import (
     ExtPhaseState,
+    del_relativistic,
+    del_relativistic_seed,
     flow_hi,
     flow_ht,
     mass_shell_gamma,
@@ -456,10 +458,32 @@ class TestRun:
             run(method, s, 1e200, 3, split=SPLIT)
 
     def test_float_overflow_reports_step(self):
-        # |x| = 1e150 is finite, but r**3 overflows
+        # x and h*v are finite, but the drift x + h*v overflows to inf
+        s = PhaseState(np.array([1e308, 0.0]), np.array([1e308, 0.0]))
+        with pytest.raises(NonFiniteStateError, match=r"step 1: state \[inf, "):
+            run("sv", s, 1.0, 3)
+
+    def test_overflow_carries_step_and_state(self):
+        s = PhaseState(np.array([1e308, 0.0]), np.array([1e308, 0.0]))
+        with pytest.raises(NonFiniteStateError) as info:
+            run("sv", s, 1.0, 3)
+        assert (info.value.step, info.value.state) == (1, (1e308, 0.0, 1e308, 0.0))
+
+    @pytest.mark.parametrize("method", METHOD_IDS)
+    def test_huge_r_run_keeps_the_seed(self, method):
+        # |x| = 1e150 is past R_MAX, where r * r * r is inf: the force is 0.0 and nothing moves
         s = PhaseState(np.array([1e150, 0.0]), np.array([0.0, 0.0]))
-        with pytest.raises(NonFiniteStateError, match=r"step 1: float overflow"):
-            run("sv", s, 0.1, 3)
+        rec = run(method, s, 0.1, 3)
+        assert np.array_equal(np.hstack((rec.xs, rec.vs)), np.tile([1e150, 0.0, 0.0, 0.0], (4, 1)))
+
+    @pytest.mark.parametrize("method", REL_METHOD_IDS)
+    def test_huge_r_relativistic_run_advances_only_t(self, method):
+        # the kick is 0.0, and gamma's update is a potential difference of 0.0
+        s = ExtPhaseState(0.0, np.array([1e150, 0.0]), 1.0, np.array([0.0, 0.0]))
+        rec = run_relativistic(method, s, 0.1, 3)
+        assert np.array_equal(np.column_stack((rec.xs, rec.gammas, rec.us)),
+                              np.tile([1e150, 0.0, 1.0, 0.0, 0.0], (4, 1)))
+        assert np.all(np.diff(rec.ts) > 0.0) and np.allclose(rec.ts, 0.1 * np.arange(4), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("method", ["sym-euler", "sv"])
     def test_radial_infall_carries_step_and_state(self, method):
@@ -472,12 +496,6 @@ class TestRun:
         assert f"step {exc.step}:" in str(exc)
         before = run(method, s, 0.5, exc.step - 1, diagnostics=False)
         assert exc.state == (*before.xs[-1].tolist(), *before.vs[-1].tolist())
-
-    def test_overflow_carries_step_and_state(self):
-        s = PhaseState(np.array([1e150, 0.0]), np.array([0.0, 0.0]))
-        with pytest.raises(NonFiniteStateError) as info:
-            run("sv", s, 0.1, 3)
-        assert (info.value.step, info.value.state) == (1, (1e150, 0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("method", METHOD_IDS)
     def test_non_finite_state_carries_step_and_state(self, method):
@@ -585,7 +603,7 @@ _PUBLIC_STEPS = [
     ("relativistic", lambda s, split, i, h: flow_ht(s, h)),
     ("relativistic", lambda s, split, i, h: flow_hi(i, s, h)),
 ]
-# near ORIGIN_TOL, ordinary, and beyond 1e102, where r**3 overflows
+# near ORIGIN_TOL, ordinary, and past R_MAX = 5.64e102, where r * r * r is inf
 _POLICY_X = st.sampled_from([0.0, 1e-13, -1e-13, 1.5 * ORIGIN_TOL, 0.7, -1.0, 1e103, -1e150])
 _POLICY_V = st.sampled_from([0.0, 0.5, -1.1, 1e13, -1e13, 1e200])
 
@@ -606,6 +624,56 @@ class TestOneStepPolicy:
         except GeodynError:
             return
         assert type(out) is type(s) and all(map(math.isfinite, _flat(out)))
+
+
+# --- Past R_MAX the force is 0.0, and no layer raises a raw OverflowError ---
+
+def _huge_calls(r):
+    """(name, call) for the force, every Legendre transform, bootstrap and two-step update,
+    and the step and adjoint of every table method, at positions of size r."""
+    x0, x1, v, h = np.array([r, 0.0]), np.array([r, 0.5 * r]), np.array([0.0, 1.0]), 0.1
+    ts, ext = TwoStepState(x0, x1, h), ExtPhaseState(0.0, x0, 1.0, v)
+    calls = [("grad_potential", lambda: grad_potential(x0)),
+             ("step_stormer_verlet", lambda: step_stormer_verlet(ts)),
+             ("del_two_step_vi1", lambda: del_two_step_vi1(ts, SPLIT)),
+             ("del_relativistic_seed", lambda: del_relativistic_seed(ext, h)),
+             ("del_relativistic", lambda: del_relativistic(0.0, h, x0, x1, h))]
+    for lag in LAGRANGIAN_IDS:
+        calls += [(f"legendre_minus {lag}", lambda lag=lag: legendre_minus(lag, x0, x1, h)),
+                  (f"legendre_plus {lag}", lambda lag=lag: legendre_plus(lag, x0, x1, h)),
+                  (f"bootstrap_first_point {lag}",
+                   lambda lag=lag: bootstrap_first_point(PhaseState(x0, v), lag, h))]
+    for m in METHODS:
+        s = PhaseState(x0, v) if METHODS[m].model == "kepler" else ext
+        calls += [(f"step {m} adjoint={a}", lambda m=m, s=s, a=a: step(m, s, h, adjoint=a))
+                  for a in (False, True)]
+    return calls
+
+
+def _floats(out):
+    """The floats of a state, an array, or a tuple of them."""
+    if isinstance(out, (PhaseState, ExtPhaseState)):
+        return _flat(out)
+    if isinstance(out, tuple):
+        return tuple(f for part in out for f in _floats(part))
+    return tuple(np.ravel(out).tolist())
+
+
+@pytest.mark.parametrize("r", [1e103, 1e150])
+def test_huge_positions_give_a_finite_result_or_a_named_error(r):
+    # r * r * r is inf past R_MAX = 5.64e102, where the power r**3 raises OverflowError
+    bad = {}
+    for name, call in _huge_calls(r):
+        try:
+            out = call()
+        except GeodynError:
+            continue
+        except Exception as exc:
+            bad[name] = repr(exc)
+            continue
+        if not all(map(math.isfinite, _floats(out))):
+            bad[name] = out
+    assert bad == {}
 
 
 # --- Each fused table kernel equals its sub-flow composition, bit for bit ---
@@ -676,7 +744,7 @@ def _outcome(kernel, z, h):
     try:
         out = kernel(z, h)
         return tuple(map(float.hex, out if isinstance(out, tuple) else _unpack(next(out))))
-    except (GeodynError, ArithmeticError) as exc:    # SingularOriginError, OverflowError
+    except (GeodynError, ArithmeticError) as exc:    # a named error, or one both sides raise alike
         return type(exc), str(exc)
 
 
@@ -691,7 +759,7 @@ def _assert_fused_equals_composed(method_id, z, h, split):
 _COORD = st.floats(-3.0, 3.0)
 
 # at and next to the origin, drifts onto and through it, and |x| ~ 1e103, where
-# r**3 overflows; a drift that lands on the origin tells the drift check's
+# r * r * r is inf; a drift that lands on the origin tells the drift check's
 # place from the end point's force or potential
 _EDGE_STATES = [
     (0.0, 0.0, 1.0, 0.5), (0.0, 0.0, 0.0, 0.0), (1e-13, 0.0, 0.0, 1.0), (0.0, -1e-13, 1.0, 0.0),
@@ -816,8 +884,7 @@ class TestMultiStepKernels:
                 rows = [struct.pack(f"{len(z)}d", *z), *islice(kernel(z, h), n)]
                 assert trajectory(kernel, z, h, n).tobytes() == b"".join(rows), n
 
-    @pytest.mark.parametrize("error", [SingularOriginError, OverflowError, None],
-                             ids=["singular", "overflow", "nan"])
+    @pytest.mark.parametrize("error", [SingularOriginError, None], ids=["singular", "nan"])
     @pytest.mark.parametrize("method_id", ["sv", "k2"])
     def test_a_failure_past_a_chunk_names_its_step(self, method_id, error):
         z, h = (1.0, 0.0, 0.1, 1.1), 0.01
@@ -833,8 +900,7 @@ class TestMultiStepKernels:
             assert info.value.step == k
             assert tuple(map(float.hex, info.value.state)) == tuple(map(float.hex, rows[k - 1])), k
 
-    @pytest.mark.parametrize("error", [SingularOriginError, OverflowError],
-                             ids=["singular", "overflow"])
+    @pytest.mark.parametrize("error", [SingularOriginError], ids=["singular"])
     def test_a_failed_run_makes_one_pass(self, error):
         # the failing step and last state come from the rows already collected;
         # the run is not made again from z0 to find them
@@ -848,7 +914,7 @@ class TestMultiStepKernels:
         with pytest.raises(GeodynError) as info:
             trajectory(counted, z, h, 2000)
         assert len(made) == 1
-        assert type(info.value) is (NonFiniteStateError if error is OverflowError else error)
+        assert type(info.value) is error
         assert str(info.value).startswith("step 1500: ") and info.value.step == 1500
         last = trajectory(_sv_states, z, h, 1499)[-1]
         assert tuple(map(float.hex, info.value.state)) == tuple(map(float.hex, last))

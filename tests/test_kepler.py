@@ -118,6 +118,20 @@ class TestPotential:
     def test_origin_rejected(self):
         with pytest.raises(SingularOriginError):
             potential(np.zeros(2))
+
+    def test_cube_rounds_alike_in_numpy_and_floats(self):
+        # r * r * r is three correctly rounded products, so numpy's array product and the
+        # float kernels' agree bit for bit; it is inf from R_MAX on, one ulp below it is not
+        r_max = 5.643803094122362e102
+        edge = [math.nextafter(r_max, 0.0), r_max, math.nextafter(r_max, math.inf)]
+        rng = np.random.default_rng(33)
+        rs = np.concatenate((10.0 ** rng.uniform(-12.0, 103.0, 200_000), edge))
+        floats = [r * r * r for r in rs.tolist()]
+        with np.errstate(over="ignore"):
+            assert (rs * rs * rs).tobytes() == np.array(floats).tobytes()
+        assert [math.isinf(c) for c in floats[-3:]] == [False, True, True]
+        assert grad_potential_xy(r_max, 0.0) == (0.0, 0.0)
+        assert math.isfinite(grad_potential_xy(edge[0], 0.0)[0])
         with pytest.raises(SingularOriginError):
             grad_potential(np.array([1e-13, 0.0]))
 
@@ -564,3 +578,15 @@ class TestPerturbationAverage:
         field = _inverse_r4
         with pytest.raises(NonConvergenceError, match="did not settle"):
             perturbation_average(field, "A1", S_WIDE, nodes=4, refine_tol=1e-14)
+
+    def test_unknown_quantity_id_is_rejected_before_any_evaluation(self):
+        # it ended in a raw KeyError, after the whole Euler-Lagrange stencil was evaluated
+        calls = []
+
+        def field(x, v):
+            calls.append(x.shape)
+            return _inverse_r4(x, v)
+
+        with pytest.raises(ValueError, match="unknown quantity id 'B'"):
+            perturbation_average(field, "B", S_WIDE, nodes=8)
+        assert calls == []
