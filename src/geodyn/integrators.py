@@ -19,7 +19,7 @@ discrete Legendre transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, wraps
 from itertools import islice
 from math import inf, sqrt
 from struct import Struct
@@ -54,7 +54,7 @@ LAGRANGIAN_IDS = ("L1", "L2", "L1st", "Lstar", "L2nd")
 
 @dataclass(frozen=True)
 class TwoStepState:
-    """Consecutive positions of a two-step recurrence, finite and of one shape (else ValueError)."""
+    """Consecutive positions of a two-step recurrence, finite and of one shape; h*h finite (else ValueError)."""
     x_prev: np.ndarray
     x_curr: np.ndarray
     h: float
@@ -66,6 +66,20 @@ class TwoStepState:
             raise ValueError("positions must be finite and of one shape, "
                              f"got {self.x_prev.tolist()}, {self.x_curr.tolist()}")
         check_step_size(self.h)
+        if float(self.h) * float(self.h) == inf:
+            raise ValueError(f"step size h = {self.h!r} squares to inf in the two-step recurrence")
+
+
+def _finite_update(update):
+    """The two-step update ``update(ts, ...)``, unwarned; a non-finite next position raises NonFiniteStateError."""
+    @wraps(update)
+    def checked(ts: TwoStepState, *args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_next = update(ts, *args, **kwargs)
+        if np.isfinite(x_next).all():
+            return x_next
+        raise NonFiniteStateError(f"two-step update {np.asarray(x_next).tolist()} not finite for h = {ts.h!r}")
+    return checked
 
 
 @dataclass(frozen=True)
@@ -211,10 +225,10 @@ def _vi1_kernels(split: SplitPotential | None):
 
     def states(z, h):
         x1, x2, v1, v2 = z
-        tol, pack = ORIGIN_TOL, _ROW4.pack
+        tol, ntol, pack = ORIGIN_TOL, -ORIGIN_TOL, _ROW4.pack
         while True:
             y1 = x1 + h * v1
-            if -tol < x2 < tol:
+            if ntol < x2 < tol:
                 check_segment_xy(x1, x2, y1, x2)
             r = sqrt(y1 * y1 + x2 * x2)
             if r < tol:
@@ -222,7 +236,7 @@ def _vi1_kernels(split: SplitPotential | None):
             r3 = r * r * r
             v1, v2 = v1 - h * (w1 * (y1 / r3)), v2 - h * (w1 * (x2 / r3))
             y2 = x2 + h * v2
-            if -tol < y1 < tol:
+            if ntol < y1 < tol:
                 check_segment_xy(y1, x2, y1, y2)
             r = sqrt(y1 * y1 + y2 * y2)
             if r < tol:
@@ -244,7 +258,7 @@ def _vi2_kernel(split: SplitPotential | None):
 
     def states(z, h):
         x1, x2, v1, v2 = z
-        c, tol, pack = 0.5 * h, ORIGIN_TOL, _ROW4.pack
+        c, tol, ntol, pack = 0.5 * h, ORIGIN_TOL, -ORIGIN_TOL, _ROW4.pack
         r = sqrt(x1 * x1 + x2 * x2)
         if r < tol:
             raise origin_error(r)
@@ -253,7 +267,7 @@ def _vi2_kernel(split: SplitPotential | None):
         while True:
             v1, v2 = v1 - c * (w2 * g1), v2 - c * (w2 * g2)
             y2 = x2 + c * v2
-            if -tol < x1 < tol:
+            if ntol < x1 < tol:
                 check_segment_xy(x1, x2, x1, y2)
             r = sqrt(x1 * x1 + y2 * y2)
             if r < tol:
@@ -261,10 +275,9 @@ def _vi2_kernel(split: SplitPotential | None):
             r3 = r * r * r
             v1, v2 = v1 - c * (w1 * (x1 / r3)), v2 - c * (w1 * (y2 / r3))
             y1 = x1 + c * v1
-            if -tol < y2 < tol:
-                check_segment_xy(x1, y2, y1, y2)
-            x1 = y1 + c * v1
-            if -tol < y2 < tol:
+            x0, x1 = x1, y1 + c * v1
+            if ntol < y2 < tol:
+                check_segment_xy(x0, y2, y1, y2)
                 check_segment_xy(y1, y2, x1, y2)
             r = sqrt(x1 * x1 + y2 * y2)
             if r < tol:
@@ -272,7 +285,7 @@ def _vi2_kernel(split: SplitPotential | None):
             r3 = r * r * r
             v1, v2 = v1 - c * (w1 * (x1 / r3)), v2 - c * (w1 * (y2 / r3))
             x2 = y2 + c * v2
-            if -tol < x1 < tol:
+            if ntol < x1 < tol:
                 check_segment_xy(x1, y2, x1, x2)
             r = sqrt(x1 * x1 + x2 * x2)
             if r < tol:
@@ -307,7 +320,7 @@ def _flow_hi(i, z, h):
 
 def _k1_states(z, h):
     t, x1, x2, gamma, u1, u2 = z
-    tol, pack = ORIGIN_TOL, _ROW6.pack
+    tol, ntol, pack = ORIGIN_TOL, -ORIGIN_TOL, _ROW6.pack
     r = sqrt(x1 * x1 + x2 * x2)
     if r < tol:
         raise origin_error(r)
@@ -316,7 +329,7 @@ def _k1_states(z, h):
         r3, hg = r * r * r, h * gamma
         u1, u2 = u1 - hg * (x1 / r3), u2 - hg * (x2 / r3)
         y1 = x1 + h * u1
-        if -tol < x2 < tol:
+        if ntol < x2 < tol:
             check_segment_xy(x1, x2, y1, x2)
         r = sqrt(y1 * y1 + x2 * x2)
         if r < tol:
@@ -324,7 +337,7 @@ def _k1_states(z, h):
         p1 = -1.0 / r
         gamma = gamma - (p1 - p0)
         y2 = x2 + h * u2
-        if -tol < y1 < tol:
+        if ntol < y1 < tol:
             check_segment_xy(y1, x2, y1, y2)
         r = sqrt(y1 * y1 + y2 * y2)
         if r < tol:
@@ -337,10 +350,10 @@ def _k1_states(z, h):
 def _k2_states(z, h):
     """The k1* half step, then the k1 half step, written out; the time/kick flows share a force."""
     t, x1, x2, gamma, u1, u2 = z
-    c, tol, p0, pack = 0.5 * h, ORIGIN_TOL, None, _ROW6.pack
+    c, tol, ntol, p0, pack = 0.5 * h, ORIGIN_TOL, -ORIGIN_TOL, None, _ROW6.pack
     while True:
         y2 = x2 + c * u2
-        if -tol < x1 < tol:
+        if ntol < x1 < tol:
             check_segment_xy(x1, x2, x1, y2)
         r = sqrt(x1 * x1 + y2 * y2)
         if r < tol:
@@ -353,7 +366,7 @@ def _k2_states(z, h):
             p0 = -1.0 / r
         gamma = gamma - (p1 - p0)
         y1 = x1 + c * u1
-        if -tol < y2 < tol:
+        if ntol < y2 < tol:
             check_segment_xy(x1, y2, y1, y2)
         r = sqrt(y1 * y1 + y2 * y2)
         if r < tol:
@@ -361,9 +374,10 @@ def _k2_states(z, h):
         p2 = -1.0 / r
         gamma = gamma - (p2 - p1)
         r3, hg = r * r * r, c * gamma
-        u1, u2 = u1 - hg * (y1 / r3) - hg * (y1 / r3), u2 - hg * (y2 / r3) - hg * (y2 / r3)
+        a1, a2 = hg * (y1 / r3), hg * (y2 / r3)
+        u1, u2 = u1 - a1 - a1, u2 - a2 - a2
         x1 = y1 + c * u1
-        if -tol < y2 < tol:
+        if ntol < y2 < tol:
             check_segment_xy(y1, y2, x1, y2)
         r = sqrt(x1 * x1 + y2 * y2)
         if r < tol:
@@ -371,7 +385,7 @@ def _k2_states(z, h):
         p1 = -1.0 / r
         gamma = gamma - (p1 - p2)
         x2 = y2 + c * u2
-        if -tol < x1 < tol:
+        if ntol < x1 < tol:
             check_segment_xy(x1, y2, x1, x2)
         r = sqrt(x1 * x1 + x2 * x2)
         if r < tol:
@@ -458,9 +472,10 @@ def step_sym_euler(s: PhaseState, h: float) -> PhaseState:
     return step("sym-euler", s, h)
 
 
+@_finite_update
 def step_stormer_verlet(ts: TwoStepState, grad: Callable = grad_potential) -> np.ndarray:
     """Central-difference recurrence x+ = 2x - x_prev - h^2 grad(x) for any force ``grad``."""
-    return 2.0 * ts.x_curr - ts.x_prev - ts.h**2 * grad(ts.x_curr)
+    return 2.0 * ts.x_curr - ts.x_prev - ts.h * ts.h * grad(ts.x_curr)
 
 
 def step_sv_one_step(s: PhaseState, h: float) -> PhaseState:
@@ -508,7 +523,7 @@ def discrete_lagrangian(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     d = x1 - x0
-    kinetic = 0.5 * sum(c * c for c in d.tolist()) / h**2
+    kinetic = 0.5 * sum(c * c for c in d.tolist()) / (h * h)
     if lag_id == "L2":
         return kinetic - 0.5 * (potential(x0) + potential(x1))
     lag_id, split = _require_split(lag_id, split, x0.size)
@@ -641,6 +656,7 @@ def bootstrap_first_point(s0: PhaseState, lag_id: str, h: float,
     return _newton(residual, x1, _momentum_tol(1e-12, h, s0.x, x1), f"bootstrap for {lag_id}")
 
 
+@_finite_update
 def del_two_step_vi1(ts: TwoStepState, split: SplitPotential) -> np.ndarray:
     """Two-step discrete Euler-Lagrange update for the split Lagrangian.
 
@@ -651,13 +667,13 @@ def del_two_step_vi1(ts: TwoStepState, split: SplitPotential) -> np.ndarray:
     """
     x_prev, x, h = ts.x_prev, ts.x_curr, ts.h
     if len(split) == 1:
-        return 2.0 * x - x_prev - h**2 * split.grad(0, x)
+        return 2.0 * x - x_prev - h * h * split.grad(0, x)
     if (len(split), x.size) != (2, 2):
         raise ValueError("a coordinate split needs two parts and planar points")
     g0, g1 = split.grad(0, np.array([x[0], x_prev[1]])), split.grad(1, x)
-    y1 = 2.0 * x[0] - x_prev[0] - h**2 * (g0[0] + g1[0])
+    y1 = 2.0 * x[0] - x_prev[0] - h * h * (g0[0] + g1[0])
     g0 = split.grad(0, np.array([y1, x[1]]))
-    return np.array([y1, 2.0 * x[1] - x_prev[1] - h**2 * (g0[1] + g1[1])])
+    return np.array([y1, 2.0 * x[1] - x_prev[1] - h * h * (g0[1] + g1[1])])
 
 
 # --- Trajectory running ---

@@ -140,9 +140,9 @@ def grad_potential_xy(x1: float, x2: float) -> tuple[float, float]:
 
 
 def grad_potential_arrays(x1, x2):
-    """(x1/r^3, x2/r^3, r, r^3) at arrays of planar points; r^3 is one float_power, rounded as a float r**3."""
+    """(x1/r^3, x2/r^3, r, r^3) at arrays of planar points, rounded as ``grad_potential_xy``: r^3 is r * r * r."""
     r = np.sqrt(x1 * x1 + x2 * x2)
-    r3 = np.float_power(r, 3)
+    r3 = r * r * r
     return x1 / r3, x2 / r3, r, r3
 
 

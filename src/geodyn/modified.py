@@ -317,6 +317,8 @@ def _rk4(z, h: float, t_span: float, substeps: int) -> tuple[float, float, float
     the vector form x + (0.5*dt)*k and dt/6*(k1 + 2*k2 + 2*k3 + k4). Each
     stage writes out ``_modified_accel_vi1`` of tests/test_modified.py in its operation
     order; ``TestShadowing._reference_rk4`` there holds the two equal bit for bit.
+    r^3 is r * r * r and r^5 is r3 * r * r, as in the kernels and the vi2 bracket:
+    products, so a huge r gives inf, a force of +-0.0 and no OverflowError.
     """
     n = max(1, int(round(t_span / h * substeps)))
     dt = t_span / n
@@ -327,8 +329,8 @@ def _rk4(z, h: float, t_span: float, substeps: int) -> tuple[float, float, float
     for _ in range(n):
         # k1 = (v, a1) at x
         r = sqrt(x1 * x1 + x2 * x2)
-        r3 = r**3
-        f = c * x1 * x2 / r**5
+        r3 = r * r * r
+        f = c * x1 * x2 / (r3 * r * r)
         a11 = -x1 / r3 + f * v2
         a12 = -x2 / r3 - f * v1
         p1 = v1 + half * a11
@@ -337,8 +339,8 @@ def _rk4(z, h: float, t_span: float, substeps: int) -> tuple[float, float, float
         y1 = x1 + half * v1
         y2 = x2 + half * v2
         r = sqrt(y1 * y1 + y2 * y2)
-        r3 = r**3
-        f = c * y1 * y2 / r**5
+        r3 = r * r * r
+        f = c * y1 * y2 / (r3 * r * r)
         a21 = -y1 / r3 + f * p2
         a22 = -y2 / r3 - f * p1
         q1 = v1 + half * a21
@@ -347,8 +349,8 @@ def _rk4(z, h: float, t_span: float, substeps: int) -> tuple[float, float, float
         y1 = x1 + half * p1
         y2 = x2 + half * p2
         r = sqrt(y1 * y1 + y2 * y2)
-        r3 = r**3
-        f = c * y1 * y2 / r**5
+        r3 = r * r * r
+        f = c * y1 * y2 / (r3 * r * r)
         a31 = -y1 / r3 + f * q2
         a32 = -y2 / r3 - f * q1
         s1 = v1 + dt * a31
@@ -357,8 +359,8 @@ def _rk4(z, h: float, t_span: float, substeps: int) -> tuple[float, float, float
         y1 = x1 + dt * q1
         y2 = x2 + dt * q2
         r = sqrt(y1 * y1 + y2 * y2)
-        r3 = r**3
-        f = c * y1 * y2 / r**5
+        r3 = r * r * r
+        f = c * y1 * y2 / (r3 * r * r)
         a41 = -y1 / r3 + f * s2
         a42 = -y2 / r3 - f * s1
         x1 = x1 + sixth * (v1 + 2.0 * p1 + 2.0 * q1 + s1)

@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import re
 import struct
 import tracemalloc
 from functools import partial
@@ -408,6 +409,24 @@ class TestDelRecurrence:
     def test_state_rejects_bad_positions(self, x_prev, x_curr, message):
         with pytest.raises(ValueError, match=message):
             TwoStepState(x_prev, x_curr, H)
+
+    # h * h is inf from h = 1.34e154 on, where h**2 raised a raw OverflowError: TwoStepState
+    # rejects such an h, and just below it h * h * grad overflows to a named error, not -inf
+    @pytest.mark.parametrize("h, error", [(1e200, ValueError), (1.3e154, NonFiniteStateError)])
+    def test_stormer_verlet_names_an_overflow(self, h, error):
+        with pytest.raises(error, match=re.escape(f"h = {h!r}")):
+            step_stormer_verlet(TwoStepState([0.5, 0.0], [0.5, 0.0], h))
+
+    @pytest.mark.parametrize("h, error", [(1e200, ValueError), (1.3e154, NonFiniteStateError)])
+    def test_del_recurrence_names_an_overflow(self, h, error):
+        with pytest.raises(error, match=re.escape(f"h = {h!r}")):
+            del_two_step_vi1(TwoStepState([0.5, 0.0], [0.5, 0.0], h), SPLIT)
+
+    def test_discrete_lagrangian_at_a_huge_step(self):
+        # the kinetic term d.d / (h * h) is 0.0 at h = 1e200, where h**2 raised OverflowError
+        x0, x1 = np.array([1.0, 0.0]), np.array([1.0, 0.1])
+        assert discrete_lagrangian("L2", x0, x1, 1e200) == -0.5 * (potential(x0) + potential(x1))
+        assert all(math.isfinite(discrete_lagrangian(lag, x0, x1, 1e200)) for lag in LAGRANGIAN_IDS)
 
     def test_state_keeps_any_dimension(self):
         ts = TwoStepState(np.array([1.0, 0.2, 0.1]), np.array([0.98, 0.25, 0.1]), H)

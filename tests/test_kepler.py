@@ -135,6 +135,23 @@ class TestPotential:
         with pytest.raises(SingularOriginError):
             grad_potential(np.array([1e-13, 0.0]))
 
+    def test_array_force_rounds_as_the_float_force(self):
+        # one formula for x/r^3: grad_potential_arrays cubes r * r * r as grad_potential_xy
+        # does, so the two agree bit for bit on every component (a float_power cube differs
+        # on about a fifth of them), and past R_MAX both are +-0.0
+        r_max = 5.643803094122362e102
+        rng = np.random.default_rng(34)
+        size = 10.0 ** rng.uniform(-6.0, 120.0, 200_000)
+        angle = rng.uniform(-math.pi, math.pi, 200_000)
+        edge = [math.nextafter(r_max, 0.0), r_max, math.nextafter(r_max, math.inf)]
+        x1 = np.concatenate((size * np.cos(angle), edge))
+        x2 = np.concatenate((size * np.sin(angle), [0.0, 0.0, 0.0]))
+        with np.errstate(over="ignore"):
+            g1, g2, _, _ = kepler.grad_potential_arrays(x1, x2)
+        want = np.array([grad_potential_xy(a, b) for a, b in zip(x1.tolist(), x2.tolist())])
+        assert np.column_stack((g1, g2)).tobytes() == want.tobytes()
+        assert want[-2:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
     def test_float_forms_match_vector_forms(self):
         # |x| is rounded differently (sqrt of a sum vs a BLAS dot), and r**3
         # triples that relative error, so allow a few ulps
