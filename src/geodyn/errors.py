@@ -23,8 +23,8 @@ class SingularOriginError(_StepError):
 
 
 class NonFiniteStateError(_StepError):
-    """A trajectory reached an infinite or NaN state or diagnostic value; also a
-    linear modified-series term that overflows."""
+    """A trajectory, two-step update or seed reached an infinite or NaN value; also a
+    linear modified-series term that overflows, and a shadowing flow past its r^5 range."""
 
 
 class NonConvergenceError(GeodynError):

@@ -77,10 +77,9 @@ def _tokenize(text: str, line: int) -> list[_Token]:
 class Expression:
     """Parsed arithmetic expression, evaluable at one point or over a batch."""
 
-    def __init__(self, ast, source: str):
+    def __init__(self, ast):
         self._ast = ast
         self._fn = _compile(ast)
-        self.source = source
 
     def __call__(self, env: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
         """Value of the expression for the variables in ``env``.
@@ -308,4 +307,4 @@ def parse_expression(text: str, line: int = 1) -> Expression:
     end = parser.peek()
     if end.kind != "end":
         raise ExpressionError(f"trailing input {end.text!r}", end.line, end.column)
-    return Expression(node, text)
+    return Expression(node)

@@ -11,9 +11,9 @@ one loop that carries its closing force or potential into the next step and
 yields each state as one packed row of floats, which ``trajectory`` joins in
 1024-row chunks; one-step maps (sub-flows, adjoints) become generators through
 ``_iterate``, and the sub-flows are the reference the kernels equal bit for
-bit. vi1 and vi2 also exist in two-step discrete Euler-Lagrange form,
-equivalent to the compositions once the first point is seeded through the
-discrete Legendre transform.
+bit. sv, vi1 and k1 also exist in two-step discrete Euler-Lagrange form on a
+``TwoStepState``, equivalent to the composition once the first point is
+seeded through the discrete Legendre transform.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ LAGRANGIAN_IDS = ("L1", "L2", "L1st", "Lstar", "L2nd")
 
 @dataclass(frozen=True)
 class TwoStepState:
-    """Consecutive positions of a two-step recurrence, finite and of one shape; h*h finite (else ValueError)."""
+    """Consecutive points x, or q = (t, x) in the relativistic recurrence, of a two-step
+    recurrence, finite and of one shape; h*h finite (else ValueError)."""
     x_prev: np.ndarray
     x_curr: np.ndarray
     h: float
@@ -473,9 +474,9 @@ def step_sym_euler(s: PhaseState, h: float) -> PhaseState:
 
 
 @_finite_update
-def step_stormer_verlet(ts: TwoStepState, grad: Callable = grad_potential) -> np.ndarray:
-    """Central-difference recurrence x+ = 2x - x_prev - h^2 grad(x) for any force ``grad``."""
-    return 2.0 * ts.x_curr - ts.x_prev - ts.h * ts.h * grad(ts.x_curr)
+def step_stormer_verlet(ts: TwoStepState) -> np.ndarray:
+    """Central-difference recurrence x+ = 2x - x_prev - h^2 grad(phi)(x) of the Kepler force."""
+    return 2.0 * ts.x_curr - ts.x_prev - ts.h * ts.h * grad_potential(ts.x_curr)
 
 
 def step_sv_one_step(s: PhaseState, h: float) -> PhaseState:
@@ -612,13 +613,13 @@ def _midpoint_stage(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotent
         return legendre_minus("L1st", xm, x0, -g, split) - legendre_minus("L1st", xm, x1, g, split)
 
     xm = 0.5 * (x0 + x1)
-    return _newton(residual, xm, tol=_momentum_tol(1e-13, g, x0, x1), what="L2nd midpoint stage")
+    return _newton(residual, xm, tol=_round_off_tol(1e-13, (x0, x1), g), what="L2nd midpoint stage")
 
 
-def _momentum_tol(tol: float, h: float, x0: np.ndarray, x1: np.ndarray) -> float:
-    """``tol``, or 8 ulps of the largest coordinate of x0 and x1 over |h| if that is
-    larger: a momentum difference (x1 - x0)/h cannot settle below that floor."""
-    return max(tol, 8.0 * float(np.spacing(max(np.abs(x0).max(), np.abs(x1).max()))) / abs(h))
+def _round_off_tol(tol: float, points, h: float = 1.0) -> float:
+    """``tol``, or 8 ulps of the largest coordinate of ``points`` over |h| if larger: a residual
+    in them (h = 1), or a momentum difference (x1 - x0)/h, cannot settle below that floor."""
+    return max(tol, 8.0 * float(np.spacing(max(np.abs(p).max() for p in points))) / abs(h))
 
 
 def _newton(residual, guess: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -653,7 +654,7 @@ def bootstrap_first_point(s0: PhaseState, lag_id: str, h: float,
         return legendre_minus(lag_id, s0.x, x1, h, split) - s0.v
 
     x1 = s0.x + h * s0.v
-    return _newton(residual, x1, _momentum_tol(1e-12, h, s0.x, x1), f"bootstrap for {lag_id}")
+    return _newton(residual, x1, _round_off_tol(1e-12, (s0.x, x1), h), f"bootstrap for {lag_id}")
 
 
 @_finite_update
@@ -666,10 +667,9 @@ def del_two_step_vi1(ts: TwoStepState, split: SplitPotential) -> np.ndarray:
     recurrence.
     """
     x_prev, x, h = ts.x_prev, ts.x_curr, ts.h
+    _, split = _require_split("L1st", split, x.size)
     if len(split) == 1:
         return 2.0 * x - x_prev - h * h * split.grad(0, x)
-    if (len(split), x.size) != (2, 2):
-        raise ValueError("a coordinate split needs two parts and planar points")
     g0, g1 = split.grad(0, np.array([x[0], x_prev[1]])), split.grad(1, x)
     y1 = 2.0 * x[0] - x_prev[0] - h * h * (g0[0] + g1[0])
     g0 = split.grad(0, np.array([y1, x[1]]))

@@ -141,8 +141,9 @@ def grad_potential_xy(x1: float, x2: float) -> tuple[float, float]:
 
 def grad_potential_arrays(x1, x2):
     """(x1/r^3, x2/r^3, r, r^3) at arrays of planar points, rounded as ``grad_potential_xy``: r^3 is r * r * r."""
-    r = np.sqrt(x1 * x1 + x2 * x2)
-    r3 = r * r * r
+    with np.errstate(over="ignore"):
+        r = np.sqrt(x1 * x1 + x2 * x2)
+        r3 = r * r * r
     return x1 / r3, x2 / r3, r, r3
 
 
@@ -238,13 +239,6 @@ def _elements(cs: ConservedSet) -> OrbitElements:
     b = a * math.sqrt(max(0.0, 1.0 - e * e))
     T = 2.0 * math.pi * a**1.5
     return OrbitElements(a=a, b=b, e=e, T=T)
-
-
-def periapsis_state(el: OrbitElements) -> PhaseState:
-    """Counter-clockwise periapsis state with the LRL vector along +x1."""
-    r = el.a * (1.0 - el.e)
-    vp = math.sqrt((1.0 + el.e) / r)
-    return PhaseState(np.array([r, 0.0]), np.array([0.0, vp]))
 
 
 # --- Analytic reference solution ---
@@ -432,11 +426,11 @@ def _euler_lagrange(lbar, s0: PhaseState, ts):
 def perturbation_average(
     lbar,
     char,
-    orbit: PhaseState | OrbitElements,
+    orbit: PhaseState,
     nodes: int = 2048,
     refine_tol: float = 1e-8,
 ) -> float:
-    """Period average [<EL(lbar), char>] by composite Simpson quadrature.
+    """Period average [<EL(lbar), char>] by composite Simpson quadrature over the orbit of ``orbit``.
 
     ``char`` is a quantity id ("H", "m", "A1", "A2") or a callable mapping
     (2, M) arrays of positions and velocities to the (2, M) characteristic.
@@ -445,8 +439,7 @@ def perturbation_average(
     node's EL vector is evaluated once; if the two disagree by more than
     ``refine_tol``, NonConvergenceError is raised.
     """
-    s0 = periapsis_state(orbit) if isinstance(orbit, OrbitElements) else orbit
-    return _period_averages(lbar, (char,), s0, nodes, refine_tol)[0]
+    return _period_averages(lbar, (char,), orbit, nodes, refine_tol)[0]
 
 
 def _period_averages(lbar, chars, s0: PhaseState, nodes: int,

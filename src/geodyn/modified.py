@@ -21,7 +21,7 @@ from geodyn.errors import (
     StabilityBoundaryError,
     TrajectoryTooShortError,
 )
-from geodyn.integrators import TrajectoryRecord, _newton, method, run
+from geodyn.integrators import TrajectoryRecord, _newton, _round_off_tol, method, run
 from geodyn.kepler import (
     CIRCULAR_TOL,
     OrbitElements,
@@ -125,10 +125,12 @@ def perturbation_field(method_id: str, split: SplitPotential | None = None):
     """(epsilon(h), leading perturbation Lbar) with L_mod = L + epsilon*Lbar.
 
     The epsilon factor is the size of the leading perturbation: h/2 for the first-order
-    methods, h^2/24 for Stormer-Verlet, h^2 for the second-order coordinate
-    composition (whose bracket carries its own 1/96 and 1/24 weights). vi1
-    and vi2 need a two-part split; a one-part split raises ValueError. Lbar is
-    the function ``value(x, v)`` of (2, ...) arrays of positions and velocities.
+    methods, h^2/24 for Stormer-Verlet, h^2 for vi2, whose bracket (with its own 1/24)
+    is minus the h^2 term, at p = v, of the nested-Strang BCH expansion of its flows
+    w2 phi, v2^2/2, w1 phi, v1^2/2, v1^2/2, w1 phi, v2^2/2, w2 phi (Hairer, Lubich and
+    Wanner, Geometric Numerical Integration, III.4-III.5). vi1 and vi2 need a two-part
+    split; a one-part split raises ValueError. Lbar is the function ``value(x, v)``
+    of (2, ...) arrays of positions and velocities.
     """
     method(method_id)      # UnknownMethodError for all but the Kepler methods
     split = split if split is not None else kepler_split()
@@ -165,14 +167,14 @@ def perturbation_field(method_id: str, split: SplitPotential | None = None):
         h11 = 1.0 / r3 - 3.0 * x[0] * x[0] / r5
         h12 = -3.0 * x[0] * x[1] / r5
         h22 = 1.0 / r3 - 3.0 * x[1] * x[1] / r5
-        quad = (7.0 * (w1 * g1 + w2 * g1) ** 2 - 5.0 * (w1 * g2) ** 2
-                + 2.0 * (w1 * g2) * (w2 * g2) + 7.0 * (w2 * g2) ** 2)
+        quad = ((w1 * g1 + w2 * g1) ** 2 - 2.0 * (w1 * g2) ** 2
+                + 2.0 * (w1 * g2) * (w2 * g2) + (w2 * g2) ** 2)
         kin = (-2.0 * (w1 * h11 + w2 * h11) * v[0] ** 2
                + 2.0 * (w1 * h12) * v[0] * v[1]
                + (w1 * h22) * v[1] ** 2
                - 4.0 * (w2 * h12) * v[0] * v[1]
                - 2.0 * (w2 * h22) * v[1] ** 2)
-        return quad / 96.0 + kin / 24.0
+        return (quad + kin) / 24.0
     return (lambda h: h * h), value
 
 
@@ -310,8 +312,8 @@ def measured_drift_order(method_id: str, metric: str, seed: PhaseState,
 
 # --- Modified-flow shadowing for the first-order coordinate composition ---
 
-def _rk4(z, h: float, t_span: float, substeps: int) -> tuple[float, float, float, float]:
-    """Fixed-step classical 4th-order integration of the modified flow.
+def _rk4(z, h: float, substeps: int) -> tuple[float, float, float, float]:
+    """The modified flow over one vi1 step h, in ``substeps`` classical RK4 steps of h/substeps.
 
     ``z`` is the planar state (x1, x2, v1, v2); the stages keep the order of
     the vector form x + (0.5*dt)*k and dt/6*(k1 + 2*k2 + 2*k3 + k4). Each
@@ -320,13 +322,12 @@ def _rk4(z, h: float, t_span: float, substeps: int) -> tuple[float, float, float
     r^3 is r * r * r and r^5 is r3 * r * r, as in the kernels and the vi2 bracket:
     products, so a huge r gives inf, a force of +-0.0 and no OverflowError.
     """
-    n = max(1, int(round(t_span / h * substeps)))
-    dt = t_span / n
+    dt = h / substeps
     half = 0.5 * dt
     sixth = dt / 6.0
     c = -1.5 * h
     x1, x2, v1, v2 = z
-    for _ in range(n):
+    for _ in range(substeps):
         # k1 = (v, a1) at x
         r = sqrt(x1 * x1 + x2 * x2)
         r3 = r * r * r
@@ -370,18 +371,16 @@ def _rk4(z, h: float, t_span: float, substeps: int) -> tuple[float, float, float
     return x1, x2, v1, v2
 
 
-def shadowing_error(seed: PhaseState, h: float,
-                    split: SplitPotential | None = None,
-                    substeps: int | None = None) -> float:
+def shadowing_error(seed: PhaseState, h: float, substeps: int | None = None) -> float:
     """Max position gap between vi1 iterates and the truncated modified flow.
 
     The modified trajectory starts at the seed position with its initial
     velocity adjusted (2-d shooting) so the flow passes through the first
     iterate; the gap over one period is then O(h^2). Step 1 is the shoot's
     target, so a period of round(T/h) < 2 steps raises TrajectoryTooShortError
-    before any step. The flow is the modified equation of the equal split, so
-    any other split raises ValueError. A shoot that does not settle raises
-    NonConvergenceError.
+    before any step. The shoot settles below 1e-13, or 8 ulps of the largest target
+    coordinate, and raises NonConvergenceError if it cannot. The flow's h-term
+    divides by r^5, inf from |x| = 4.5e61: a flow reaching half that raises NonFiniteStateError.
 
     The flow takes ``substeps`` classical RK4 steps per vi1 step, a positive
     int (else ValueError). Over one period RK4 errs by O((h/s)^4) against a
@@ -395,34 +394,32 @@ def shadowing_error(seed: PhaseState, h: float,
     if substeps is not None and (type(substeps) is not int or substeps < 1):
         raise ValueError(f"substeps must be a positive int, got {substeps!r}")
     check_step_size(h)
-    split = split if split is not None else kepler_split()
-    if split.weights != (0.5, 0.5):
-        raise ValueError("the shadowing flow is the modified equation of the equal split "
-                         f"(0.5, 0.5); vi1 with weights {split.weights} shadows another flow")
     period = orbit_elements(seed).T
     steps = int(round(_steps_per_period(period, h)))
     if steps < 2:
         raise TrajectoryTooShortError(f"h = {h}: {steps} steps over T = {period:.6g}; need 2")
     substeps = substeps or math.ceil(16 * sqrt(20 * h / period))
-    rec = run(method_id="vi1", s0=seed, h=h, steps=steps, split=split, diagnostics=False)
+    rec = run(method_id="vi1", s0=seed, h=h, steps=steps, diagnostics=False)
 
     x0 = tuple(seed.x.tolist())
     target = rec.xs[1]
 
     def shoot(v):
-        return _rk4(x0 + tuple(v.tolist()), h, h, substeps)
+        return _rk4(x0 + tuple(v.tolist()), h, substeps)
 
-    v = _newton(lambda v: np.array(shoot(v)[:2]) - target, seed.v, tol=1e-13,
-                what="shadowing shoot")
+    v = _newton(lambda v: np.array(shoot(v)[:2]) - target, seed.v,
+                tol=_round_off_tol(1e-13, (target,)), what="shadowing shoot")
     # the settled shoot is the flow's step 1
     zs = [shoot(v)]
     for _ in range(2, steps + 1):
-        zs.append(_rk4(zs[-1], h, h, substeps))
+        zs.append(_rk4(zs[-1], h, substeps))
+    reach = 2.0 * max(sqrt(x1 * x1 + x2 * x2) for x1, x2, _, _ in zs)
+    if reach * reach * reach * reach * reach == math.inf:
+        raise NonFiniteStateError(f"the modified flow reaches |x| = {0.5 * reach:.3e}, where its r^5 overflows")
     d1, d2 = (np.array(zs)[:, :2] - rec.xs[1:]).T
     return float(np.sqrt(d1 * d1 + d2 * d2).max())
 
 
-def shadowing_ratio(seed: PhaseState, h: float,
-                    split: SplitPotential | None = None) -> float:
+def shadowing_ratio(seed: PhaseState, h: float) -> float:
     """Error contraction under h-halving, about 4 for the O(h^2) gap; h > T/1.5 raises TrajectoryTooShortError."""
-    return shadowing_error(seed, h, split) / shadowing_error(seed, 0.5 * h, split)
+    return shadowing_error(seed, h) / shadowing_error(seed, 0.5 * h)

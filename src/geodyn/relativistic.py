@@ -18,9 +18,12 @@ from functools import partial
 
 import numpy as np
 
+from geodyn.errors import NonFiniteStateError
 from geodyn.integrators import (
     REL_METHOD_IDS,
+    TwoStepState,
     _check_finite,
+    _finite_update,
     _flow_hi,
     _flow_ht,
     _iterate,
@@ -28,7 +31,7 @@ from geodyn.integrators import (
     _states,
     step,
 )
-from geodyn.kepler import grad_potential, potential
+from geodyn.kepler import check_step_size, grad_potential, potential
 
 
 @dataclass(frozen=True)
@@ -93,23 +96,27 @@ def step_k2(s: ExtPhaseState, h: float) -> ExtPhaseState:
     return step("k2", s, h)
 
 
-# --- Two-step variational form ---
+# --- Two-step variational form on q = (t, x1, x2) ---
 
-def del_relativistic_seed(s0: ExtPhaseState, h: float) -> tuple[float, np.ndarray]:
-    """(t1, x1) from the discrete Legendre transform of the extended Lagrangian."""
-    t1 = s0.t + h * s0.gamma
-    x1 = s0.x + h * s0.u - h * (t1 - s0.t) * grad_potential(s0.x)
-    return t1, x1
+def del_relativistic_seed(s0: ExtPhaseState, h: float) -> TwoStepState:
+    """The first ``TwoStepState``: q0 = (t, x) of ``s0``, q1 from the discrete Legendre
+    transform of the extended Lagrangian; a q1 that is not finite raises NonFiniteStateError."""
+    check_step_size(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1 = s0.t + h * s0.gamma
+        x1 = s0.x + h * s0.u - h * (t1 - s0.t) * grad_potential(s0.x)
+    if not np.isfinite([t1, *x1]).all():
+        raise NonFiniteStateError(f"two-step seed {[t1, *x1.tolist()]} not finite for h = {h!r}")
+    return TwoStepState([s0.t, *s0.x.tolist()], [t1, *x1], h)
 
 
-def del_relativistic(t_prev: float, t_curr: float, x_prev: np.ndarray,
-                     x_curr: np.ndarray, h: float) -> tuple[float, np.ndarray]:
-    """Two-step update for (t, x) from the extended discrete Euler-Lagrange equations."""
-    x_prev = np.asarray(x_prev, dtype=float)
-    x_curr = np.asarray(x_curr, dtype=float)
-    t_next = 2.0 * t_curr - t_prev - h * (potential(x_curr) - potential(x_prev))
-    x_next = 2.0 * x_curr - x_prev - h * (t_next - t_curr) * grad_potential(x_curr)
-    return t_next, x_next
+@_finite_update
+def del_relativistic(ts: TwoStepState) -> np.ndarray:
+    """Two-step update of q = (t, x1, x2) from the extended discrete Euler-Lagrange equations."""
+    q_prev, q, h = ts.x_prev, ts.x_curr, ts.h
+    t_next = 2.0 * q[0] - q_prev[0] - h * (potential(q[1:]) - potential(q_prev[1:]))
+    x_next = 2.0 * q[1:] - q_prev[1:] - h * (t_next - q[0]) * grad_potential(q[1:])
+    return np.array([t_next, *x_next])
 
 
 @dataclass(frozen=True)

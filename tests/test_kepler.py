@@ -31,7 +31,6 @@ from geodyn.kepler import (
     lrl_vector,
     noether_residual,
     orbit_elements,
-    periapsis_state,
     perturbation_average,
     potential,
     potential_xy,
@@ -146,8 +145,7 @@ class TestPotential:
         edge = [math.nextafter(r_max, 0.0), r_max, math.nextafter(r_max, math.inf)]
         x1 = np.concatenate((size * np.cos(angle), edge))
         x2 = np.concatenate((size * np.sin(angle), [0.0, 0.0, 0.0]))
-        with np.errstate(over="ignore"):
-            g1, g2, _, _ = kepler.grad_potential_arrays(x1, x2)
+        g1, g2, _, _ = kepler.grad_potential_arrays(x1, x2)
         want = np.array([grad_potential_xy(a, b) for a, b in zip(x1.tolist(), x2.tolist())])
         assert np.column_stack((g1, g2)).tobytes() == want.tobytes()
         assert want[-2:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
@@ -318,12 +316,6 @@ class TestOrbitElements:
         with pytest.raises(NonNegativeEnergyError):
             orbit_elements(PhaseState(np.array([1.0, 0.0]), np.array([0.0, 2.0])))
 
-    def test_periapsis_roundtrip(self):
-        el = orbit_elements(S_CANONICAL)
-        el2 = orbit_elements(periapsis_state(el))
-        assert abs(el.a - el2.a) < 1e-12
-        assert abs(el.e - el2.e) < 1e-12
-
 
 class TestKeplerEquation:
     @pytest.mark.parametrize("e", [0.0, 0.3, 0.6, 0.9, 0.99])
@@ -435,7 +427,9 @@ class TestAnalyticReference:
 
 
 def _e09_seed():
-    return periapsis_state(kepler.OrbitElements(a=1.3, b=0.0, e=0.9, T=0.0))
+    # counter-clockwise periapsis of a = 1.3, e = 0.9, LRL vector along +x1
+    rp = 1.3 * (1.0 - 0.9)
+    return PhaseState(np.array([rp, 0.0]), np.array([0.0, math.sqrt((1.0 + 0.9) / rp)]))
 
 
 class TestAnalyticStates:

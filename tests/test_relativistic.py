@@ -1,10 +1,12 @@
 """Tests for the proper-time relativistic system and its splitting integrators."""
 
+import re
+
 import numpy as np
 import pytest
 
 from geodyn.errors import NonFiniteStateError
-from geodyn.integrators import step
+from geodyn.integrators import TwoStepState, step
 from geodyn.kepler import potential
 from geodyn.relativistic import (
     ExtPhaseState,
@@ -127,21 +129,35 @@ class TestComposedSteps:
 
 class TestDelForm:
     def test_seed_formula(self):
-        t1, x1 = del_relativistic_seed(S0, H)
+        ts = del_relativistic_seed(S0, H)
+        assert ts.h == H
+        assert ts.x_prev.tolist() == [S0.t, *S0.x.tolist()]
+        t1, x1 = ts.x_curr[0], ts.x_curr[1:]
         assert abs(t1 - H * S0.gamma) < 1e-15
         expect = S0.x + H * S0.u - H * (t1 - S0.t) * np.array([-1.0 / 9.0, 0.0])
         assert np.max(np.abs(x1 - expect)) < 1e-15
 
     def test_two_step_matches_k1(self):
         rec = run_relativistic("k1", S0, H, 100)
-        t1, x1 = del_relativistic_seed(S0, H)
-        ts, xs = [S0.t, t1], [S0.x, x1]
+        ts = del_relativistic_seed(S0, H)
+        qs = [ts.x_prev, ts.x_curr]
         for _ in range(99):
-            tn, xn = del_relativistic(ts[-2], ts[-1], xs[-2], xs[-1], H)
-            ts.append(tn)
-            xs.append(xn)
-        assert np.max(np.abs(np.array(ts) - rec.ts)) < 1e-10
-        assert np.max(np.abs(np.array(xs) - rec.xs)) < 1e-10
+            ts = TwoStepState(ts.x_curr, del_relativistic(ts), H)
+            qs.append(ts.x_curr)
+        qs = np.array(qs)
+        assert np.max(np.abs(qs[:, 0] - rec.ts)) < 1e-10
+        assert np.max(np.abs(qs[:, 1:] - rec.xs)) < 1e-10
+
+    # h * (t1 - t0) * grad overflows in the seed at gamma = 1e10, and
+    # h * (t_next - t) * grad in the update: each a named error, never a warning
+    def test_overflowing_seed_names_h(self):
+        s = ExtPhaseState(0.0, np.array([1.0, 0.0]), 1e10, np.array([0.0, 0.6]))
+        with pytest.raises(NonFiniteStateError, match=re.escape("h = 1e+150")):
+            del_relativistic_seed(s, 1e150)
+
+    def test_overflowing_update_names_h(self):
+        with pytest.raises(NonFiniteStateError, match=re.escape("h = 1e+150")):
+            del_relativistic(TwoStepState([0.0, 1.0, 0.0], [1e200, 1.0, 0.1], 1e150))
 
 
 class TestRun:

@@ -1,16 +1,18 @@
 """Source hygiene: every name a module imports is used, exported or re-imported, every
 function the benchmark tracer names exists, every forward table kernel is a generator of
-its own, one function holds the Newton loop and one the Kepler-equation iteration,
-two hold the closed-form Legendre transforms, every module rounds in plain products, and
-the Kepler force cubes r by products."""
+its own, every two-step update steps a TwoStepState through one failure policy, one
+function holds the Newton loop and one the Kepler-equation iteration, two hold the
+closed-form Legendre transforms, every module rounds in plain products, and the Kepler
+force cubes r by products."""
 
 import ast
 import importlib
 import inspect
+import typing
 from pathlib import Path
 
-from geodyn import integrators
-from geodyn.integrators import LAGRANGIAN_IDS, METHODS, _iterate
+from geodyn import integrators, relativistic
+from geodyn.integrators import LAGRANGIAN_IDS, METHODS, TwoStepState, _iterate
 from geodyn.kepler import SplitPotential
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geodyn"
@@ -84,6 +86,17 @@ def test_table_kernels_are_generators():
             assert inspect.isgeneratorfunction(kernel), m.id
             assert kernel.__code__.co_filename == integrators.__file__, m.id
             assert kernel.__code__ is not _iterate(None).__code__, m.id
+
+
+def test_one_two_step_layer():
+    # the Kepler and the relativistic recurrences take a TwoStepState first, which holds
+    # the step-size rule and finite points, and _finite_update names a non-finite update
+    checked = integrators._finite_update(lambda ts: ts).__code__
+    for fn in (integrators.step_stormer_verlet, integrators.del_two_step_vi1,
+               relativistic.del_relativistic):
+        assert fn.__code__ is checked, fn.__name__
+        first = next(iter(inspect.signature(fn.__wrapped__).parameters))
+        assert typing.get_type_hints(fn.__wrapped__)[first] is TwoStepState, fn.__name__
 
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
