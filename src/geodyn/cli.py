@@ -36,7 +36,7 @@ from geodyn.modified import (
     predicted_drift,
 )
 from geodyn.relativistic import ExtPhaseState, mass_shell_gamma, run_relativistic
-from geodyn.svgplot import svg_lines
+from geodyn.svgplot import _fmt, svg_lines
 
 KEPLER_HEADER = "step,t,x1,x2,v1,v2,H,m,A1,A2,ecc,angle"
 RELATIVISTIC_HEADER = "step,tau,t,x1,x2,gamma,u1,u2,H"
@@ -47,10 +47,6 @@ DEFAULT_V0 = (0.0, 0.45)
 
 class UsageError(Exception):
     """Invalid invocation; reported on stderr with exit status 2."""
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def canonical_seed(ecc: float) -> PhaseState:

@@ -42,11 +42,9 @@ from geodyn.kepler import (
     check_segment_xy,
     check_step_size,
     grad_potential,
-    grad_potential_xy,
     kepler_split,
     origin_error,
     potential,
-    potential_xy,
 )
 
 LAGRANGIAN_IDS = ("L1", "L2", "L1st", "Lstar", "L2nd")
@@ -55,7 +53,7 @@ LAGRANGIAN_IDS = ("L1", "L2", "L1st", "Lstar", "L2nd")
 @dataclass(frozen=True)
 class TwoStepState:
     """Consecutive points x, or q = (t, x) in the relativistic recurrence, of a two-step
-    recurrence, finite and of one shape; h*h finite (else ValueError)."""
+    recurrence, finite and of one shape; h*h neither 0.0 nor inf (else ValueError)."""
     x_prev: np.ndarray
     x_curr: np.ndarray
     h: float
@@ -67,8 +65,21 @@ class TwoStepState:
             raise ValueError("positions must be finite and of one shape, "
                              f"got {self.x_prev.tolist()}, {self.x_curr.tolist()}")
         check_step_size(self.h)
-        if float(self.h) * float(self.h) == inf:
-            raise ValueError(f"step size h = {self.h!r} squares to inf in the two-step recurrence")
+        _check_square(self.h)
+
+
+def _check_square(h: float, inf_ok: bool = False) -> None:
+    """The h rule of the two-step layer: ValueError if h*h is 0.0 or, unless ``inf_ok``, inf."""
+    hh = float(h) * float(h)
+    if hh == 0.0 or (hh == inf and not inf_ok):
+        raise ValueError(f"step size h = {h!r} squares to {hh!r} in the two-step layer")
+
+
+def _finite(value, what: str, h: float):
+    """``value`` if all of it is finite, else NonFiniteStateError naming ``what`` and h."""
+    if np.isfinite(value).all():
+        return value
+    raise NonFiniteStateError(f"{what} {np.asarray(value).tolist()} not finite for h = {h!r}")
 
 
 def _finite_update(update):
@@ -77,9 +88,19 @@ def _finite_update(update):
     def checked(ts: TwoStepState, *args, **kwargs):
         with np.errstate(over="ignore", invalid="ignore"):
             x_next = update(ts, *args, **kwargs)
-        if np.isfinite(x_next).all():
-            return x_next
-        raise NonFiniteStateError(f"two-step update {np.asarray(x_next).tolist()} not finite for h = {ts.h!r}")
+        return _finite(x_next, "two-step update", ts.h)
+    return checked
+
+
+def _finite_transform(transform):
+    """``transform(lag_id, x0, x1, h, split)``, unwarned: an h whose h*h is 0.0 raises ValueError
+    (an inf h*h is fine), a value that is not finite NonFiniteStateError naming h."""
+    @wraps(transform)
+    def checked(lag_id: str, x0, x1, h: float, split: SplitPotential | None = None):
+        _check_square(h, inf_ok=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = transform(lag_id, x0, x1, h, split)
+        return _finite(value, f"{transform.__name__} {lag_id}", h)
     return checked
 
 
@@ -111,7 +132,7 @@ class TrajectoryRecord:
 # --- Step kernels on the planar state z = (x1, x2, v1, v2) ---
 #
 # A table kernel is a state generator (z, h) -> z_1, z_2, ... on plain floats: its sub-flow
-# composition written out in one loop, force x/r3 (r3 = r * r * r, as grad_potential_xy
+# composition written out in one loop, force x/r3 (r3 = r * r * r, as grad_potential
 # cubes) and potential -1/r inline in the sub-flows' operation order, e.g. v - h*(w*(x1/r3)),
 # the closing force (sv, vi2) or potential (k1, k2) kept for the next step. It yields each
 # state as one row packed by _ROW4 or _ROW6, which trajectory joins 1024 rows at a time.
@@ -199,14 +220,14 @@ def _flow(i, z, h, w):
     x1, x2, v1, v2 = z
     y1, y2 = (x1 + h * v1, x2) if i == 1 else (x1, x2 + h * v2)
     check_segment_xy(x1, x2, y1, y2)
-    g1, g2 = grad_potential_xy(y1, y2)
+    g1, g2 = grad_potential((y1, y2)).tolist()
     return y1, y2, v1 - h * (w * g1), v2 - h * (w * g2)
 
 
 def _flow_adjoint(i, z, h, w):
     """Adjoint sub-flow: kick at the old point, then drift coordinate i."""
     x1, x2, v1, v2 = z
-    g1, g2 = grad_potential_xy(x1, x2)
+    g1, g2 = grad_potential((x1, x2)).tolist()
     p1, p2 = v1 - h * (w * g1), v2 - h * (w * g2)
     y1, y2 = (x1 + h * p1, x2) if i == 1 else (x1, x2 + h * p2)
     check_segment_xy(x1, x2, y1, y2)
@@ -308,7 +329,7 @@ def _vi2_kernel(split: SplitPotential | None):
 
 def _flow_ht(z, h):
     t, x1, x2, gamma, u1, u2 = z
-    g1, g2 = grad_potential_xy(x1, x2)
+    g1, g2 = grad_potential((x1, x2)).tolist()
     return t + h * gamma, x1, x2, gamma, u1 - h * gamma * g1, u2 - h * gamma * g2
 
 
@@ -316,7 +337,7 @@ def _flow_hi(i, z, h):
     t, x1, x2, gamma, u1, u2 = z
     y1, y2 = (x1 + h * u1, x2) if i == 1 else (x1, x2 + h * u2)
     check_segment_xy(x1, x2, y1, y2)
-    return t, y1, y2, gamma - (potential_xy(y1, y2) - potential_xy(x1, x2)), u1, u2
+    return t, y1, y2, gamma - (potential((y1, y2)) - potential((x1, x2))), u1, u2
 
 
 def _k1_states(z, h):
@@ -518,6 +539,7 @@ def step_vi2(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
 # On a two-part split L1st(x0, x1) = kinetic - phi^(1)(x1_1, x0_2) - phi^(2)(x1), so its
 # points must be planar; on the one-part split it is kinetic - phi(x0) in any dimension.
 
+@_finite_transform
 def discrete_lagrangian(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
                         split: SplitPotential | None = None) -> float:
     """Scalar value of the named discrete Lagrangian."""
@@ -576,6 +598,7 @@ def _l1st_plus(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotential) 
     return p
 
 
+@_finite_transform
 def legendre_minus(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
                    split: SplitPotential | None = None) -> np.ndarray:
     """p_n = -h d1 L(x_n, x_{n+1}, h) for the named discrete Lagrangian."""
@@ -594,6 +617,7 @@ def legendre_minus(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
     raise UnknownMethodError(f"unknown discrete Lagrangian {lag_id!r}")
 
 
+@_finite_transform
 def legendre_plus(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
                   split: SplitPotential | None = None) -> np.ndarray:
     """p_{n+1} = h d2 L(x_n, x_{n+1}, h), the minus transform of the adjoint
@@ -685,7 +709,7 @@ def trajectory(states, z0: tuple[float, ...], h: float, steps: int) -> np.ndarra
     z0 in one bytearray, which the returned (writable) array views. A run fails one of
     two ways, named with the step (``step``) and the last finite state (``state``): a
     drift or force within ORIGIN_TOL of the origin raises SingularOriginError, the first
-    non-finite state NonFiniteStateError. Past R_MAX the force is +-0.0 (grad_potential_xy).
+    non-finite state NonFiniteStateError. Past R_MAX the force is +-0.0 (grad_potential).
     """
     row = _ROW4 if len(z0) == 4 else _ROW6
     buf, gen, rows = bytearray(row.pack(*z0)), states(z0, h), []

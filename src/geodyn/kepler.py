@@ -102,45 +102,25 @@ def origin_error(r: float) -> SingularOriginError:
 
 def potential(x: np.ndarray) -> float:
     """Kepler potential phi(x) = -1/|x|, |x| from a plain sum of squares."""
-    r = sqrt(sum(c * c for c in np.asarray(x, dtype=float).tolist()))
+    r = sqrt(sum([c * c for c in map(float, x)]))
     if r < ORIGIN_TOL:
         raise origin_error(r)
     return -1.0 / r
 
 
 def grad_potential(x: np.ndarray) -> np.ndarray:
-    """Gradient of the Kepler potential: x/|x|^3, |x| from a plain sum of squares, cubed as r * r * r."""
-    x = np.asarray(x, dtype=float)
-    r = sqrt(sum(c * c for c in x.tolist()))
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    return x / (r * r * r)
-
-
-# --- Planar float forms for the step kernels ---
-
-def potential_xy(x1: float, x2: float) -> float:
-    """Kepler potential at the planar point (x1, x2), on plain floats."""
-    r = sqrt(x1 * x1 + x2 * x2)
-    if r < ORIGIN_TOL:
-        raise origin_error(r)
-    return -1.0 / r
-
-
-def grad_potential_xy(x1: float, x2: float) -> tuple[float, float]:
-    """Gradient x/|x|^3 at the planar point (x1, x2), on plain floats.
-
-    r^3 is r * r * r, as in the kernels: inf from R_MAX = 5.643803094122362e102 on, where the gradient is +-0.0.
-    """
-    r = sqrt(x1 * x1 + x2 * x2)
+    """Gradient of the Kepler potential: x/|x|^3, |x| from a plain sum of squares, cubed as r * r * r,
+    each component a float quotient as in the kernels: +-0.0 from R_MAX = 5.643803094122362e102 on."""
+    xs = list(map(float, x))
+    r = sqrt(sum([c * c for c in xs]))
     if r < ORIGIN_TOL:
         raise origin_error(r)
     r3 = r * r * r
-    return x1 / r3, x2 / r3
+    return np.array([c / r3 for c in xs])
 
 
 def grad_potential_arrays(x1, x2):
-    """(x1/r^3, x2/r^3, r, r^3) at arrays of planar points, rounded as ``grad_potential_xy``: r^3 is r * r * r."""
+    """(x1/r^3, x2/r^3, r, r^3) at arrays of planar points, rounded as ``grad_potential``: r^3 is r * r * r."""
     with np.errstate(over="ignore"):
         r = np.sqrt(x1 * x1 + x2 * x2)
         r3 = r * r * r

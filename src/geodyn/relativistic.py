@@ -18,11 +18,11 @@ from functools import partial
 
 import numpy as np
 
-from geodyn.errors import NonFiniteStateError
 from geodyn.integrators import (
     REL_METHOD_IDS,
     TwoStepState,
     _check_finite,
+    _finite,
     _finite_update,
     _flow_hi,
     _flow_ht,
@@ -105,9 +105,7 @@ def del_relativistic_seed(s0: ExtPhaseState, h: float) -> TwoStepState:
     with np.errstate(over="ignore", invalid="ignore"):
         t1 = s0.t + h * s0.gamma
         x1 = s0.x + h * s0.u - h * (t1 - s0.t) * grad_potential(s0.x)
-    if not np.isfinite([t1, *x1]).all():
-        raise NonFiniteStateError(f"two-step seed {[t1, *x1.tolist()]} not finite for h = {h!r}")
-    return TwoStepState([s0.t, *s0.x.tolist()], [t1, *x1], h)
+    return TwoStepState([s0.t, *s0.x.tolist()], _finite([t1, *x1], "two-step seed", h), h)
 
 
 @_finite_update

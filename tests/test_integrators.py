@@ -59,7 +59,6 @@ from geodyn.kepler import (
     check_segment_xy,
     energy,
     grad_potential,
-    grad_potential_xy,
     kepler_split,
     orbit_elements,
     potential,
@@ -648,18 +647,20 @@ class TestOneStepPolicy:
 
 # --- Past R_MAX the force is 0.0, and no layer raises a raw OverflowError ---
 
-def _huge_calls(r):
-    """(name, call) for the force, every Legendre transform, bootstrap and two-step update,
-    and the step and adjoint of every table method, at positions of size r."""
-    x0, x1, v, h = np.array([r, 0.0]), np.array([r, 0.5 * r]), np.array([0.0, 1.0]), 0.1
-    ts, ext = TwoStepState(x0, x1, h), ExtPhaseState(0.0, x0, 1.0, v)
+def _huge_calls(r, h=0.1):
+    """(name, call) for the force, every discrete Lagrangian, Legendre transform, bootstrap
+    and two-step update, and the step and adjoint of every table method, at positions of
+    size r and step h."""
+    x0, x1, v = np.array([r, 0.0]), np.array([r, 0.5 * r]), np.array([0.0, 1.0])
+    ext = ExtPhaseState(0.0, x0, 1.0, v)
     calls = [("grad_potential", lambda: grad_potential(x0)),
-             ("step_stormer_verlet", lambda: step_stormer_verlet(ts)),
-             ("del_two_step_vi1", lambda: del_two_step_vi1(ts, SPLIT)),
+             ("step_stormer_verlet", lambda: step_stormer_verlet(TwoStepState(x0, x1, h))),
+             ("del_two_step_vi1", lambda: del_two_step_vi1(TwoStepState(x0, x1, h), SPLIT)),
              ("del_relativistic_seed", lambda: del_relativistic_seed(ext, h)),
              ("del_relativistic", lambda: del_relativistic(TwoStepState([0.0, *x0], [h, *x1], h)))]
     for lag in LAGRANGIAN_IDS:
-        calls += [(f"legendre_minus {lag}", lambda lag=lag: legendre_minus(lag, x0, x1, h)),
+        calls += [(f"discrete_lagrangian {lag}", lambda lag=lag: discrete_lagrangian(lag, x0, x1, h)),
+                  (f"legendre_minus {lag}", lambda lag=lag: legendre_minus(lag, x0, x1, h)),
                   (f"legendre_plus {lag}", lambda lag=lag: legendre_plus(lag, x0, x1, h)),
                   (f"bootstrap_first_point {lag}",
                    lambda lag=lag: bootstrap_first_point(PhaseState(x0, v), lag, h))]
@@ -681,28 +682,58 @@ def _floats(out):
     return tuple(np.ravel(out).tolist())
 
 
-@pytest.mark.parametrize("r", [1e103, 1e150])
-def test_huge_positions_give_a_finite_result_or_a_named_error(r):
-    # r * r * r is inf past R_MAX = 5.64e102, where the power r**3 raises OverflowError
+def _unnamed_failures(calls, named=lambda exc: isinstance(exc, GeodynError)):
+    """{name: what went wrong} for each call that neither returns finite floats nor raises
+    an exception that ``named`` accepts."""
     bad = {}
-    for name, call in _huge_calls(r):
+    for name, call in calls:
         try:
             out = call()
-        except GeodynError:
-            continue
         except Exception as exc:
-            bad[name] = repr(exc)
+            if not named(exc):
+                bad[name] = repr(exc)
             continue
         if not all(map(math.isfinite, _floats(out))):
             bad[name] = out
-    assert bad == {}
+    return bad
+
+
+@pytest.mark.parametrize("r", [1e103, 1e150])
+def test_huge_positions_give_a_finite_result_or_a_named_error(r):
+    # r * r * r is inf past R_MAX = 5.64e102, where the power r**3 raises OverflowError
+    assert _unnamed_failures(_huge_calls(r)) == {}
+
+
+@pytest.mark.parametrize("r, h", [(1.0, 1e-320), (1e300, 1e-300)])
+def test_tiny_steps_give_a_finite_result_or_a_named_error(r, h):
+    # h passes check_step_size, but h * h underflows to 0.0, which the kinetic term divides
+    # by, and (x1 - x0) / h overflows: every two-step state, discrete Lagrangian and
+    # Legendre transform rejects such an h with a ValueError naming it
+    def named(exc):
+        return isinstance(exc, GeodynError) or (
+            isinstance(exc, ValueError) and f"h = {h!r} squares to 0.0" in str(exc))
+
+    assert _unnamed_failures(_huge_calls(r, h), named) == {}
+
+
+@pytest.mark.parametrize("lag", LAGRANGIAN_IDS)
+def test_lagrangian_of_an_overflowing_step_names_h(lag):
+    # h * h is finite, but (x1 - x0) / h and the kinetic term overflow to inf; the error
+    # names the transform that overflowed and its h: -h in legendre_plus, which is the
+    # adjoint's minus transform, and +-h/2 in L2nd's halves
+    x0, x1, h = np.array([1.0, 0.0]), np.array([1.0, 1e300]), 1e-100
+    for fn in (discrete_lagrangian, legendre_minus, legendre_plus):
+        with pytest.raises(NonFiniteStateError, match=r"not finite for h = -?(1e-100|5e-101)$"):
+            fn(lag, x0, x1, h)
+    with pytest.raises(ValueError, match=r"h = 5e-324 squares to 0\.0"):
+        bootstrap_first_point(PhaseState([3.0, 0.0], [0.0, 1.0]), lag, 5e-324)
 
 
 # --- Each fused table kernel equals its sub-flow composition, bit for bit ---
 
 def _ref_sym_euler(z, h):
     x1, x2, v1, v2 = z
-    g1, g2 = grad_potential_xy(x1, x2)
+    g1, g2 = grad_potential((x1, x2)).tolist()
     v1 = v1 - h * g1
     v2 = v2 - h * g2
     y1 = x1 + h * v1
@@ -716,19 +747,19 @@ def _ref_sym_euler_adjoint(z, h):
     y1 = x1 + h * v1
     y2 = x2 + h * v2
     check_segment_xy(x1, x2, y1, y2)
-    g1, g2 = grad_potential_xy(y1, y2)
+    g1, g2 = grad_potential((y1, y2)).tolist()
     return y1, y2, v1 - h * g1, v2 - h * g2
 
 
 def _ref_sv(z, h):
     x1, x2, v1, v2 = z
-    g1, g2 = grad_potential_xy(x1, x2)
+    g1, g2 = grad_potential((x1, x2)).tolist()
     p1 = v1 - 0.5 * h * g1
     p2 = v2 - 0.5 * h * g2
     y1 = x1 + h * p1
     y2 = x2 + h * p2
     check_segment_xy(x1, x2, y1, y2)
-    g1, g2 = grad_potential_xy(y1, y2)
+    g1, g2 = grad_potential((y1, y2)).tolist()
     return y1, y2, p1 - 0.5 * h * g1, p2 - 0.5 * h * g2
 
 

@@ -1,6 +1,7 @@
 """Tests for the Kepler model: potentials, conserved quantities, reference flow."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,14 +27,12 @@ from geodyn.kepler import (
     energy,
     euler_lagrange_on_orbit,
     grad_potential,
-    grad_potential_xy,
     kepler_split,
     lrl_vector,
     noether_residual,
     orbit_elements,
     perturbation_average,
     potential,
-    potential_xy,
     solve_kepler_equation,
 )
 
@@ -129,13 +128,13 @@ class TestPotential:
         with np.errstate(over="ignore"):
             assert (rs * rs * rs).tobytes() == np.array(floats).tobytes()
         assert [math.isinf(c) for c in floats[-3:]] == [False, True, True]
-        assert grad_potential_xy(r_max, 0.0) == (0.0, 0.0)
-        assert math.isfinite(grad_potential_xy(edge[0], 0.0)[0])
+        assert grad_potential(np.array([r_max, 0.0])).tolist() == [0.0, 0.0]
+        assert math.isfinite(grad_potential(np.array([edge[0], 0.0]))[0])
         with pytest.raises(SingularOriginError):
             grad_potential(np.array([1e-13, 0.0]))
 
     def test_array_force_rounds_as_the_float_force(self):
-        # one formula for x/r^3: grad_potential_arrays cubes r * r * r as grad_potential_xy
+        # one formula for x/r^3: grad_potential_arrays cubes r * r * r as grad_potential
         # does, so the two agree bit for bit on every component (a float_power cube differs
         # on about a fifth of them), and past R_MAX both are +-0.0
         r_max = 5.643803094122362e102
@@ -146,23 +145,19 @@ class TestPotential:
         x1 = np.concatenate((size * np.cos(angle), edge))
         x2 = np.concatenate((size * np.sin(angle), [0.0, 0.0, 0.0]))
         g1, g2, _, _ = kepler.grad_potential_arrays(x1, x2)
-        want = np.array([grad_potential_xy(a, b) for a, b in zip(x1.tolist(), x2.tolist())])
+        want = np.array([grad_potential(x).tolist() for x in zip(x1.tolist(), x2.tolist())])
         assert np.column_stack((g1, g2)).tobytes() == want.tobytes()
         assert want[-2:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
-    def test_float_forms_match_vector_forms(self):
-        # |x| is rounded differently (sqrt of a sum vs a BLAS dot), and r**3
-        # triples that relative error, so allow a few ulps
-        tol = 8 * np.finfo(float).eps
-        rng = np.random.default_rng(7)
-        for x in rng.uniform(-3.0, 3.0, size=(200, 2)):
-            g = np.array(grad_potential_xy(*x.tolist()))
-            assert np.max(np.abs(g - grad_potential(x))) <= tol * np.max(np.abs(g))
-            assert abs(potential_xy(*x.tolist()) - potential(x)) <= tol * abs(potential(x))
-        with pytest.raises(SingularOriginError):
-            potential_xy(0.0, 0.0)
-        with pytest.raises(SingularOriginError):
-            grad_potential_xy(1e-13, 0.0)
+    def test_infinite_component_gives_nan_unwarned(self):
+        # the float quotient inf / inf is nan without numpy's "invalid value" warning,
+        # as in the kernels
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = grad_potential(np.array([np.inf, 0.0]))
+            part = kepler_split().grad(0, np.array([np.inf, 1.0]))
+        assert math.isnan(g[0]) and g[1] == 0.0
+        assert math.isnan(part[0]) and part[1] == 0.0
 
     def test_segment_check(self):
         check_segment_xy(1.0, 0.5, -1.0, 0.5)      # passes 0.5 from the origin

@@ -73,8 +73,9 @@ def modified_rhs_vi1(x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
 
 
 # Every library entry point that takes a step size checks it with one rule; the
-# linear-scheme functions are held to it in TestLinearSeries. integrators.step and
-# the discrete Lagrangians accept any h, negative included.
+# linear-scheme functions are held to it in TestLinearSeries. integrators.step
+# accepts any h, negative included; the discrete Lagrangians and Legendre transforms take
+# a negative or huge h too, but reject one whose h * h underflows to 0.0.
 STEP_SIZE_ENTRY_POINTS = {
     "run": lambda h: run("sv", BASE, h, 3),
     "run_relativistic": lambda h: run_relativistic("k1", ExtPhaseState(0.0, BASE.x, 1.1, BASE.v), h, 3),
