@@ -25,7 +25,7 @@ from geodyn.errors import (
     UnknownMethodError,
 )
 from geodyn.integrators import METHOD_IDS, method, run
-from geodyn.kepler import CIRCULAR_TOL, ORIGIN_TOL, PhaseState, kepler_split, orbit_elements
+from geodyn.kepler import CIRCULAR_TOL, ORIGIN_TOL, PhaseState, check_step_size, kepler_split, orbit_elements
 from geodyn.modified import (
     drift_sweep,
     fitted_order,
@@ -73,11 +73,6 @@ def _seed_from_args(args) -> PhaseState:
     return PhaseState(np.array(args.x0), np.array(args.v0))
 
 
-def _check_step(h: float) -> None:
-    if not (math.isfinite(h) and h > 0):
-        raise UsageError(f"--h must be positive and finite, got {h}")
-
-
 def _write_lines(path: str | None, lines) -> None:
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
@@ -92,7 +87,7 @@ def _write_lines(path: str | None, lines) -> None:
 def cmd_run(args) -> int:
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
-    _check_step(args.h)
+    check_step_size(args.h)
     method(args.method, args.model)
     split = kepler_split(tuple(args.split))   # validated for every model; k1/k2 ignore it
 
@@ -173,7 +168,7 @@ def cmd_check(args) -> int:
 # --- modified ---
 
 def cmd_modified(args) -> int:
-    _check_step(args.h)
+    check_step_size(args.h)
     if args.linear:
         # the dispersion raises past the stability boundary before the series can warn
         omega = linear_dispersion(args.lam, args.h)

@@ -11,9 +11,10 @@ one loop that carries its closing force or potential into the next step and
 yields each state as one packed row of floats, which ``trajectory`` joins in
 1024-row chunks; one-step maps (sub-flows, adjoints) become generators through
 ``_iterate``, and the sub-flows are the reference the kernels equal bit for
-bit. sv, vi1 and k1 also exist in two-step discrete Euler-Lagrange form on a
-``TwoStepState``, equivalent to the composition once the first point is
-seeded through the discrete Legendre transform.
+bit. vi1 and k1 also exist in two-step discrete Euler-Lagrange form, a map from
+one ``TwoStepState`` to the next, equivalent to the composition once the first
+state is seeded through the discrete Legendre transform; on the one-part split
+vi1's is the central-difference recurrence of sym-euler and sv.
 """
 
 from __future__ import annotations
@@ -54,16 +55,16 @@ LAGRANGIAN_IDS = ("L1", "L2", "L1st", "Lstar", "L2nd")
 class TwoStepState:
     """Consecutive points x, or q = (t, x) in the relativistic recurrence, of a two-step
     recurrence, finite and of one shape; h*h neither 0.0 nor inf (else ValueError)."""
-    x_prev: np.ndarray
-    x_curr: np.ndarray
+    prev: np.ndarray
+    curr: np.ndarray
     h: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x_prev", np.asarray(self.x_prev, dtype=float))
-        object.__setattr__(self, "x_curr", np.asarray(self.x_curr, dtype=float))
-        if self.x_prev.shape != self.x_curr.shape or not np.isfinite([self.x_prev, self.x_curr]).all():
+        object.__setattr__(self, "prev", np.asarray(self.prev, dtype=float))
+        object.__setattr__(self, "curr", np.asarray(self.curr, dtype=float))
+        if self.prev.shape != self.curr.shape or not np.isfinite([self.prev, self.curr]).all():
             raise ValueError("positions must be finite and of one shape, "
-                             f"got {self.x_prev.tolist()}, {self.x_curr.tolist()}")
+                             f"got {self.prev.tolist()}, {self.curr.tolist()}")
         check_step_size(self.h)
         _check_square(self.h)
 
@@ -83,24 +84,31 @@ def _finite(value, what: str, h: float):
 
 
 def _finite_update(update):
-    """The two-step update ``update(ts, ...)``, unwarned; a non-finite next position raises NonFiniteStateError."""
+    """The map ts -> TwoStepState(ts.curr, update(ts, ...), ts.h), unwarned; a next point
+    that is not finite raises NonFiniteStateError."""
     @wraps(update)
-    def checked(ts: TwoStepState, *args, **kwargs):
+    def checked(ts: TwoStepState, *args, **kwargs) -> TwoStepState:
         with np.errstate(over="ignore", invalid="ignore"):
             x_next = update(ts, *args, **kwargs)
-        return _finite(x_next, "two-step update", ts.h)
+        return TwoStepState(ts.curr, _finite(x_next, "two-step update", ts.h), ts.h)
+    checked.__annotations__ = {**update.__annotations__, "return": TwoStepState}
     return checked
 
 
 def _finite_transform(transform):
     """``transform(lag_id, x0, x1, h, split)``, unwarned: an h whose h*h is 0.0 raises ValueError
-    (an inf h*h is fine), a value that is not finite NonFiniteStateError naming h."""
+    (an inf h*h is fine), and a value that is not finite, its own or a nested transform's,
+    NonFiniteStateError naming this call: the transform, ``lag_id`` and h."""
     @wraps(transform)
     def checked(lag_id: str, x0, x1, h: float, split: SplitPotential | None = None):
         _check_square(h, inf_ok=True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = transform(lag_id, x0, x1, h, split)
-        return _finite(value, f"{transform.__name__} {lag_id}", h)
+        what = f"{transform.__name__} {lag_id}"
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = transform(lag_id, x0, x1, h, split)
+        except NonFiniteStateError as exc:
+            raise NonFiniteStateError(f"{what} not finite for h = {h!r}") from exc
+        return _finite(value, what, h)
     return checked
 
 
@@ -494,12 +502,6 @@ def step_sym_euler(s: PhaseState, h: float) -> PhaseState:
     return step("sym-euler", s, h)
 
 
-@_finite_update
-def step_stormer_verlet(ts: TwoStepState) -> np.ndarray:
-    """Central-difference recurrence x+ = 2x - x_prev - h^2 grad(phi)(x) of the Kepler force."""
-    return 2.0 * ts.x_curr - ts.x_prev - ts.h * ts.h * grad_potential(ts.x_curr)
-
-
 def step_sv_one_step(s: PhaseState, h: float) -> PhaseState:
     """Kick-drift-kick Stormer-Verlet, consistent with the recurrence to round-off."""
     return step("sv", s, h)
@@ -670,15 +672,16 @@ def _newton(residual, guess: np.ndarray, tol: float, what: str) -> np.ndarray:
 
 
 def bootstrap_first_point(s0: PhaseState, lag_id: str, h: float,
-                          split: SplitPotential | None = None) -> np.ndarray:
-    """Solve v0 = -h d1 L(x0, x1) for the first multistep point x1."""
+                          split: SplitPotential | None = None) -> TwoStepState:
+    """The first ``TwoStepState`` (x0, x1): x1 solves v0 = -h d1 L(x0, x1)."""
     check_step_size(h)
 
     def residual(x1):
         return legendre_minus(lag_id, s0.x, x1, h, split) - s0.v
 
     x1 = s0.x + h * s0.v
-    return _newton(residual, x1, _round_off_tol(1e-12, (s0.x, x1), h), f"bootstrap for {lag_id}")
+    x1 = _newton(residual, x1, _round_off_tol(1e-12, (s0.x, x1), h), f"bootstrap for {lag_id}")
+    return TwoStepState(s0.x, x1, h)
 
 
 @_finite_update
@@ -687,10 +690,11 @@ def del_two_step_vi1(ts: TwoStepState, split: SplitPotential) -> np.ndarray:
 
     The staggered arguments make the solve explicit: coordinate 1 first, then
     coordinate 2 with the new coordinate 1. A two-part split needs planar
-    points; a one-part split collapses to the plain central-difference
-    recurrence.
+    points; a one-part split collapses to the central-difference recurrence
+    x+ = 2x - x_prev - h^2 grad(phi)(x), the position recurrence of sym-euler
+    and sv, and the one Kepler recurrence of the package.
     """
-    x_prev, x, h = ts.x_prev, ts.x_curr, ts.h
+    x_prev, x, h = ts.prev, ts.curr, ts.h
     _, split = _require_split("L1st", split, x.size)
     if len(split) == 1:
         return 2.0 * x - x_prev - h * h * split.grad(0, x)

@@ -111,7 +111,7 @@ def del_relativistic_seed(s0: ExtPhaseState, h: float) -> TwoStepState:
 @_finite_update
 def del_relativistic(ts: TwoStepState) -> np.ndarray:
     """Two-step update of q = (t, x1, x2) from the extended discrete Euler-Lagrange equations."""
-    q_prev, q, h = ts.x_prev, ts.x_curr, ts.h
+    q_prev, q, h = ts.prev, ts.curr, ts.h
     t_next = 2.0 * q[0] - q_prev[0] - h * (potential(q[1:]) - potential(q_prev[1:]))
     x_next = 2.0 * q[1:] - q_prev[1:] - h * (t_next - q[0]) * grad_potential(q[1:])
     return np.array([t_next, *x_next])

@@ -9,7 +9,6 @@ import pytest
 from geodyn.helmholtz import builtin_systems, check
 from geodyn.integrators import (
     METHOD_IDS,
-    TwoStepState,
     bootstrap_first_point,
     del_two_step_vi1,
     run,
@@ -63,9 +62,11 @@ def test_criterion_1_del_equivalence():
     h, steps = 0.05, 1000
     t0 = time.perf_counter()
     rec = run("vi1", SEED_E06, h, steps, split=SPLIT, diagnostics=False)
-    xs = [SEED_E06.x, bootstrap_first_point(SEED_E06, "L1st", h, SPLIT)]
+    ts = bootstrap_first_point(SEED_E06, "L1st", h, SPLIT)
+    xs = [ts.prev, ts.curr]
     for _ in range(steps - 1):
-        xs.append(del_two_step_vi1(TwoStepState(xs[-2], xs[-1], h), SPLIT))
+        ts = del_two_step_vi1(ts, SPLIT)
+        xs.append(ts.curr)
     elapsed = time.perf_counter() - t0
     gap = float(np.max(np.abs(np.array(xs) - rec.xs)))
     report(1, gap < 1e-10 and elapsed < 1.0,
@@ -78,9 +79,10 @@ def test_criterion_2_relativistic_equivalence():
     s0 = ExtPhaseState(0.0, np.array([-3.0, 0.0]), mass_shell_gamma(u0), u0)
     rec = run_relativistic("k1", s0, h, steps)
     ts = del_relativistic_seed(s0, h)
-    qs = [ts.x_prev, ts.x_curr]
+    qs = [ts.prev, ts.curr]
     for _ in range(steps - 1):
-        qs.append(del_relativistic(TwoStepState(qs[-2], qs[-1], h)))
+        ts = del_relativistic(ts)
+        qs.append(ts.curr)
     qs = np.array(qs)
     gap = max(float(np.max(np.abs(qs[:, 0] - rec.ts))),
               float(np.max(np.abs(qs[:, 1:] - rec.xs))))

@@ -115,7 +115,7 @@ class TestRunCommand:
     def test_nan_step_size_is_usage_error(self, monkeypatch, capsys):
         err = self.rejected_before_any_step(monkeypatch, capsys,
                                             "--method", "sv", "--h", "nan", "--ecc", "0.5")
-        assert "--h" in err
+        assert "step size h must be positive and finite, got nan" in err
 
     def test_nan_seed_is_usage_error(self, monkeypatch, capsys):
         err = self.rejected_before_any_step(monkeypatch, capsys, "--method", "sv",

@@ -42,7 +42,6 @@ from geodyn.integrators import (
     legendre_plus,
     run,
     step,
-    step_stormer_verlet,
     step_sv_one_step,
     step_sym_euler,
     step_vi1,
@@ -79,6 +78,7 @@ from geodyn.relativistic import (
 S0 = PhaseState(np.array([0.4, 0.0]), np.array([0.0, 2.0]))
 S_WIDE = PhaseState(np.array([-3.0, 0.0]), np.array([0.0, 0.45]))
 SPLIT = kepler_split()
+SINGLE = kepler_split((1.0, 0.0))     # one part: the central-difference recurrence
 H = 0.05
 
 
@@ -102,13 +102,13 @@ class TestElementarySteps:
     def test_stormer_verlet_linear_field(self):
         # at x = (1, 0) the Kepler force x/r^3 equals the linear field x
         ts = TwoStepState(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.1)
-        out = step_stormer_verlet(ts)
+        out = del_two_step_vi1(ts, SINGLE).curr
         assert np.max(np.abs(out - np.array([0.99, 0.0]))) < 1e-15
 
     def test_sv_one_step_matches_recurrence(self):
         s1 = step_sv_one_step(S0, H)
         s2 = step_sv_one_step(s1, H)
-        rec = step_stormer_verlet(TwoStepState(S0.x, s1.x, H))
+        rec = del_two_step_vi1(TwoStepState(S0.x, s1.x, H), SINGLE).curr
         assert np.max(np.abs(rec - s2.x)) < 1e-13
 
     def test_drift_through_origin_rejected(self):
@@ -244,21 +244,21 @@ class TestDiscreteLagrangians:
 
     def test_legendre_generates_sym_euler(self):
         # L1's one-step map (p from minus transform, then plus) is symplectic Euler
-        x1 = bootstrap_first_point(S0, "L1", H)
+        x1 = bootstrap_first_point(S0, "L1", H).curr
         p1 = legendre_plus("L1", S0.x, x1, H)
         ref = step_sym_euler(S0, H)
         assert np.max(np.abs(x1 - ref.x)) < 1e-11
         assert np.max(np.abs(p1 - ref.v)) < 1e-11
 
     def test_legendre_generates_vi1(self):
-        x1 = bootstrap_first_point(S0, "L1st", H, SPLIT)
+        x1 = bootstrap_first_point(S0, "L1st", H, SPLIT).curr
         p1 = legendre_plus("L1st", S0.x, x1, H, SPLIT)
         ref = step_vi1(S0, SPLIT, H)
         assert np.max(np.abs(x1 - ref.x)) < 1e-11
         assert np.max(np.abs(p1 - ref.v)) < 1e-11
 
     def test_legendre_generates_vi2(self):
-        x1 = bootstrap_first_point(S0, "L2nd", H, SPLIT)
+        x1 = bootstrap_first_point(S0, "L2nd", H, SPLIT).curr
         p1 = legendre_plus("L2nd", S0.x, x1, H, SPLIT)
         ref = step_vi2(S0, SPLIT, H)
         assert np.max(np.abs(x1 - ref.x)) < 1e-10
@@ -269,14 +269,14 @@ class TestDiscreteLagrangians:
         # the Newton residuals are momentum differences with a round-off floor of
         # about ulp(|x|)/h; an absolute tolerance left the midpoint stage stalled
         # at residual 1.776e-13 for h = 0.005
-        x1 = bootstrap_first_point(S_WIDE, "L2nd", h, SPLIT)
+        x1 = bootstrap_first_point(S_WIDE, "L2nd", h, SPLIT).curr
         p1 = legendre_plus("L2nd", S_WIDE.x, x1, h, SPLIT)
         ref = step_vi2(S_WIDE, SPLIT, h)
         assert np.max(np.abs(x1 - ref.x)) < 1e-13
         assert np.max(np.abs(p1 - ref.v)) < 1e-11
 
     def test_bootstrap_satisfies_legendre_condition(self):
-        x1 = bootstrap_first_point(S0, "L2", H)
+        x1 = bootstrap_first_point(S0, "L2", H).curr
         assert np.max(np.abs(legendre_minus("L2", S0.x, x1, H) - S0.v)) < 1e-11
 
     @pytest.mark.parametrize("seed", [S0, S_WIDE, PhaseState(np.array([1.3, -0.7]),
@@ -284,9 +284,9 @@ class TestDiscreteLagrangians:
     def test_l1_is_l1st_on_the_one_part_split_bit_for_bit(self, seed):
         # L1 = |d|^2/(2h^2) - phi(x0); its transforms are d/h + h grad(x0) and d/h
         single = kepler_split((1.0, 0.0))
-        x0, x1 = seed.x, bootstrap_first_point(seed, "L1", H)
+        x0, x1 = seed.x, bootstrap_first_point(seed, "L1", H).curr
         d = x1 - x0
-        assert np.array_equal(x1, bootstrap_first_point(seed, "L1st", H, single))
+        assert np.array_equal(x1, bootstrap_first_point(seed, "L1st", H, single).curr)
         value = discrete_lagrangian("L1", x0, x1, H)
         assert value == discrete_lagrangian("L1st", x0, x1, H, single)
         assert value == 0.5 * float(d @ d) / H**2 - potential(x0)
@@ -382,19 +382,20 @@ class TestLegendrePlusIsTheAdjointsMinus:
 
 class TestDelRecurrence:
     def test_matches_vi1_composition(self):
-        x1 = bootstrap_first_point(S0, "L1st", H, SPLIT)
+        ts = bootstrap_first_point(S0, "L1st", H, SPLIT)
         rec = run("vi1", S0, H, 50, split=SPLIT, diagnostics=False)
-        xs = [S0.x, x1]
+        xs = [ts.prev, ts.curr]
         for _ in range(49):
-            xs.append(del_two_step_vi1(TwoStepState(xs[-2], xs[-1], H), SPLIT))
+            ts = del_two_step_vi1(ts, SPLIT)
+            xs.append(ts.curr)
         assert np.max(np.abs(np.array(xs) - rec.xs)) < 1e-11
 
     def test_single_part_is_central_difference(self):
-        single = kepler_split((1.0, 0.0))
+        # sym-euler's and sv's position recurrence, bit for bit
         ts = TwoStepState(np.array([1.0, 0.2]), np.array([0.98, 0.25]), H)
-        out = del_two_step_vi1(ts, single)
-        ref = step_stormer_verlet(ts)
-        assert np.max(np.abs(out - ref)) < 1e-15
+        out = del_two_step_vi1(ts, SINGLE)
+        assert np.array_equal(out.prev, ts.curr) and out.h == H
+        assert (out.curr == 2.0 * ts.curr - ts.prev - H * H * grad_potential(ts.curr)).all()
 
     def test_two_part_split_rejects_non_planar_points(self):
         ts = TwoStepState(np.array([1.0, 0.2, 0.1]), np.array([0.98, 0.25, 0.1]), H)
@@ -415,7 +416,7 @@ class TestDelRecurrence:
     @pytest.mark.parametrize("h, error", [(1e200, ValueError), (1.3e154, NonFiniteStateError)])
     def test_stormer_verlet_names_an_overflow(self, h, error):
         with pytest.raises(error, match=re.escape(f"h = {h!r}")):
-            step_stormer_verlet(TwoStepState([0.5, 0.0], [0.5, 0.0], h))
+            del_two_step_vi1(TwoStepState([0.5, 0.0], [0.5, 0.0], h), SINGLE)
 
     @pytest.mark.parametrize("h, error", [(1e200, ValueError), (1.3e154, NonFiniteStateError)])
     def test_del_recurrence_names_an_overflow(self, h, error):
@@ -430,8 +431,8 @@ class TestDelRecurrence:
 
     def test_state_keeps_any_dimension(self):
         ts = TwoStepState(np.array([1.0, 0.2, 0.1]), np.array([0.98, 0.25, 0.1]), H)
-        out = del_two_step_vi1(ts, SplitPotential((1.0,)))
-        assert np.array_equal(out, 2.0 * ts.x_curr - ts.x_prev - H**2 * grad_potential(ts.x_curr))
+        out = del_two_step_vi1(ts, SplitPotential((1.0,))).curr
+        assert np.array_equal(out, 2.0 * ts.curr - ts.prev - H**2 * grad_potential(ts.curr))
 
 
 class TestRun:
@@ -654,7 +655,7 @@ def _huge_calls(r, h=0.1):
     x0, x1, v = np.array([r, 0.0]), np.array([r, 0.5 * r]), np.array([0.0, 1.0])
     ext = ExtPhaseState(0.0, x0, 1.0, v)
     calls = [("grad_potential", lambda: grad_potential(x0)),
-             ("step_stormer_verlet", lambda: step_stormer_verlet(TwoStepState(x0, x1, h))),
+             ("del_two_step_vi1 one-part", lambda: del_two_step_vi1(TwoStepState(x0, x1, h), SINGLE)),
              ("del_two_step_vi1", lambda: del_two_step_vi1(TwoStepState(x0, x1, h), SPLIT)),
              ("del_relativistic_seed", lambda: del_relativistic_seed(ext, h)),
              ("del_relativistic", lambda: del_relativistic(TwoStepState([0.0, *x0], [h, *x1], h)))]
@@ -676,7 +677,7 @@ def _floats(out):
     if isinstance(out, (PhaseState, ExtPhaseState)):
         return _flat(out)
     if isinstance(out, TwoStepState):
-        return _floats((out.x_prev, out.x_curr))
+        return _floats((out.prev, out.curr))
     if isinstance(out, tuple):
         return tuple(f for part in out for f in _floats(part))
     return tuple(np.ravel(out).tolist())
@@ -719,11 +720,11 @@ def test_tiny_steps_give_a_finite_result_or_a_named_error(r, h):
 @pytest.mark.parametrize("lag", LAGRANGIAN_IDS)
 def test_lagrangian_of_an_overflowing_step_names_h(lag):
     # h * h is finite, but (x1 - x0) / h and the kinetic term overflow to inf; the error
-    # names the transform that overflowed and its h: -h in legendre_plus, which is the
-    # adjoint's minus transform, and +-h/2 in L2nd's halves
+    # names the caller's call, also where a nested transform overflowed: legendre_plus is
+    # the adjoint's minus transform at -h, and L2nd's halves and midpoint stage take +-h/2
     x0, x1, h = np.array([1.0, 0.0]), np.array([1.0, 1e300]), 1e-100
     for fn in (discrete_lagrangian, legendre_minus, legendre_plus):
-        with pytest.raises(NonFiniteStateError, match=r"not finite for h = -?(1e-100|5e-101)$"):
+        with pytest.raises(NonFiniteStateError, match=rf"^{fn.__name__} {lag} .*h = 1e-100$"):
             fn(lag, x0, x1, h)
     with pytest.raises(ValueError, match=r"h = 5e-324 squares to 0\.0"):
         bootstrap_first_point(PhaseState([3.0, 0.0], [0.0, 1.0]), lag, 5e-324)

@@ -131,8 +131,8 @@ class TestDelForm:
     def test_seed_formula(self):
         ts = del_relativistic_seed(S0, H)
         assert ts.h == H
-        assert ts.x_prev.tolist() == [S0.t, *S0.x.tolist()]
-        t1, x1 = ts.x_curr[0], ts.x_curr[1:]
+        assert ts.prev.tolist() == [S0.t, *S0.x.tolist()]
+        t1, x1 = ts.curr[0], ts.curr[1:]
         assert abs(t1 - H * S0.gamma) < 1e-15
         expect = S0.x + H * S0.u - H * (t1 - S0.t) * np.array([-1.0 / 9.0, 0.0])
         assert np.max(np.abs(x1 - expect)) < 1e-15
@@ -140,10 +140,10 @@ class TestDelForm:
     def test_two_step_matches_k1(self):
         rec = run_relativistic("k1", S0, H, 100)
         ts = del_relativistic_seed(S0, H)
-        qs = [ts.x_prev, ts.x_curr]
+        qs = [ts.prev, ts.curr]
         for _ in range(99):
-            ts = TwoStepState(ts.x_curr, del_relativistic(ts), H)
-            qs.append(ts.x_curr)
+            ts = del_relativistic(ts)
+            qs.append(ts.curr)
         qs = np.array(qs)
         assert np.max(np.abs(qs[:, 0] - rec.ts)) < 1e-10
         assert np.max(np.abs(qs[:, 1:] - rec.xs)) < 1e-10

@@ -89,14 +89,18 @@ def test_table_kernels_are_generators():
 
 
 def test_one_two_step_layer():
-    # the Kepler and the relativistic recurrences take a TwoStepState first, which holds
-    # the step-size rule and finite points, and _finite_update names a non-finite update
+    # one Kepler recurrence and the relativistic one take a TwoStepState first, which holds
+    # the step-size rule and finite points, and _finite_update names a non-finite update;
+    # both seeds and both updates return a TwoStepState, so the layer is one closed map
     checked = integrators._finite_update(lambda ts: ts).__code__
-    for fn in (integrators.step_stormer_verlet, integrators.del_two_step_vi1,
-               relativistic.del_relativistic):
+    updates = (integrators.del_two_step_vi1, relativistic.del_relativistic)
+    for fn in updates:
         assert fn.__code__ is checked, fn.__name__
         first = next(iter(inspect.signature(fn.__wrapped__).parameters))
         assert typing.get_type_hints(fn.__wrapped__)[first] is TwoStepState, fn.__name__
+    for fn in (integrators.bootstrap_first_point, relativistic.del_relativistic_seed, *updates):
+        assert typing.get_type_hints(fn)["return"] is TwoStepState, fn.__name__
+    assert not hasattr(integrators, "step_stormer_verlet")
 
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
