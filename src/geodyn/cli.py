@@ -25,7 +25,7 @@ from geodyn.errors import (
     UnknownMethodError,
 )
 from geodyn.integrators import METHOD_IDS, method, run
-from geodyn.kepler import CIRCULAR_TOL, ORIGIN_TOL, PhaseState, check_step_size, kepler_split, orbit_elements
+from geodyn.kepler import ORIGIN_TOL, PhaseState, check_step_size, kepler_split, orbit_elements
 from geodyn.modified import (
     drift_sweep,
     fitted_order,
@@ -66,11 +66,10 @@ def _seed_from_args(args) -> PhaseState:
         raise UsageError("--x0 and --v0 must be given together")
     if args.x0 is None:
         return PhaseState(np.array(DEFAULT_X0), np.array(DEFAULT_V0))
-    if not all(map(math.isfinite, args.x0 + args.v0)):
-        raise UsageError(f"--x0/--v0 must be finite, got {args.x0} {args.v0}")
+    seed = PhaseState(np.array(args.x0), np.array(args.v0))     # checks the components are finite
     if math.sqrt(sum(c * c for c in args.x0)) < ORIGIN_TOL:     # the kernels' |x|
         raise UsageError(f"--x0 {args.x0} is within ORIGIN_TOL = {ORIGIN_TOL} of the origin")
-    return PhaseState(np.array(args.x0), np.array(args.v0))
+    return seed
 
 
 def _write_lines(path: str | None, lines) -> None:
@@ -85,8 +84,6 @@ def _write_lines(path: str | None, lines) -> None:
 # --- run ---
 
 def cmd_run(args) -> int:
-    if args.steps < 1:
-        raise UsageError("--steps must be >= 1")
     check_step_size(args.h)
     method(args.method, args.model)
     split = kepler_split(tuple(args.split))   # validated for every model; k1/k2 ignore it
@@ -96,11 +93,8 @@ def cmd_run(args) -> int:
         header = KEPLER_HEADER
         cols = [rec.times, rec.xs, rec.vs, rec.H, rec.m, rec.A, rec.ecc, rec.angle]
     else:
-        seed = _seed_from_args(args)
-        gamma = mass_shell_gamma(seed.v)
-        if not math.isfinite(gamma):
-            raise UsageError(f"Lorentz factor of --v0 {seed.v.tolist()} is not finite")
-        rec = run_relativistic(args.method, ExtPhaseState(0.0, seed.x, gamma, seed.v),
+        seed = _seed_from_args(args)    # the state rejects an overflowing Lorentz factor
+        rec = run_relativistic(args.method, ExtPhaseState(0.0, seed.x, mass_shell_gamma(seed.v), seed.v),
                                args.h, args.steps)
         header = RELATIVISTIC_HEADER
         cols = [rec.taus, rec.ts, rec.xs, rec.gammas, rec.us, rec.H]
@@ -120,8 +114,6 @@ def cmd_convergence(args) -> int:
     if args.levels < 1:
         raise UsageError(f"--levels must be >= 1, got {args.levels}")
     seed = _seed_from_args(args)
-    if orbit_elements(seed).e < CIRCULAR_TOL:
-        raise UsageError("convergence sweep needs a non-circular seed")
     split = kepler_split(tuple(args.split))
     hs = [0.5**i for i in range(1, args.levels + 1)]
     metrics = ["ecc", "angle"] if args.metric == "both" else [args.metric]
@@ -181,8 +173,6 @@ def cmd_modified(args) -> int:
     if args.drift is None:
         raise UsageError("modified needs --linear or --drift METHOD")
     method(args.drift)
-    if args.metric not in ("ecc", "angle"):
-        raise UsageError("--metric must be ecc or angle")
     seed = _seed_from_args(args)
     split = kepler_split(tuple(args.split))
     elements = orbit_elements(seed)
@@ -243,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mod.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p_mod.add_argument("--h", type=float, default=0.1)
     p_mod.add_argument("--drift", default=None, metavar="METHOD")
-    p_mod.add_argument("--metric", default="ecc")
+    p_mod.add_argument("--metric", choices=("ecc", "angle"), default="ecc")
     _add_seed_options(p_mod)
     return parser
 

@@ -632,8 +632,11 @@ def legendre_plus(lag_id: str, x0: np.ndarray, x1: np.ndarray, h: float,
 
 
 def _midpoint_stage(x0: np.ndarray, x1: np.ndarray, h: float, split: SplitPotential) -> np.ndarray:
-    """Internal stage of L2nd: momentum matching of the two half Lagrangians."""
+    """Internal stage of L2nd: momentum matching of the two half Lagrangians. A half step whose
+    square is 0.0 leaves their kinetic terms not finite: NonFiniteStateError, named by the caller."""
     g = 0.5 * h
+    if g * g == 0.0:
+        raise NonFiniteStateError(f"L2nd half step h/2 = {g!r} squares to 0.0")
 
     def residual(xm):       # Lstar's plus transform at (x0, xm) is L1st's minus one at (xm, x0, -g)
         return legendre_minus("L1st", xm, x0, -g, split) - legendre_minus("L1st", xm, x1, g, split)

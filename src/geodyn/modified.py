@@ -47,6 +47,14 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
 
 
+def _check_stable(lam: float, h: float) -> None:
+    """The linear scheme's rules: ValueError for lambda or h, StabilityBoundaryError at lambda*h^2 >= 4."""
+    _check_lambda(lam)
+    check_step_size(h)
+    if lam * h * h >= STABILITY_LIMIT:
+        raise StabilityBoundaryError(f"lambda*h^2 = {lam * h * h:.6g} is at or beyond the stability boundary 4")
+
+
 def linear_modified_series(lam: float, h: float, k_max: int) -> float:
     """Partial sum of the modified frequency-squared series.
 
@@ -74,21 +82,13 @@ def linear_modified_series(lam: float, h: float, k_max: int) -> float:
 
 def linear_dispersion(lam: float, h: float) -> float:
     """Effective frequency Omega of the scheme: Omega = (2/h) arcsin(h sqrt(lam)/2)."""
-    _check_lambda(lam)
-    check_step_size(h)
-    if lam * h * h >= STABILITY_LIMIT:
-        raise StabilityBoundaryError(
-            f"lambda*h^2 = {lam * h * h:.6g} is at or beyond the stability boundary 4"
-        )
+    _check_stable(lam, h)
     return 2.0 / h * math.asin(0.5 * h * math.sqrt(lam))
 
 
 def linear_measured_frequency(lam: float, h: float) -> float:
     """Oscillation frequency of 10 000 iterates from interpolated zero crossings."""
-    _check_lambda(lam)
-    check_step_size(h)
-    if lam * h * h >= STABILITY_LIMIT:
-        raise StabilityBoundaryError("scheme is unstable for lambda*h^2 >= 4")
+    _check_stable(lam, h)
     # the central-difference recurrence x+ = 2x - x_prev - h^2 (lam x), on floats
     try:
         h2, steps = h**2, 10_000
@@ -235,12 +235,15 @@ def drift_sweep(method_id: str, seed: PhaseState, hs,
                 split: SplitPotential | None = None) -> dict[str, list[float]]:
     """One-period errors of ``method_id`` from ``seed`` at each step size in ``hs``.
 
-    Each h makes one run of ceil(T/h) + 3 steps. It gives the signed "ecc"
-    and "angle" drifts over the analytic period T and "pos", the position
-    error after round(T/h) steps against the analytic orbit. A run of fewer
-    than 8 samples, too few for the drift interpolant, raises TrajectoryTooShortError.
+    Each h makes one run of ceil(T/h) + 3 steps. It gives the signed "ecc" and "angle"
+    drifts over the analytic period T and "pos", the position error after round(T/h) steps
+    against the analytic orbit. A circular seed raises CircularOrbitError, and a run of
+    fewer than 8 samples, too few for the drift interpolant, TrajectoryTooShortError.
     """
-    period = orbit_elements(seed).T
+    elements = orbit_elements(seed)
+    if elements.e < CIRCULAR_TOL:
+        raise CircularOrbitError("drift metrics are undefined for circular orbits")
+    period = elements.T
     sweep = []      # (h, steps, n) for each h, every h checked before the first run
     for h in hs:
         check_step_size(h)
@@ -298,8 +301,6 @@ def measured_drift_order(method_id: str, metric: str, seed: PhaseState,
     """Fit the per-period drift order over a step-size sweep."""
     if len(hs) < 4:
         raise ValueError("need at least 4 step sizes for a credible fit")
-    if orbit_elements(seed).e < CIRCULAR_TOL:
-        raise CircularOrbitError("drift metrics are undefined for circular orbits")
     orders = method(method_id).drift_order
     if metric not in ("ecc", "angle"):
         raise ValueError(f"unknown drift metric {metric!r}")

@@ -120,13 +120,13 @@ class TestRunCommand:
     def test_nan_seed_is_usage_error(self, monkeypatch, capsys):
         err = self.rejected_before_any_step(monkeypatch, capsys, "--method", "sv",
                                             "--h", "0.05", "--x0", "nan", "0", "--v0", "0", "1")
-        assert "--x0" in err
+        assert "state components must be finite" in err
 
     def test_overflowing_lorentz_factor_is_usage_error(self, monkeypatch, capsys):
         err = self.rejected_before_any_step(monkeypatch, capsys, "--model", "relativistic",
                                             "--method", "k1", "--h", "1e200",
                                             "--x0", "1", "0", "--v0", "0", "1e200")
-        assert "Lorentz factor" in err
+        assert "gamma=inf" in err
 
     def test_bad_split_is_usage_error_for_every_model(self, monkeypatch, capsys):
         # k1/k2 ignore the split, but a split that does not sum to 1 is still bad usage
@@ -590,6 +590,44 @@ class TestModifiedCommand:
     @pytest.mark.parametrize("h", ["nan", "0"])
     def test_bad_step_size_is_usage_error(self, mode, h):
         assert main(["modified", *mode, "--h", h]) == 2
+
+
+class TestLibraryRulesAreUsageErrors:
+    """Each rule the library holds, reached from the command line: exit 2 before any step,
+    one ``error:`` line and no traceback."""
+
+    @pytest.mark.parametrize("args,message", [
+        (("run", "--method", "sv", "--h", "0.05", "--steps", "0"), "steps must be >= 1"),
+        (("run", "--method", "k1", "--model", "relativistic", "--h", "0.05", "--steps", "-1"),
+         "steps must be >= 1"),
+        (("run", "--method", "sv", "--h", "0.05", "--steps", "3", "--x0", "nan", "0", "--v0", "0", "1"),
+         "state components must be finite"),
+        (("run", "--method", "sv", "--h", "0.05", "--steps", "3", "--x0", "1", "0", "--v0", "inf", "1"),
+         "state components must be finite"),
+        (("run", "--model", "relativistic", "--method", "k1", "--h", "1e200", "--steps", "3",
+          "--x0", "1", "0", "--v0", "0", "1e200"), "gamma=inf"),
+        (("modified", "--linear", "--metric", "bogus"), "invalid choice: 'bogus'"),
+        (("modified", "--drift", "sv", "--metric", "bogus"), "invalid choice: 'bogus'"),
+        (("convergence", "--ecc", "0", "--levels", "2"), "drift metrics are undefined for circular orbits"),
+        (("convergence", "--x0", "1", "0", "--v0", "0", "1", "--levels", "2"),
+         "drift metrics are undefined for circular orbits"),
+    ], ids=["zero-steps", "negative-steps-relativistic", "nan-x0", "inf-v0", "lorentz-factor",
+            "linear-metric", "drift-metric", "circular-ecc", "circular-x0"])
+    def test_exit_2_with_one_error_line(self, args, message):
+        proc = cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        last = proc.stderr.strip().split("\n")[-1]
+        assert "error:" in last and message in last
+
+    def test_circular_convergence_seed_runs_no_step(self, monkeypatch, capsys):
+        def no_steps(*a, **k):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("geodyn.modified.run", no_steps)
+        assert main(["convergence", "--methods", "sv", "--ecc", "0"]) == 2
+        assert capsys.readouterr().err == "error: drift metrics are undefined for circular orbits\n"
 
 
 class TestConfigAndPlumbing:

@@ -730,6 +730,17 @@ def test_lagrangian_of_an_overflowing_step_names_h(lag):
         bootstrap_first_point(PhaseState([3.0, 0.0], [0.0, 1.0]), lag, 5e-324)
 
 
+@pytest.mark.parametrize("h", [1.6e-162, 2e-162, 3.1e-162])
+def test_l2nd_half_step_names_the_callers_h(h):
+    # h*h is a subnormal, but L2nd's halves and midpoint stage take +-h/2, whose square is
+    # 0.0: the error names the caller's h, not a nested +-h/2 or legendre_plus's adjoint -h
+    assert h * h > 0.0 and (0.5 * h) * (0.5 * h) == 0.0
+    x0, x1 = np.array([1.0, 0.0]), np.array([1.0, 1e-3])
+    for fn in (discrete_lagrangian, legendre_minus, legendre_plus):
+        with pytest.raises(NonFiniteStateError, match=rf"^{fn.__name__} L2nd not finite for h = {h!r}$"):
+            fn("L2nd", x0, x1, h)
+
+
 # --- Each fused table kernel equals its sub-flow composition, bit for bit ---
 
 def _ref_sym_euler(z, h):

@@ -171,6 +171,13 @@ class TestLinearDispersion:
         with pytest.raises(StabilityBoundaryError):
             linear_measured_frequency(1.0, 2.1)
 
+    @pytest.mark.parametrize("fn", [linear_dispersion, linear_measured_frequency])
+    def test_one_stability_message(self, fn):
+        # one check holds the rule, so both functions give its message
+        with pytest.raises(StabilityBoundaryError) as info:
+            fn(1.0, 2.5)
+        assert str(info.value) == "lambda*h^2 = 6.25 is at or beyond the stability boundary 4"
+
 
 class TestModifiedLagrangian:
     S = PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -396,6 +403,23 @@ class TestMeasuredDrift:
     def test_needs_enough_levels(self):
         with pytest.raises(ValueError):
             measured_drift_order("sv", "ecc", BASE, hs=(0.5, 0.25))
+
+    CIRCULAR = PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("call", [
+        lambda s: drift_sweep("sv", s, (0.1,)),
+        lambda s: per_period_drift("sv", "angle", s, 0.1),
+        lambda s: per_period_drift("sv", "ecc", s, 0.1),
+        lambda s: measured_drift_order("sv", "angle", s),
+    ], ids=["drift_sweep", "per_period_drift-angle", "per_period_drift-ecc", "measured_drift_order"])
+    def test_circular_seed_rejected(self, monkeypatch, call):
+        # the angle of a near-zero LRL vector is noise, so no drift is read from it
+        def no_steps(*a, **k):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(modified, "run", no_steps)
+        with pytest.raises(CircularOrbitError, match="drift metrics are undefined for circular orbits"):
+            call(self.CIRCULAR)
 
     def test_sv_superconvergence_small_sweep(self):
         est = measured_drift_order("sv", "ecc", GENERIC,

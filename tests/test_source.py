@@ -2,8 +2,8 @@
 function the benchmark tracer names exists, every forward table kernel is a generator of
 its own, every two-step update steps a TwoStepState through one failure policy, one
 function holds the Newton loop and one the Kepler-equation iteration, two hold the
-closed-form Legendre transforms, every module rounds in plain products, and the Kepler
-force cubes r by products."""
+closed-form Legendre transforms, every module rounds in plain products, the Kepler
+force cubes r by products, and each input rule has one home."""
 
 import ast
 import importlib
@@ -165,6 +165,18 @@ def functions_reading(name: str, src: Path = SRC) -> list[str]:
 def test_one_kepler_solve():
     # the scalar solve and the analytic orbit both go through kepler._solve_kepler
     assert functions_reading("KEPLER_EQ_MAXITER") == ["kepler._solve_kepler"]
+
+
+def test_one_home_for_each_input_rule():
+    # drift_sweep holds the circular-seed rule for drifts measured from a seed (predicted_drift
+    # takes elements, not a seed), one check and the series' warning read the linear stability
+    # limit, and the command line leaves finiteness to the states that check it
+    assert functions_reading("CIRCULAR_TOL") == [
+        "kepler._analytic_states", "kepler.conserved", "modified.drift_sweep", "modified.predicted_drift"]
+    assert functions_reading("STABILITY_LIMIT") == ["modified._check_stable", "modified.linear_modified_series"]
+    assert [ast.unparse(node) for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+            if isinstance(node, ast.Name) and node.id == "isfinite"
+            or isinstance(node, ast.Attribute) and node.attr == "isfinite"] == []
 
 
 def functions_comparing(name: str, values, src: Path = SRC) -> list[str]:
