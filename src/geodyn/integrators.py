@@ -436,19 +436,29 @@ class Method:
     as rows packed by ``_ROW4`` or ``_ROW6``; the relativistic methods ignore the split, and a split of None is the equal
     Kepler split. ``drift_order`` maps "ecc" and "angle" to the predicted order
     of the per-period LRL drift; it is None for the relativistic methods.
+    ``parts`` is a Kepler step's composition in time order: ("phi", i) is the kick of
+    the split's share w_i*phi (all of phi for i None), ("kin", coords) the drift of the
+    kinetic term of the 0-based velocity coordinates. The step is the first-order product
+    of their exact flows over h each or, with ``strang``, nested Strang levels: each part
+    but the last takes h/2 on either side of the ones after it, and the last takes h.
     """
     id: str
     model: str
     kernels: Callable[[SplitPotential | None], tuple[Callable, Callable]]
     drift_order: dict[str, float] | None
+    parts: tuple[tuple[str, int | tuple[int, ...] | None], ...] = ()
+    strang: bool = False
 
 
 METHODS = MappingProxyType({m.id: m for m in (
     Method("sym-euler", "kepler", lambda split: (_sym_euler_states, _iterate(_sym_euler_adjoint)),
-           {"ecc": 2.0, "angle": 2.0}),
-    Method("sv", "kepler", lambda split: (_sv_states, _sv_states), {"ecc": 4.0, "angle": 2.0}),
-    Method("vi1", "kepler", _vi1_kernels, {"ecc": 2.0, "angle": 2.0}),
-    Method("vi2", "kepler", lambda split: (_vi2_kernel(split),) * 2, {"ecc": 4.0, "angle": 2.0}),
+           {"ecc": 2.0, "angle": 2.0}, (("phi", None), ("kin", (0, 1)))),
+    Method("sv", "kepler", lambda split: (_sv_states, _sv_states), {"ecc": 4.0, "angle": 2.0},
+           (("phi", None), ("kin", (0, 1))), strang=True),
+    Method("vi1", "kepler", _vi1_kernels, {"ecc": 2.0, "angle": 2.0},
+           (("kin", (0,)), ("phi", 0), ("kin", (1,)), ("phi", 1))),
+    Method("vi2", "kepler", lambda split: (_vi2_kernel(split),) * 2, {"ecc": 4.0, "angle": 2.0},
+           (("phi", 1), ("kin", (1,)), ("phi", 0), ("kin", (0,))), strang=True),
     Method("k1", "relativistic", lambda split: (
         _k1_states, _iterate(lambda z, h: _flow_ht(_flow_hi(1, _flow_hi(2, z, h), h), h))), None),
     Method("k2", "relativistic", lambda split: (_k2_states, _k2_states), None),
@@ -524,10 +534,7 @@ def substep_flow_adjoint(i: int, s: PhaseState, split: SplitPotential, h: float)
 
 
 def step_vi1(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
-    """Composition of the sub-maps in ascending coordinate order.
-
-    A single-part (degenerate) split collapses to symplectic Euler.
-    """
+    """The composition ``METHODS["vi1"].parts``; a one-part split collapses to symplectic Euler."""
     return step("vi1", s, h, split)
 
 

@@ -87,13 +87,16 @@ def linear_dispersion(lam: float, h: float) -> float:
 
 
 def linear_measured_frequency(lam: float, h: float) -> float:
-    """Oscillation frequency of 10 000 iterates from interpolated zero crossings."""
-    _check_stable(lam, h)
+    """Oscillation frequency from interpolated zero crossings of 10 000 iterates, or of two periods
+    2 pi/Omega when that is more; T/h above MAX_STEPS_PER_PERIOD raises ValueError before any step."""
+    omega = linear_dispersion(lam, h)
     # the central-difference recurrence x+ = 2x - x_prev - h^2 (lam x), on floats
     try:
-        h2, steps = h**2, 10_000
+        h2 = h**2
     except OverflowError as exc:    # a tiny lambda passes the stability check
         raise NonFiniteStateError(f"h**2 overflows for lambda = {lam!r}, h = {h!r}") from exc
+    period = 2.0 * math.pi / omega if 0.0 < omega < math.inf else math.inf    # 0 or inf at a tiny h
+    steps = max(10_000, math.ceil(2.0 * _steps_per_period(period, h)))
     xs = [0.0, h]
     x_prev, x = xs
     for _ in range(1, steps):
@@ -111,12 +114,7 @@ def linear_measured_frequency(lam: float, h: float) -> float:
 
 def modified_lagrangian(method_id: str, s: PhaseState, h: float,
                         split: SplitPotential | None = None) -> float:
-    """Truncated modified Lagrangian of the method at state ``s``.
-
-    First-order methods keep the O(h) term, second-order methods the O(h^2)
-    term; higher-order tails are dropped. ``split`` defaults to the equal
-    Kepler split and must have two coordinate parts for vi1/vi2.
-    """
+    """The truncated modified Lagrangian L + epsilon(h)*Lbar of ``perturbation_field`` at ``s``."""
     eps, lbar = perturbation_field(method_id, split)
     return 0.5 * sum(c * c for c in s.v.tolist()) - potential(s.x) + eps(h) * float(lbar(s.x, s.v))
 
@@ -124,57 +122,50 @@ def modified_lagrangian(method_id: str, s: PhaseState, h: float,
 def perturbation_field(method_id: str, split: SplitPotential | None = None):
     """(epsilon(h), leading perturbation Lbar) with L_mod = L + epsilon*Lbar.
 
-    The epsilon factor is the size of the leading perturbation: h/2 for the first-order
-    methods, h^2/24 for Stormer-Verlet, h^2 for vi2, whose bracket (with its own 1/24)
-    is minus the h^2 term, at p = v, of the nested-Strang BCH expansion of its flows
-    w2 phi, v2^2/2, w1 phi, v1^2/2, v1^2/2, w1 phi, v2^2/2, w2 phi (Hairer, Lubich and
-    Wanner, Geometric Numerical Integration, III.4-III.5). vi1 and vi2 need a two-part
-    split; a one-part split raises ValueError. Lbar is the function ``value(x, v)``
-    of (2, ...) arrays of positions and velocities.
+    Both follow from the method's composition (``integrators.Method``) by the BCH formula
+    (Hairer, Lubich and Wanner, Geometric Numerical Integration, III.4-III.5), with
+    {F, G} = grad_x F . grad_v G - grad_v F . grad_x G and epsilon*Lbar = -(H_mod - H) at
+    p = v: a first-order product X_1 ... X_m has epsilon = h/2 and Lbar = sum_{i<j} {X_i, X_j};
+    nested Strang levels a, each around the sum b of the parts inside it, have epsilon = h^2
+    and Lbar = sum of (1/24){a,{a,b}} - (1/12){b,{b,a}}. vi1 and vi2 need a two-part split
+    (ValueError otherwise). Lbar is the function ``value(x, v)`` of (2, ...) arrays.
     """
-    method(method_id)      # UnknownMethodError for all but the Kepler methods
+    entry = method(method_id)      # UnknownMethodError for all but the Kepler methods
     split = split if split is not None else kepler_split()
-
-    if method_id == "sym-euler":
-        def value(x, v):
-            g1, g2, _, _ = grad_potential_arrays(x[0], x[1])
-            return -(v[0] * g1 + v[1] * g2)
-        return (lambda h: 0.5 * h), value
-
-    if method_id == "sv":
-        def value(x, v):
-            _, _, r, r3 = grad_potential_arrays(x[0], x[1])
-            xv = x[0] * v[0] + x[1] * v[1]
-            return 1.0 / (r3 * r) - 2.0 * (v[0] * v[0] + v[1] * v[1]) / r3 + 6.0 * xv * xv / (r3 * r * r)
-        return (lambda h: h * h / 24.0), value
-
-    if len(split) != 2:
+    if any(kind == "phi" and i is not None for kind, i in entry.parts) and len(split) != 2:
         raise ValueError(f"the {method_id} modified Lagrangian needs a two-part split, "
                          f"got {len(split)} part(s)")
-    w1, w2 = split.weights
+    # a part as (is a kick, c): its gradient is c*grad(phi) or c*v, componentwise
+    parts = [(True, np.full(2, 1.0 if i is None else split.weights[i])) if kind == "phi"
+             else (False, np.array([float(k in i) for k in (0, 1)])) for kind, i in entry.parts]
 
-    if method_id == "vi1":
-        # The composition implemented here is the adjoint of the one behind
-        # the displayed order-h formula, which flips the sign of the h term.
+    def bracket(p, q):         # C in {p, q} = sum_k C_k g_k v_k, g = grad(phi)
+        return (p[0] - q[0]) * p[1] * q[1]
+
+    def double(p, q, s):       # [Q | K] in {p, {q, s}} = sum_k Q_k g_k^2 + sum_kl K_kl v_k H_kl v_l
+        qs = bracket(q, s)
+        return np.column_stack((p[1] * qs, np.zeros((2, 2))) if p[0] else (np.zeros(2), -np.outer(p[1], qs)))
+
+    if not entry.strang:
+        c1, c2 = sum(bracket(p, q) for i, p in enumerate(parts) for q in parts[i + 1:]).tolist()
+
         def value(x, v):
             g1, g2, _, _ = grad_potential_arrays(x[0], x[1])
-            return -((w1 * g1 + w2 * g1) * v[0] + (w2 * g2 - w1 * g2) * v[1])
+            return c1 * g1 * v[0] + c2 * g2 * v[1]
         return (lambda h: 0.5 * h), value
 
-    def value(x, v):       # vi2; part i's gradient is w_i grad(phi), its Hessian w_i hess(phi)
+    (q1, k11, k12), (q2, k21, k22) = sum(
+        double(a, a, b) / 24.0 - sum(double(b, b2, a) for b2 in parts[i + 1:]) / 12.0
+        for i, a in enumerate(parts[:-1]) for b in parts[i + 1:]).tolist()
+
+    def value(x, v):       # h11, h12, h22: the Hessian H of phi
         g1, g2, r, r3 = grad_potential_arrays(x[0], x[1])
         r5 = r3 * r * r
         h11 = 1.0 / r3 - 3.0 * x[0] * x[0] / r5
         h12 = -3.0 * x[0] * x[1] / r5
         h22 = 1.0 / r3 - 3.0 * x[1] * x[1] / r5
-        quad = ((w1 * g1 + w2 * g1) ** 2 - 2.0 * (w1 * g2) ** 2
-                + 2.0 * (w1 * g2) * (w2 * g2) + (w2 * g2) ** 2)
-        kin = (-2.0 * (w1 * h11 + w2 * h11) * v[0] ** 2
-               + 2.0 * (w1 * h12) * v[0] * v[1]
-               + (w1 * h22) * v[1] ** 2
-               - 4.0 * (w2 * h12) * v[0] * v[1]
-               - 2.0 * (w2 * h22) * v[1] ** 2)
-        return (quad + kin) / 24.0
+        return (q1 * g1 * g1 + q2 * g2 * g2 + k11 * v[0] * v[0] * h11
+                + (k12 + k21) * v[0] * v[1] * h12 + k22 * v[1] * v[1] * h22)
     return (lambda h: h * h), value
 
 

@@ -559,12 +559,29 @@ class TestModifiedCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
 
+    def test_small_linear_step_measures_two_periods(self, capsys):
+        # 10 000 steps of h = 3e-4 cover half of the period 2 pi, too few for two zero
+        # crossings; the run takes two periods, 41 888 steps, and the three frequencies agree
+        assert main(["modified", "--linear", "--lambda", "1", "--h", "3e-4"]) == 0
+        captured = capsys.readouterr()
+        values = [float(line.split(":")[1]) for line in captured.out.strip().split("\n")]
+        assert captured.err == "" and len(values) == 3
+        assert (max(values) - min(values)) / values[0] < 1e-6
+
+    def test_linear_step_past_the_steps_per_period_rule_is_usage_error(self, capsys):
+        # T/h = 6.3e6 steps for a period is past the 10^6 rule of the drift sweeps
+        assert main(["modified", "--linear", "--lambda", "1", "--h", "1e-6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: step size h = 1e-06 is too small for the period T = 6.28319: "
+                                "T/h = 6.28e+06 exceeds 1000000 steps\n")
+
     def test_overflowing_drift_prediction_exits_1(self, capsys):
         # the prediction overflowed to -inf and was printed as a success
         assert main(["modified", "--drift", "sv", "--h", "1e200"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: predicted drift (-inf, -inf) is not finite for h = 1e+200\n"
+        assert captured.err == "error: predicted drift (inf, -inf) is not finite for h = 1e+200\n"
 
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_lambda_is_usage_error(self, lam):

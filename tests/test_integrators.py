@@ -604,6 +604,48 @@ class TestMethodTable:
             call()
 
 
+def _part_flow(part, z, tau, split):
+    """The exact flow over tau of one part of a ``Method.parts`` composition: a kick by
+    w*grad(phi), w = 1 for all of phi, or a drift of the listed coordinates."""
+    x1, x2, v1, v2 = z
+    kind, index = part
+    if kind == "phi":
+        w = 1.0 if index is None else split.weights[index]
+        g1, g2 = grad_potential((x1, x2)).tolist()
+        return x1, x2, v1 - tau * (w * g1), v2 - tau * (w * g2)
+    return (x1 + tau * v1 if 0 in index else x1), (x2 + tau * v2 if 1 in index else x2), v1, v2
+
+
+def _step_from_parts(method_id, z, h, split):
+    """One step composed from the table's data alone: the parts in time order, each over
+    h, or as nested Strang levels, h/2 around the levels inside and h for the last part."""
+    entry = METHODS[method_id]
+    if entry.strang:
+        *levels, inner = entry.parts
+        timed = [(p, 0.5 * h) for p in levels] + [(inner, h)] + [(p, 0.5 * h) for p in levels[::-1]]
+    else:
+        timed = [(p, h) for p in entry.parts]
+    for part, tau in timed:
+        z = _part_flow(part, z, tau, split)
+    return z
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.3, 0.7), (0.8, 0.2)])
+@pytest.mark.parametrize("method_id", METHOD_IDS)
+def test_parts_describe_the_kernel(method_id, weights):
+    # the parts perturbation_field derives its bracket from are the flows step() runs;
+    # vi2's kernel drifts x1 by h/2 twice where the composition drifts it by h once
+    split = kepler_split(weights)
+    rng = np.random.default_rng(41)
+    for r, theta, speed, phi, h in zip(rng.uniform(0.5, 3.0, 200), rng.uniform(-math.pi, math.pi, 200),
+                                       rng.uniform(0.1, 1.2, 200), rng.uniform(-math.pi, math.pi, 200),
+                                       rng.uniform(-0.2, 0.2, 200)):
+        z = (r * math.cos(theta), r * math.sin(theta), speed * math.cos(phi), speed * math.sin(phi))
+        got = _flat(step(method_id, PhaseState(z[:2], z[2:]), h, split))
+        want = _step_from_parts(method_id, z, h, split)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 4 * np.finfo(float).eps * max(map(abs, z))
+
+
 # --- Every public one-step map is row 1 of a run, and fails as a run does ---
 
 # (model, call(s, split, i, h)): each table method and its adjoint through step(),

@@ -2,8 +2,9 @@
 function the benchmark tracer names exists, every forward table kernel is a generator of
 its own, every two-step update steps a TwoStepState through one failure policy, one
 function holds the Newton loop and one the Kepler-equation iteration, two hold the
-closed-form Legendre transforms, every module rounds in plain products, the Kepler
-force cubes r by products, and each input rule has one home."""
+closed-form Legendre transforms, only the method table tells the Kepler methods apart,
+every module rounds in plain products, the Kepler force cubes r by products, and each
+input rule has one home."""
 
 import ast
 import importlib
@@ -12,7 +13,7 @@ import typing
 from pathlib import Path
 
 from geodyn import integrators, relativistic
-from geodyn.integrators import LAGRANGIAN_IDS, METHODS, TwoStepState, _iterate
+from geodyn.integrators import LAGRANGIAN_IDS, METHOD_IDS, METHODS, TwoStepState, _iterate
 from geodyn.kepler import SplitPotential
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geodyn"
@@ -207,6 +208,13 @@ def test_one_legendre_dispatch():
     # one-part split and passes L2 through
     assert functions_comparing("lag_id", LAGRANGIAN_IDS) == [
         "integrators._require_split", "integrators.discrete_lagrangian", "integrators.legendre_minus"]
+
+
+def test_one_method_dispatch():
+    # integrators.METHODS holds what a method is, its kernels and its composition; every
+    # other module reads the table, so a hand-written bracket per method cannot come back
+    assert [f for f in functions_comparing("method_id", METHOD_IDS)
+            if not f.startswith("integrators.")] == []
 
 
 def powers_of_r(path: Path) -> list[str]:
