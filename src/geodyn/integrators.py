@@ -3,24 +3,20 @@
 ``METHODS`` is the one place that knows the methods: symplectic Euler,
 Stormer-Verlet, vi1 (order 1) and vi2 (order 2) for the Kepler problem, and
 k1 (order 1) and k2 (order 2) for the relativistic system of
-``geodyn.relativistic``. Each entry gives the model, the step kernel and its
-adjoint as state generators, and the predicted drift orders. vi1 and k1
-compose exact sub-flows, their adjoints the same sub-flows in reverse; vi2
-and k2 are the adjoint half step followed by the half step. A step kernel is
-one loop that carries its closing force or potential into the next step and
-yields each state as one packed row of floats, which ``trajectory`` joins in
-1024-row chunks; one-step maps (sub-flows, adjoints) become generators through
-``_iterate``, and the sub-flows are the reference the kernels equal bit for
-bit. vi1 and k1 also exist in two-step discrete Euler-Lagrange form, a map from
-one ``TwoStepState`` to the next, equivalent to the composition once the first
-state is seeded through the discrete Legendre transform; on the one-part split
-vi1's is the central-difference recurrence of sym-euler and sv.
+``geodyn.relativistic``. Each entry gives the model, the forward step kernel,
+its composition of exact sub-flows (``parts``) and the predicted drift orders.
+Every adjoint and named sub-flow is read off the parts by ``_composition``: a
+product's adjoint is its parts in reverse, and a Strang composition (sv, vi2,
+k2) is its own. vi1 and k1 also exist in two-step discrete Euler-Lagrange form,
+a map from one ``TwoStepState`` to the next, equivalent to the composition once
+the first state is seeded through the discrete Legendre transform; on the
+one-part split vi1's is the central-difference recurrence of sym-euler and sv.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, wraps
+from functools import wraps
 from itertools import islice
 from math import inf, sqrt
 from struct import Struct
@@ -165,6 +161,34 @@ def _iterate(kernel):
     return states
 
 
+def _part_flow(part, z, h, split):
+    """The exact flow over h of one of ``Method.parts`` on a Kepler or relativistic state: a kick
+    by w*grad(phi) (w = 1 for all of phi), or by gamma*grad(phi) advancing t by h*gamma; a drift,
+    checked by check_segment_xy, along which a relativistic gamma falls by phi's rise."""
+    kind, index = part
+    rel = len(z) == 6
+    t, x1, x2, gamma, v1, v2 = z if rel else (0.0, *z[:2], 0.0, *z[2:])
+    if kind == "phi":
+        g1, g2 = grad_potential((x1, x2)).tolist()
+        if rel:
+            return t + h * gamma, x1, x2, gamma, v1 - h * gamma * g1, v2 - h * gamma * g2
+        w = 1.0 if index is None else split.weights[index]
+        return x1, x2, v1 - h * (w * g1), v2 - h * (w * g2)
+    y1, y2 = (x1 + h * v1 if 0 in index else x1), (x2 + h * v2 if 1 in index else x2)
+    check_segment_xy(x1, x2, y1, y2)
+    return ((t, y1, y2, gamma - (potential((y1, y2)) - potential((x1, x2))), v1, v2) if rel
+            else (y1, y2, v1, v2))
+
+
+def _composition(parts, split):
+    """The one-step map (z, h) -> z of the product of the parts' exact flows, each over h."""
+    def composed(z, h):
+        for part in parts:
+            z = _part_flow(part, z, h, split)
+        return z
+    return composed
+
+
 def _sym_euler_states(z, h):
     x1, x2, v1, v2 = z
     tol, far2, pack = ORIGIN_TOL, _FAR2, _ROW4.pack
@@ -223,34 +247,11 @@ def _sv_states(z, h):
         yield pack(x1, x2, v1, v2)
 
 
-def _flow(i, z, h, w):
-    """Sub-flow of v_i^2/2 + w*phi: drift coordinate i, then kick."""
-    x1, x2, v1, v2 = z
-    y1, y2 = (x1 + h * v1, x2) if i == 1 else (x1, x2 + h * v2)
-    check_segment_xy(x1, x2, y1, y2)
-    g1, g2 = grad_potential((y1, y2)).tolist()
-    return y1, y2, v1 - h * (w * g1), v2 - h * (w * g2)
-
-
-def _flow_adjoint(i, z, h, w):
-    """Adjoint sub-flow: kick at the old point, then drift coordinate i."""
-    x1, x2, v1, v2 = z
-    g1, g2 = grad_potential((x1, x2)).tolist()
-    p1, p2 = v1 - h * (w * g1), v2 - h * (w * g2)
-    y1, y2 = (x1 + h * p1, x2) if i == 1 else (x1, x2 + h * p2)
-    check_segment_xy(x1, x2, y1, y2)
-    return y1, y2, p1, p2
-
-
-def _vi1_kernels(split: SplitPotential | None):
-    """vi1 kernel and its adjoint for a split (default: the equal Kepler split).
-
-    The step is _flow(2, _flow(1, z)) written out; the adjoint is the reverse
-    composition _flow_adjoint(1, _flow_adjoint(2, z)) itself.
-    """
+def _vi1_kernel(split: SplitPotential | None):
+    """vi1's parts written out for a split (default: the equal Kepler split); sym-euler on one part."""
     w = (split if split is not None else kepler_split()).weights
     if len(w) == 1:
-        return _sym_euler_states, _iterate(_sym_euler_adjoint)
+        return _sym_euler_states
     w1, w2 = w
 
     def states(z, h):
@@ -275,7 +276,7 @@ def _vi1_kernels(split: SplitPotential | None):
             x1, x2, v1, v2 = y1, y2, v1 - h * (w2 * (y1 / r3)), v2 - h * (w2 * (y2 / r3))
             yield pack(x1, x2, v1, v2)
 
-    return states, _iterate(lambda z, h: _flow_adjoint(1, _flow_adjoint(2, z, h, w2), h, w1))
+    return states
 
 
 def _vi2_kernel(split: SplitPotential | None):
@@ -330,23 +331,9 @@ def _vi2_kernel(split: SplitPotential | None):
 
 # --- Kernels on the relativistic planar state z = (t, x1, x2, gamma, u1, u2) ---
 #
-# k1 is _flow_hi(2, _flow_hi(1, _flow_ht(z))) written out; k1* is the reverse
-# composition itself. A drift's gamma update reuses phi(start) from the flow before or
-# the step before; k2's first drift evaluates its first phi(start) after the drift check
-# and phi(end), as _flow_hi does.
-
-def _flow_ht(z, h):
-    t, x1, x2, gamma, u1, u2 = z
-    g1, g2 = grad_potential((x1, x2)).tolist()
-    return t + h * gamma, x1, x2, gamma, u1 - h * gamma * g1, u2 - h * gamma * g2
-
-
-def _flow_hi(i, z, h):
-    t, x1, x2, gamma, u1, u2 = z
-    y1, y2 = (x1 + h * u1, x2) if i == 1 else (x1, x2 + h * u2)
-    check_segment_xy(x1, x2, y1, y2)
-    return t, y1, y2, gamma - (potential((y1, y2)) - potential((x1, x2))), u1, u2
-
+# Each writes out its parts. A drift's gamma update reuses phi(start) from the flow before
+# or the step before; k2's first drift evaluates its first phi(start) after the drift check
+# and phi(end), as _part_flow does.
 
 def _k1_states(z, h):
     t, x1, x2, gamma, u1, u2 = z
@@ -378,7 +365,7 @@ def _k1_states(z, h):
 
 
 def _k2_states(z, h):
-    """The k1* half step, then the k1 half step, written out; the time/kick flows share a force."""
+    """k2's Strang levels written out; the time/kick flow is two halves around one force."""
     t, x1, x2, gamma, u1, u2 = z
     c, tol, ntol, p0, pack = 0.5 * h, ORIGIN_TOL, -ORIGIN_TOL, None, _ROW6.pack
     while True:
@@ -431,37 +418,50 @@ def _k2_states(z, h):
 class Method:
     """One integrator of the table.
 
-    ``model`` is "kepler" or "relativistic". ``kernels(split)`` returns the
-    (step, adjoint) state generators, each (z, h) -> iterator of z_1, z_2, ...
-    as rows packed by ``_ROW4`` or ``_ROW6``; the relativistic methods ignore the split, and a split of None is the equal
-    Kepler split. ``drift_order`` maps "ecc" and "angle" to the predicted order
-    of the per-period LRL drift; it is None for the relativistic methods.
-    ``parts`` is a Kepler step's composition in time order: ("phi", i) is the kick of
-    the split's share w_i*phi (all of phi for i None), ("kin", coords) the drift of the
-    kinetic term of the 0-based velocity coordinates. The step is the first-order product
-    of their exact flows over h each or, with ``strang``, nested Strang levels: each part
-    but the last takes h/2 on either side of the ones after it, and the last takes h.
+    ``model`` is "kepler" or "relativistic". ``kernel(split)`` is the step's state generator
+    (a split of None is the equal Kepler split; the relativistic methods ignore it).
+    ``drift_order`` maps "ecc" and "angle" to the predicted per-period LRL drift order, None
+    for the relativistic methods. ``parts`` is the composition in time order, each part a
+    ``_part_flow``: ("phi", i) kicks by the split's share w_i*phi (all of phi for i None),
+    ("kin", coords) drifts those 0-based coordinates. The step is the product of their flows
+    over h each or, with ``strang``, nested Strang levels: each part but the last takes h/2
+    on either side of the ones after it, and the last takes h.
     """
     id: str
     model: str
-    kernels: Callable[[SplitPotential | None], tuple[Callable, Callable]]
+    kernel: Callable[[SplitPotential | None], Callable]
     drift_order: dict[str, float] | None
-    parts: tuple[tuple[str, int | tuple[int, ...] | None], ...] = ()
+    parts: tuple[tuple[str, int | tuple[int, ...] | None], ...]
     strang: bool = False
+
+    def adjoint(self, split: SplitPotential | None = None):
+        """The adjoint's state generator: a Strang step is its own adjoint, and a product's
+        is its parts reversed (on a one-part split, vi1 takes sym-euler's parts)."""
+        if self.strang:
+            return self.kernel(split)
+        split = split if split is not None else kepler_split()
+        parts = self.parts
+        if len(split) == 1 and any(kind == "phi" and i is not None for kind, i in parts):
+            parts = METHODS["sym-euler"].parts
+        return _iterate(_composition(parts[::-1], split))
+
+    def kernels(self, split: SplitPotential | None = None) -> tuple[Callable, Callable]:
+        return self.kernel(split), self.adjoint(split)
 
 
 METHODS = MappingProxyType({m.id: m for m in (
-    Method("sym-euler", "kepler", lambda split: (_sym_euler_states, _iterate(_sym_euler_adjoint)),
-           {"ecc": 2.0, "angle": 2.0}, (("phi", None), ("kin", (0, 1)))),
-    Method("sv", "kepler", lambda split: (_sv_states, _sv_states), {"ecc": 4.0, "angle": 2.0},
+    Method("sym-euler", "kepler", lambda split: _sym_euler_states, {"ecc": 2.0, "angle": 2.0},
+           (("phi", None), ("kin", (0, 1)))),
+    Method("sv", "kepler", lambda split: _sv_states, {"ecc": 4.0, "angle": 2.0},
            (("phi", None), ("kin", (0, 1))), strang=True),
-    Method("vi1", "kepler", _vi1_kernels, {"ecc": 2.0, "angle": 2.0},
+    Method("vi1", "kepler", _vi1_kernel, {"ecc": 2.0, "angle": 2.0},
            (("kin", (0,)), ("phi", 0), ("kin", (1,)), ("phi", 1))),
-    Method("vi2", "kepler", lambda split: (_vi2_kernel(split),) * 2, {"ecc": 4.0, "angle": 2.0},
+    Method("vi2", "kepler", _vi2_kernel, {"ecc": 4.0, "angle": 2.0},
            (("phi", 1), ("kin", (1,)), ("phi", 0), ("kin", (0,))), strang=True),
-    Method("k1", "relativistic", lambda split: (
-        _k1_states, _iterate(lambda z, h: _flow_ht(_flow_hi(1, _flow_hi(2, z, h), h), h))), None),
-    Method("k2", "relativistic", lambda split: (_k2_states, _k2_states), None),
+    Method("k1", "relativistic", lambda split: _k1_states, None,
+           (("phi", None), ("kin", (0,)), ("kin", (1,)))),
+    Method("k2", "relativistic", lambda split: _k2_states, None,
+           (("kin", (1,)), ("kin", (0,)), ("phi", None)), strang=True),
 )})
 METHOD_IDS = tuple(m.id for m in METHODS.values() if m.model == "kepler")
 REL_METHOD_IDS = tuple(m.id for m in METHODS.values() if m.model == "relativistic")
@@ -503,8 +503,8 @@ def step(method_id: str, s, h: float, split: SplitPotential | None = None,
     run, so a step raises SingularOriginError or NonFiniteStateError where a
     run would. h may be negative: Phi_{-h}(Phi*_h(s)) = s.
     """
-    model = "kepler" if isinstance(s, PhaseState) else "relativistic"
-    return _one_step(method(method_id, model).kernels(split)[int(adjoint)], s, h)
+    entry = method(method_id, "kepler" if isinstance(s, PhaseState) else "relativistic")
+    return _one_step((entry.adjoint if adjoint else entry.kernel)(split), s, h)
 
 
 def step_sym_euler(s: PhaseState, h: float) -> PhaseState:
@@ -517,20 +517,21 @@ def step_sv_one_step(s: PhaseState, h: float) -> PhaseState:
     return step("sv", s, h)
 
 
-def _part_weight(i: int, split: SplitPotential) -> float:
+def _sub_parts(i: int, split: SplitPotential):
+    """The parts of H(i) = p_i^2/2 + phi^(i), drift then kick; ValueError unless 1 <= i <= len(split)."""
     if not 1 <= i <= len(split):
         raise ValueError(f"sub-flow index {i} out of range 1..{len(split)}")
-    return split.weights[i - 1]
+    return ("kin", (i - 1,)), ("phi", i - 1)
 
 
 def substep_flow(i: int, s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
     """Sub-map of H(i) = p_i^2/2 + phi^(i): drift coordinate i, then kick."""
-    return _one_step(_iterate(partial(_flow, i, w=_part_weight(i, split))), s, h)
+    return _one_step(_iterate(_composition(_sub_parts(i, split), split)), s, h)
 
 
 def substep_flow_adjoint(i: int, s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
-    """Adjoint sub-map: kick with phi^(i) at the old point, then drift coordinate i."""
-    return _one_step(_iterate(partial(_flow_adjoint, i, w=_part_weight(i, split))), s, h)
+    """Adjoint sub-map, the parts reversed: kick with phi^(i) at the old point, then drift coordinate i."""
+    return _one_step(_iterate(_composition(_sub_parts(i, split)[::-1], split)), s, h)
 
 
 def step_vi1(s: PhaseState, split: SplitPotential, h: float) -> PhaseState:
@@ -761,7 +762,7 @@ def _states(method_id: str, model: str, s0, h: float, steps: int,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     check_step_size(h)
-    return trajectory(method(method_id, model).kernels(split)[0], _planar(s0), h, steps)
+    return trajectory(method(method_id, model).kernel(split), _planar(s0), h, steps)
 
 
 def run(method_id: str, s0: PhaseState, h: float, steps: int,

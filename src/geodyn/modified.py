@@ -81,9 +81,12 @@ def linear_modified_series(lam: float, h: float, k_max: int) -> float:
 
 
 def linear_dispersion(lam: float, h: float) -> float:
-    """Effective frequency Omega of the scheme: Omega = (2/h) arcsin(h sqrt(lam)/2)."""
+    """Effective frequency Omega = (2/h) arcsin(h sqrt(lam)/2); ValueError unless positive and finite."""
     _check_stable(lam, h)
-    return 2.0 / h * math.asin(0.5 * h * math.sqrt(lam))
+    omega = 2.0 / h * math.asin(0.5 * h * math.sqrt(lam))
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"Omega = {omega!r} is not positive and finite for lambda = {lam!r}, h = {h!r}")
+    return omega
 
 
 def linear_measured_frequency(lam: float, h: float) -> float:
@@ -95,7 +98,7 @@ def linear_measured_frequency(lam: float, h: float) -> float:
         h2 = h**2
     except OverflowError as exc:    # a tiny lambda passes the stability check
         raise NonFiniteStateError(f"h**2 overflows for lambda = {lam!r}, h = {h!r}") from exc
-    period = 2.0 * math.pi / omega if 0.0 < omega < math.inf else math.inf    # 0 or inf at a tiny h
+    period = 2.0 * math.pi / omega
     steps = max(10_000, math.ceil(2.0 * _steps_per_period(period, h)))
     xs = [0.0, h]
     x_prev, x = xs

@@ -4,7 +4,7 @@ The extended state (t, x, gamma, u) evolves in proper time tau with
 dt/dtau = gamma, dx/dtau = u, dgamma/dtau = -grad(phi).u, du/dtau = -gamma grad(phi).
 The extended Hamiltonian splits into exactly solvable one-variable pieces,
 composed in first- and second-order (palindromic) order. The plain-float
-kernels of k1 and k2 and their entries in the method table live in
+kernels of k1 and k2, their parts and the parts' exact flows live in
 ``geodyn.integrators``; this module holds the state, the public step
 functions over it and the relativistic driver. Units use c = 1 throughout;
 the CLI passes its inputs and outputs through unscaled.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -22,10 +21,9 @@ from geodyn.integrators import (
     REL_METHOD_IDS,
     TwoStepState,
     _check_finite,
+    _composition,
     _finite,
     _finite_update,
-    _flow_hi,
-    _flow_ht,
     _iterate,
     _one_step,
     _states,
@@ -72,27 +70,25 @@ def extended_hamiltonian(s: ExtPhaseState) -> float:
 # --- Public one-step maps: row 1 of a one-step run, as integrators.step ---
 
 def flow_ht(s: ExtPhaseState, h: float) -> ExtPhaseState:
-    """Exact flow of the -gamma^2/2 piece: advance t, kick u; x and gamma fixed."""
-    return _one_step(_iterate(_flow_ht), s, h)
+    """Exact flow of the -gamma^2/2 piece, the part ("phi", None): advance t, kick u; x and gamma fixed."""
+    return _one_step(_iterate(_composition((("phi", None),), None)), s, h)
 
 
 def flow_hi(i: int, s: ExtPhaseState, h: float) -> ExtPhaseState:
-    """Exact flow of the u_i^2/2 piece: drift coordinate i, update gamma.
-
-    The gamma update is the exact potential difference along the drift.
-    """
+    """Exact flow of the u_i^2/2 piece, the part ("kin", (i - 1,)): drift coordinate i; gamma
+    falls by the exact potential rise along the drift."""
     if i not in (1, 2):
         raise ValueError(f"sub-flow index {i} out of range 1..2")
-    return _one_step(_iterate(partial(_flow_hi, i)), s, h)
+    return _one_step(_iterate(_composition((("kin", (i - 1,)),), None)), s, h)
 
 
 def step_k1(s: ExtPhaseState, h: float) -> ExtPhaseState:
-    """First-order K-symplectic step: coordinate drifts after the time/kick flow."""
+    """First-order K-symplectic step ``METHODS["k1"].parts``: coordinate drifts after the time/kick flow."""
     return step("k1", s, h)
 
 
 def step_k2(s: ExtPhaseState, h: float) -> ExtPhaseState:
-    """Palindromic second-order step: the k1* half step, then the k1 half step, written out."""
+    """Palindromic second-order step: the k1* half step, then the k1 half step (``METHODS["k2"].parts``)."""
     return step("k2", s, h)
 
 

@@ -576,6 +576,13 @@ class TestModifiedCommand:
         assert captured.err == ("error: step size h = 1e-06 is too small for the period T = 6.28319: "
                                 "T/h = 6.28e+06 exceeds 1000000 steps\n")
 
+    def test_linear_step_with_an_overflowing_frequency_is_usage_error(self, capsys):
+        # 2/h overflows: the dispersion frequency is refused before the series or any step
+        assert main(["modified", "--linear", "--h", "1e-308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Omega = inf is not positive and finite for lambda = 1.0, h = 1e-308\n"
+
     def test_overflowing_drift_prediction_exits_1(self, capsys):
         # the prediction overflowed to -inf and was printed as a success
         assert main(["modified", "--drift", "sv", "--h", "1e200"]) == 1

@@ -28,12 +28,10 @@ from geodyn.integrators import (
     METHODS,
     REL_METHOD_IDS,
     TwoStepState,
-    _flow,
-    _flow_adjoint,
-    _flow_hi,
-    _flow_ht,
+    _composition,
     _iterate,
     _k2_states,
+    _part_flow,
     _sv_states,
     bootstrap_first_point,
     del_two_step_vi1,
@@ -569,11 +567,13 @@ class TestMethodTable:
 
     @pytest.mark.parametrize("method_id", list(METHODS))
     def test_adjoint_inverts_the_reversed_step(self, method_id):
-        step, adjoint = METHODS[method_id].kernels(SPLIT)
+        # a product's adjoint is its parts reversed, a Strang step its own; vi1 is sym-euler on one part
         s = self.SEED if METHODS[method_id].model == "kepler" else self.EXT_SEED
         z = _flat(s)
-        back = _unpack(next(step(_unpack(next(adjoint(z, H))), -H)))
-        assert max(abs(a - b) for a, b in zip(back, z)) < 1e-13
+        for split in (None, SplitPotential((0.3, 0.7)), SINGLE):
+            step, adjoint = METHODS[method_id].kernels(split)
+            back = _unpack(next(step(_unpack(next(adjoint(z, H))), -H)))
+            assert max(abs(a - b) for a, b in zip(back, z)) < 1e-13, split
 
     @pytest.mark.parametrize("method_id", list(METHODS))
     def test_public_step_is_row_one_of_a_run(self, method_id):
@@ -604,21 +604,10 @@ class TestMethodTable:
             call()
 
 
-def _part_flow(part, z, tau, split):
-    """The exact flow over tau of one part of a ``Method.parts`` composition: a kick by
-    w*grad(phi), w = 1 for all of phi, or a drift of the listed coordinates."""
-    x1, x2, v1, v2 = z
-    kind, index = part
-    if kind == "phi":
-        w = 1.0 if index is None else split.weights[index]
-        g1, g2 = grad_potential((x1, x2)).tolist()
-        return x1, x2, v1 - tau * (w * g1), v2 - tau * (w * g2)
-    return (x1 + tau * v1 if 0 in index else x1), (x2 + tau * v2 if 1 in index else x2), v1, v2
-
-
 def _step_from_parts(method_id, z, h, split):
-    """One step composed from the table's data alone: the parts in time order, each over
-    h, or as nested Strang levels, h/2 around the levels inside and h for the last part."""
+    """One step composed from the table's data and the parts' exact flows alone: the parts in
+    time order, each over h, or as nested Strang levels, h/2 around the levels inside and h
+    for the last part."""
     entry = METHODS[method_id]
     if entry.strang:
         *levels, inner = entry.parts
@@ -631,19 +620,26 @@ def _step_from_parts(method_id, z, h, split):
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.3, 0.7), (0.8, 0.2)])
-@pytest.mark.parametrize("method_id", METHOD_IDS)
+@pytest.mark.parametrize("method_id", list(METHODS))
 def test_parts_describe_the_kernel(method_id, weights):
-    # the parts perturbation_field derives its bracket from are the flows step() runs;
-    # vi2's kernel drifts x1 by h/2 twice where the composition drifts it by h once
+    # the parts perturbation_field derives its bracket from, and every adjoint is read off,
+    # are the flows step() runs; vi2's kernel drifts x1 by h/2 twice where the composition
+    # drifts it by h once, and k2's takes the time/kick flow as two halves
     split = kepler_split(weights)
     rng = np.random.default_rng(41)
-    for r, theta, speed, phi, h in zip(rng.uniform(0.5, 3.0, 200), rng.uniform(-math.pi, math.pi, 200),
-                                       rng.uniform(0.1, 1.2, 200), rng.uniform(-math.pi, math.pi, 200),
-                                       rng.uniform(-0.2, 0.2, 200)):
-        z = (r * math.cos(theta), r * math.sin(theta), speed * math.cos(phi), speed * math.sin(phi))
-        got = _flat(step(method_id, PhaseState(z[:2], z[2:]), h, split))
-        want = _step_from_parts(method_id, z, h, split)
-        assert max(abs(a - b) for a, b in zip(got, want)) <= 4 * np.finfo(float).eps * max(map(abs, z))
+    for r, theta, speed, phi, h, t in zip(rng.uniform(0.5, 3.0, 200), rng.uniform(-math.pi, math.pi, 200),
+                                          rng.uniform(0.1, 1.2, 200), rng.uniform(-math.pi, math.pi, 200),
+                                          rng.uniform(-0.2, 0.2, 200), rng.uniform(-5.0, 5.0, 200)):
+        s = PhaseState((r * math.cos(theta), r * math.sin(theta)),
+                       (speed * math.cos(phi), speed * math.sin(phi)))
+        if METHODS[method_id].model == "relativistic":
+            s = ExtPhaseState(t, s.x, mass_shell_gamma(s.v), s.v)
+        z = _flat(s)
+        got, want = _flat(step(method_id, s, h, split)), _step_from_parts(method_id, z, h, split)
+        if method_id in ("vi2", "k2"):
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 4 * np.finfo(float).eps * max(map(abs, z))
+        else:
+            assert got == want
 
 
 # --- Every public one-step map is row 1 of a run, and fails as a run does ---
@@ -831,11 +827,9 @@ def paired(step, adjoint):
 
 def _ref_kernels(method_id, split):
     """(step, adjoint) of a method composed from the sub-flows the kernels write out."""
-    w1, w2 = split.weights
-    vi1 = (lambda z, h: _flow(2, _flow(1, z, h, w1), h, w2),
-           lambda z, h: _flow_adjoint(1, _flow_adjoint(2, z, h, w2), h, w1))
-    k1 = (lambda z, h: _flow_hi(2, _flow_hi(1, _flow_ht(z, h), h), h),
-          lambda z, h: _flow_ht(_flow_hi(1, _flow_hi(2, z, h), h), h))
+    vi1 = (("kin", (0,)), ("phi", 0), ("kin", (1,)), ("phi", 1))
+    k1 = (("phi", None), ("kin", (0,)), ("kin", (1,)))
+    vi1, k1 = ((_composition(parts, split), _composition(parts[::-1], split)) for parts in (vi1, k1))
     return {"sym-euler": (_ref_sym_euler, _ref_sym_euler_adjoint), "sv": (_ref_sv, _ref_sv),
             "vi1": vi1, "vi2": (paired(*vi1),) * 2, "k1": k1, "k2": (paired(*k1),) * 2}[method_id]
 
@@ -1096,7 +1090,7 @@ class _CheckSpy:
 
 
 # the table kernels that are their sub-flow composition, (method id, 1 for the adjoint)
-_COMPOSED = {("vi1", 1), ("k1", 1)}
+_COMPOSED = {("sym-euler", 1), ("vi1", 1), ("k1", 1)}
 
 
 def _assert_skips_only_silent_checks(spy, method_id, z, h, split):

@@ -171,6 +171,16 @@ class TestLinearDispersion:
         with pytest.raises(StabilityBoundaryError):
             linear_measured_frequency(1.0, 2.1)
 
+    @pytest.mark.parametrize("lam, h, omega", [(1.0, 1e-308, "inf"), (1.0, 5e-324, "nan"),
+                                               (5e-324, 1e-200, "0.0")])
+    @pytest.mark.parametrize("fn", [linear_dispersion, linear_measured_frequency])
+    def test_frequency_must_be_positive_and_finite(self, fn, lam, h, omega):
+        # 2/h overflows to inf; at h = 5e-324 it multiplies asin(0.0) to nan; and at lambda =
+        # 5e-324, h sqrt(lambda)/2 underflows to 0.0. Each passes the stability check.
+        with pytest.raises(ValueError) as info:
+            fn(lam, h)
+        assert str(info.value) == f"Omega = {omega} is not positive and finite for lambda = {lam!r}, h = {h!r}"
+
     @pytest.mark.parametrize("fn", [linear_dispersion, linear_measured_frequency])
     def test_one_stability_message(self, fn):
         # one check holds the rule, so both functions give its message

@@ -58,6 +58,19 @@ def test_no_dead_imports():
     assert dead_imports() == []
 
 
+def test_dead_import_rule_sees_each_form(tmp_path):
+    # a leftover such as functools.partial is dead; a name read in its module, listed in the
+    # package's __all__, or imported from the module by another module of src is not
+    (tmp_path / "__init__.py").write_text("from pkg.a import exported\n\n__all__ = ['exported']\n")
+    (tmp_path / "a.py").write_text(
+        "import math\nimport os.path\nimport numpy as np\nfrom functools import partial, wraps\n"
+        "from pkg.b import exported, passed_on, unused\n\n"
+        "@wraps(len)\ndef f(x):\n    return np.sqrt(x) + math.pi\n")
+    (tmp_path / "b.py").write_text("exported = passed_on = unused = 1\n")
+    (tmp_path / "c.py").write_text("from pkg.a import passed_on\n\nprint(passed_on)\n")
+    assert dead_imports(tmp_path) == ["a.os", "a.partial", "a.unused"]
+
+
 def traced_names(path: Path = SRC.parent.parent / "perfbench" / "tracing.py") -> list[str]:
     """``module.name`` for each function the benchmark tracer's ``TRACED`` table names,
     read from its source without importing the benchmark."""
