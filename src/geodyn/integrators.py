@@ -1,16 +1,15 @@
 """One-step and two-step integrators, and the table of all six methods.
 
-``METHODS`` is the one place that knows the methods: symplectic Euler,
-Stormer-Verlet, vi1 (order 1) and vi2 (order 2) for the Kepler problem, and
-k1 (order 1) and k2 (order 2) for the relativistic system of
-``geodyn.relativistic``. Each entry gives the model, the forward step kernel,
-its composition of exact sub-flows (``parts``) and the predicted drift orders.
-Every adjoint and named sub-flow is read off the parts by ``_composition``: a
-product's adjoint is its parts in reverse, and a Strang composition (sv, vi2,
-k2) is its own. vi1 and k1 also exist in two-step discrete Euler-Lagrange form,
-a map from one ``TwoStepState`` to the next, equivalent to the composition once
-the first state is seeded through the discrete Legendre transform; on the
-one-part split vi1's is the central-difference recurrence of sym-euler and sv.
+``METHODS`` is the one place that knows the methods: symplectic Euler, Stormer-Verlet,
+vi1 (order 1) and vi2 (order 2) for the Kepler problem, and k1 (order 1) and k2 (order 2)
+for the relativistic system of ``geodyn.relativistic``. Each entry gives the model, the
+forward step kernel, the timed sub-flows it composes bit for bit (``parts``; vi2 and k2
+pair vi1's and k1's) and the predicted drift orders. Every adjoint and named sub-flow is
+read off the parts by ``_composition``: an adjoint is the parts reversed, so a palindrome
+(sv, vi2, k2) is its own, and a sub-flow is a slice of vi1's or k1's. vi1 and k1 also exist
+in two-step discrete Euler-Lagrange form, a map from one ``TwoStepState`` to the next,
+equivalent to the composition once the first state is seeded through the discrete Legendre
+transform; on the one-part split vi1's is the central-difference recurrence of sym-euler and sv.
 """
 
 from __future__ import annotations
@@ -162,7 +161,7 @@ def _iterate(kernel):
 
 
 def _part_flow(part, z, h, split):
-    """The exact flow over h of one of ``Method.parts`` on a Kepler or relativistic state: a kick
+    """The exact flow over h of a part of ``Method.parts`` on a Kepler or relativistic state: a kick
     by w*grad(phi) (w = 1 for all of phi), or by gamma*grad(phi) advancing t by h*gamma; a drift,
     checked by check_segment_xy, along which a relativistic gamma falls by phi's rise."""
     kind, index = part
@@ -181,12 +180,18 @@ def _part_flow(part, z, h, split):
 
 
 def _composition(parts, split):
-    """The one-step map (z, h) -> z of the product of the parts' exact flows, each over h."""
+    """The one-step map (z, h) -> z of the product of the exact flows of (part, share) over share*h."""
     def composed(z, h):
-        for part in parts:
-            z = _part_flow(part, z, h, split)
+        for part, share in parts:
+            z = _part_flow(part, z, share * h, split)
         return z
     return composed
+
+
+def _paired(parts):
+    """Phi_{h/2} o Phi*_{h/2}: the timed ``parts`` reversed, then as they are, each at half its share."""
+    half = tuple((part, 0.5 * share) for part, share in parts)
+    return half[::-1] + half
 
 
 def _sym_euler_states(z, h):
@@ -421,47 +426,42 @@ class Method:
     ``model`` is "kepler" or "relativistic". ``kernel(split)`` is the step's state generator
     (a split of None is the equal Kepler split; the relativistic methods ignore it).
     ``drift_order`` maps "ecc" and "angle" to the predicted per-period LRL drift order, None
-    for the relativistic methods. ``parts`` is the composition in time order, each part a
-    ``_part_flow``: ("phi", i) kicks by the split's share w_i*phi (all of phi for i None),
-    ("kin", coords) drifts those 0-based coordinates. The step is the product of their flows
-    over h each or, with ``strang``, nested Strang levels: each part but the last takes h/2
-    on either side of the ones after it, and the last takes h.
+    for the relativistic methods. ``parts`` is the kernel as timed parts, bit for bit under
+    ``_composition``: (part, share) in time order, its ``_part_flow`` over share*h; ("phi", i)
+    kicks by the split's share w_i*phi (phi for i None), ("kin", coords) drifts the 0-based coordinates coords.
     """
     id: str
     model: str
     kernel: Callable[[SplitPotential | None], Callable]
     drift_order: dict[str, float] | None
-    parts: tuple[tuple[str, int | tuple[int, ...] | None], ...]
-    strang: bool = False
+    parts: tuple[tuple[tuple[str, int | tuple[int, ...] | None], float], ...]
+
+    @property
+    def kicks_by_share(self) -> bool:
+        """Whether a part kicks by a split's share w_i*phi, so the step needs two parts."""
+        return any(kind == "phi" and i is not None for (kind, i), _ in self.parts)
 
     def adjoint(self, split: SplitPotential | None = None):
-        """The adjoint's state generator: a Strang step is its own adjoint, and a product's
-        is its parts reversed (on a one-part split, vi1 takes sym-euler's parts)."""
-        if self.strang:
+        """The adjoint's state generator: a palindrome's own kernel, else the parts reversed
+        (on a one-part split, sym-euler's for a method that kicks by a split's share)."""
+        if self.parts == self.parts[::-1]:
             return self.kernel(split)
         split = split if split is not None else kepler_split()
-        parts = self.parts
-        if len(split) == 1 and any(kind == "phi" and i is not None for kind, i in parts):
-            parts = METHODS["sym-euler"].parts
+        parts = METHODS["sym-euler" if len(split) == 1 and self.kicks_by_share else self.id].parts
         return _iterate(_composition(parts[::-1], split))
 
-    def kernels(self, split: SplitPotential | None = None) -> tuple[Callable, Callable]:
-        return self.kernel(split), self.adjoint(split)
 
-
+_VI1 = ((("kin", (0,)), 1.0), (("phi", 0), 1.0), (("kin", (1,)), 1.0), (("phi", 1), 1.0))
+_K1 = ((("phi", None), 1.0), (("kin", (0,)), 1.0), (("kin", (1,)), 1.0))
 METHODS = MappingProxyType({m.id: m for m in (
     Method("sym-euler", "kepler", lambda split: _sym_euler_states, {"ecc": 2.0, "angle": 2.0},
-           (("phi", None), ("kin", (0, 1)))),
+           ((("phi", None), 1.0), (("kin", (0, 1)), 1.0))),
     Method("sv", "kepler", lambda split: _sv_states, {"ecc": 4.0, "angle": 2.0},
-           (("phi", None), ("kin", (0, 1))), strang=True),
-    Method("vi1", "kepler", _vi1_kernel, {"ecc": 2.0, "angle": 2.0},
-           (("kin", (0,)), ("phi", 0), ("kin", (1,)), ("phi", 1))),
-    Method("vi2", "kepler", _vi2_kernel, {"ecc": 4.0, "angle": 2.0},
-           (("phi", 1), ("kin", (1,)), ("phi", 0), ("kin", (0,))), strang=True),
-    Method("k1", "relativistic", lambda split: _k1_states, None,
-           (("phi", None), ("kin", (0,)), ("kin", (1,)))),
-    Method("k2", "relativistic", lambda split: _k2_states, None,
-           (("kin", (1,)), ("kin", (0,)), ("phi", None)), strang=True),
+           ((("phi", None), 0.5), (("kin", (0, 1)), 1.0), (("phi", None), 0.5))),
+    Method("vi1", "kepler", _vi1_kernel, {"ecc": 2.0, "angle": 2.0}, _VI1),
+    Method("vi2", "kepler", _vi2_kernel, {"ecc": 4.0, "angle": 2.0}, _paired(_VI1)),
+    Method("k1", "relativistic", lambda split: _k1_states, None, _K1),
+    Method("k2", "relativistic", lambda split: _k2_states, None, _paired(_K1)),
 )})
 METHOD_IDS = tuple(m.id for m in METHODS.values() if m.model == "kepler")
 REL_METHOD_IDS = tuple(m.id for m in METHODS.values() if m.model == "relativistic")
@@ -518,10 +518,10 @@ def step_sv_one_step(s: PhaseState, h: float) -> PhaseState:
 
 
 def _sub_parts(i: int, split: SplitPotential):
-    """The parts of H(i) = p_i^2/2 + phi^(i), drift then kick; ValueError unless 1 <= i <= len(split)."""
+    """vi1's parts of H(i) = p_i^2/2 + phi^(i), drift then kick; ValueError unless 1 <= i <= len(split)."""
     if not 1 <= i <= len(split):
         raise ValueError(f"sub-flow index {i} out of range 1..{len(split)}")
-    return ("kin", (i - 1,)), ("phi", i - 1)
+    return _VI1[2 * i - 2:2 * i]
 
 
 def substep_flow(i: int, s: PhaseState, split: SplitPotential, h: float) -> PhaseState:

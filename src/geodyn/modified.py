@@ -125,22 +125,23 @@ def modified_lagrangian(method_id: str, s: PhaseState, h: float,
 def perturbation_field(method_id: str, split: SplitPotential | None = None):
     """(epsilon(h), leading perturbation Lbar) with L_mod = L + epsilon*Lbar.
 
-    Both follow from the method's composition (``integrators.Method``) by the BCH formula
+    Both follow from the method's timed parts (``integrators.Method``) by the BCH formula
     (Hairer, Lubich and Wanner, Geometric Numerical Integration, III.4-III.5), with
     {F, G} = grad_x F . grad_v G - grad_v F . grad_x G and epsilon*Lbar = -(H_mod - H) at
-    p = v: a first-order product X_1 ... X_m has epsilon = h/2 and Lbar = sum_{i<j} {X_i, X_j};
-    nested Strang levels a, each around the sum b of the parts inside it, have epsilon = h^2
-    and Lbar = sum of (1/24){a,{a,b}} - (1/12){b,{b,a}}. vi1 and vi2 need a two-part split
-    (ValueError otherwise). Lbar is the function ``value(x, v)`` of (2, ...) arrays.
+    p = v: a product X_1 ... X_m over h each has epsilon = h/2 and Lbar = sum_{i<j} {X_i, X_j};
+    a palindrome's first half, nested Strang levels a each around the sum b of the parts inside
+    it, has epsilon = h^2 and Lbar = sum of (1/24){a,{a,b}} - (1/12){b,{b,a}}. vi1 and vi2 need
+    a two-part split (ValueError otherwise). Lbar is the function ``value(x, v)`` of (2, ...) arrays.
     """
     entry = method(method_id)      # UnknownMethodError for all but the Kepler methods
     split = split if split is not None else kepler_split()
-    if any(kind == "phi" and i is not None for kind, i in entry.parts) and len(split) != 2:
+    if entry.kicks_by_share and len(split) != 2:
         raise ValueError(f"the {method_id} modified Lagrangian needs a two-part split, "
                          f"got {len(split)} part(s)")
+    half = (len(entry.parts) + 1) // 2 if entry.parts == entry.parts[::-1] else None
     # a part as (is a kick, c): its gradient is c*grad(phi) or c*v, componentwise
     parts = [(True, np.full(2, 1.0 if i is None else split.weights[i])) if kind == "phi"
-             else (False, np.array([float(k in i) for k in (0, 1)])) for kind, i in entry.parts]
+             else (False, np.array([float(k in i) for k in (0, 1)])) for (kind, i), _ in entry.parts[:half]]
 
     def bracket(p, q):         # C in {p, q} = sum_k C_k g_k v_k, g = grad(phi)
         return (p[0] - q[0]) * p[1] * q[1]
@@ -149,7 +150,7 @@ def perturbation_field(method_id: str, split: SplitPotential | None = None):
         qs = bracket(q, s)
         return np.column_stack((p[1] * qs, np.zeros((2, 2))) if p[0] else (np.zeros(2), -np.outer(p[1], qs)))
 
-    if not entry.strang:
+    if half is None:
         c1, c2 = sum(bracket(p, q) for i, p in enumerate(parts) for q in parts[i + 1:]).tolist()
 
         def value(x, v):
@@ -213,6 +214,13 @@ def predicted_drift(method_id: str, elements: OrbitElements, h: float,
     return decc, dangle
 
 
+def _drifts(method_id: str, metric: str, seed: PhaseState, hs, split: SplitPotential | None) -> list[float]:
+    """``drift_sweep``'s signed ``metric`` drifts; ValueError unless the metric is "ecc" or "angle"."""
+    if metric not in ("ecc", "angle"):
+        raise ValueError(f"unknown drift metric {metric!r}")
+    return drift_sweep(method_id, seed, hs, split)[metric]
+
+
 def per_period_drift(method_id: str, metric: str, seed: PhaseState, h: float,
                      split: SplitPotential | None = None) -> float:
     """Signed change of ``metric`` ("ecc" or "angle") over one analytic period.
@@ -220,9 +228,7 @@ def per_period_drift(method_id: str, metric: str, seed: PhaseState, h: float,
     The trajectory is integrated a few steps past t = T and the diagnostic
     series is polynomial-interpolated at the exact period.
     """
-    if metric not in ("ecc", "angle"):
-        raise ValueError(f"unknown drift metric {metric!r}")
-    return drift_sweep(method_id, seed, (h,), split)[metric][0]
+    return _drifts(method_id, metric, seed, (h,), split)[0]
 
 
 def drift_sweep(method_id: str, seed: PhaseState, hs,
@@ -296,9 +302,7 @@ def measured_drift_order(method_id: str, metric: str, seed: PhaseState,
     if len(hs) < 4:
         raise ValueError("need at least 4 step sizes for a credible fit")
     orders = method(method_id).drift_order
-    if metric not in ("ecc", "angle"):
-        raise ValueError(f"unknown drift metric {metric!r}")
-    drifts = [abs(d) for d in drift_sweep(method_id, seed, hs, split)[metric]]
+    drifts = [abs(d) for d in _drifts(method_id, metric, seed, hs, split)]
     return DriftEstimate(
         method_id=method_id, metric=metric, hs=tuple(hs), drifts=tuple(drifts),
         fitted_order=fitted_order(hs, drifts), predicted_order=orders[metric],

@@ -2,12 +2,11 @@
 
 The extended state (t, x, gamma, u) evolves in proper time tau with
 dt/dtau = gamma, dx/dtau = u, dgamma/dtau = -grad(phi).u, du/dtau = -gamma grad(phi).
-The extended Hamiltonian splits into exactly solvable one-variable pieces,
-composed in first- and second-order (palindromic) order. The plain-float
-kernels of k1 and k2, their parts and the parts' exact flows live in
-``geodyn.integrators``; this module holds the state, the public step
-functions over it and the relativistic driver. Units use c = 1 throughout;
-the CLI passes its inputs and outputs through unscaled.
+The extended Hamiltonian splits into exactly solvable one-variable pieces, composed in
+first- and second-order (palindromic) order. The plain-float kernels of k1 and k2, their
+timed parts and the parts' exact flows live in ``geodyn.integrators``; this module holds
+the state, the public step functions over it and the relativistic driver. Units use c = 1
+throughout; the CLI passes its inputs and outputs through unscaled.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import numpy as np
 
 from geodyn.integrators import (
     REL_METHOD_IDS,
+    _K1,
     TwoStepState,
     _check_finite,
     _composition,
@@ -70,16 +70,16 @@ def extended_hamiltonian(s: ExtPhaseState) -> float:
 # --- Public one-step maps: row 1 of a one-step run, as integrators.step ---
 
 def flow_ht(s: ExtPhaseState, h: float) -> ExtPhaseState:
-    """Exact flow of the -gamma^2/2 piece, the part ("phi", None): advance t, kick u; x and gamma fixed."""
-    return _one_step(_iterate(_composition((("phi", None),), None)), s, h)
+    """Exact flow of the -gamma^2/2 piece, k1's first part: advance t, kick u; x and gamma fixed."""
+    return _one_step(_iterate(_composition(_K1[:1], None)), s, h)
 
 
 def flow_hi(i: int, s: ExtPhaseState, h: float) -> ExtPhaseState:
-    """Exact flow of the u_i^2/2 piece, the part ("kin", (i - 1,)): drift coordinate i; gamma
-    falls by the exact potential rise along the drift."""
+    """Exact flow of the u_i^2/2 piece, k1's drift of coordinate i; gamma falls by the exact
+    potential rise along the drift."""
     if i not in (1, 2):
         raise ValueError(f"sub-flow index {i} out of range 1..2")
-    return _one_step(_iterate(_composition((("kin", (i - 1,)),), None)), s, h)
+    return _one_step(_iterate(_composition(_K1[i:i + 1], None)), s, h)
 
 
 def step_k1(s: ExtPhaseState, h: float) -> ExtPhaseState:
@@ -88,7 +88,7 @@ def step_k1(s: ExtPhaseState, h: float) -> ExtPhaseState:
 
 
 def step_k2(s: ExtPhaseState, h: float) -> ExtPhaseState:
-    """Palindromic second-order step: the k1* half step, then the k1 half step (``METHODS["k2"].parts``)."""
+    """Palindromic second-order step ``METHODS["k2"].parts``: the k1* half step, then the k1 half step."""
     return step("k2", s, h)
 
 

@@ -5,6 +5,7 @@ import math
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from itertools import islice
 
@@ -31,7 +32,7 @@ from geodyn.integrators import (
     _composition,
     _iterate,
     _k2_states,
-    _part_flow,
+    _paired,
     _sv_states,
     bootstrap_first_point,
     del_two_step_vi1,
@@ -146,7 +147,7 @@ class TestAdjoints:
         back = substep_flow(2, fwd, SPLIT, -H)
         assert np.max(np.abs(back.x - S0.x)) < 1e-14
 
-    @pytest.mark.parametrize("pairing", ["adjoint-last"])    # the one pairing paired() builds
+    @pytest.mark.parametrize("pairing", ["adjoint-last"])    # the one pairing _paired builds
     def test_vi2_is_self_adjoint(self, pairing):
         fwd = step_vi2(S0, SPLIT, H)
         back = step_vi2(fwd, SPLIT, -H)
@@ -571,7 +572,7 @@ class TestMethodTable:
         s = self.SEED if METHODS[method_id].model == "kepler" else self.EXT_SEED
         z = _flat(s)
         for split in (None, SplitPotential((0.3, 0.7)), SINGLE):
-            step, adjoint = METHODS[method_id].kernels(split)
+            step, adjoint = _kernels(method_id, split)
             back = _unpack(next(step(_unpack(next(adjoint(z, H))), -H)))
             assert max(abs(a - b) for a, b in zip(back, z)) < 1e-13, split
 
@@ -604,42 +605,41 @@ class TestMethodTable:
             call()
 
 
-def _step_from_parts(method_id, z, h, split):
-    """One step composed from the table's data and the parts' exact flows alone: the parts in
-    time order, each over h, or as nested Strang levels, h/2 around the levels inside and h
-    for the last part."""
-    entry = METHODS[method_id]
-    if entry.strang:
-        *levels, inner = entry.parts
-        timed = [(p, 0.5 * h) for p in levels] + [(inner, h)] + [(p, 0.5 * h) for p in levels[::-1]]
-    else:
-        timed = [(p, h) for p in entry.parts]
-    for part, tau in timed:
-        z = _part_flow(part, z, tau, split)
-    return z
-
-
-@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.3, 0.7), (0.8, 0.2)])
-@pytest.mark.parametrize("method_id", list(METHODS))
-def test_parts_describe_the_kernel(method_id, weights):
-    # the parts perturbation_field derives its bracket from, and every adjoint is read off,
-    # are the flows step() runs; vi2's kernel drifts x1 by h/2 twice where the composition
-    # drifts it by h once, and k2's takes the time/kick flow as two halves
-    split = kepler_split(weights)
-    rng = np.random.default_rng(41)
+def _composition_gaps(entry, split):
+    """The drawn (state, h) on which step(entry.id) differs from the composition of entry.parts."""
+    composed, rng, gaps = _composition(entry.parts, split), np.random.default_rng(41), []
     for r, theta, speed, phi, h, t in zip(rng.uniform(0.5, 3.0, 200), rng.uniform(-math.pi, math.pi, 200),
                                           rng.uniform(0.1, 1.2, 200), rng.uniform(-math.pi, math.pi, 200),
                                           rng.uniform(-0.2, 0.2, 200), rng.uniform(-5.0, 5.0, 200)):
         s = PhaseState((r * math.cos(theta), r * math.sin(theta)),
                        (speed * math.cos(phi), speed * math.sin(phi)))
-        if METHODS[method_id].model == "relativistic":
+        if entry.model == "relativistic":
             s = ExtPhaseState(t, s.x, mass_shell_gamma(s.v), s.v)
-        z = _flat(s)
-        got, want = _flat(step(method_id, s, h, split)), _step_from_parts(method_id, z, h, split)
-        if method_id in ("vi2", "k2"):
-            assert max(abs(a - b) for a, b in zip(got, want)) <= 4 * np.finfo(float).eps * max(map(abs, z))
-        else:
-            assert got == want
+        if _flat(step(entry.id, s, h, split)) != composed(_flat(s), h):
+            gaps.append((s, h))
+    return gaps
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.3, 0.7), (0.8, 0.2), (1.0, 0.0)])
+@pytest.mark.parametrize("method_id", list(METHODS))
+def test_parts_describe_the_kernel(method_id, weights):
+    # the timed parts perturbation_field derives its bracket from, and every adjoint and
+    # sub-flow is read off, are the flows step() runs, bit for bit; on the one-part split
+    # vi1 is sym-euler's parts and vi2 their pairing
+    split, entry = kepler_split(weights), METHODS[method_id]
+    if len(split) == 1 and method_id in ("vi1", "vi2"):
+        sym_euler = METHODS["sym-euler"].parts
+        entry = replace(entry, parts=sym_euler if method_id == "vi1" else _paired(sym_euler))
+    assert _composition_gaps(entry, split) == []
+
+
+def test_parts_tell_the_drift_order():
+    # a table whose k1 drifts x2 before x1 is another method: its k1 and k2 compositions
+    # leave step("k1") and step("k2") on some drawn state
+    kick, x1, x2 = METHODS["k1"].parts
+    swapped = {"k1": (kick, x2, x1), "k2": _paired((kick, x2, x1))}
+    for method_id, parts in swapped.items():
+        assert _composition_gaps(replace(METHODS[method_id], parts=parts), None), method_id
 
 
 # --- Every public one-step map is row 1 of a run, and fails as a run does ---
@@ -813,25 +813,19 @@ def _ref_sv(z, h):
     return y1, y2, p1 - 0.5 * h * g1, p2 - 0.5 * h * g2
 
 
-def paired(step, adjoint):
-    """Self-adjoint kernel Phi_{h/2} o Phi*_{h/2} from a kernel and its adjoint.
-
-    The adjoint half step runs first. This is the map generated by the
-    second-order discrete Lagrangian, and the pairing behind vi2 and k2.
-    """
-    def kernel(z, h):
-        half = 0.5 * h
-        return step(adjoint(z, half), half)
-    return kernel
-
-
 def _ref_kernels(method_id, split):
-    """(step, adjoint) of a method composed from the sub-flows the kernels write out."""
-    vi1 = (("kin", (0,)), ("phi", 0), ("kin", (1,)), ("phi", 1))
-    k1 = (("phi", None), ("kin", (0,)), ("kin", (1,)))
-    vi1, k1 = ((_composition(parts, split), _composition(parts[::-1], split)) for parts in (vi1, k1))
+    """(step, adjoint) of a method composed from the timed sub-flows the kernels write out."""
+    vi1 = ((("kin", (0,)), 1.0), (("phi", 0), 1.0), (("kin", (1,)), 1.0), (("phi", 1), 1.0))
+    k1 = ((("phi", None), 1.0), (("kin", (0,)), 1.0), (("kin", (1,)), 1.0))
+    vi1, k1, vi2, k2 = ((_composition(parts, split), _composition(parts[::-1], split))
+                        for parts in (vi1, k1, _paired(vi1), _paired(k1)))
     return {"sym-euler": (_ref_sym_euler, _ref_sym_euler_adjoint), "sv": (_ref_sv, _ref_sv),
-            "vi1": vi1, "vi2": (paired(*vi1),) * 2, "k1": k1, "k2": (paired(*k1),) * 2}[method_id]
+            "vi1": vi1, "vi2": vi2, "k1": k1, "k2": k2}[method_id]
+
+
+def _kernels(method_id, split):
+    """A table method's forward kernel and its adjoint's state generator."""
+    return METHODS[method_id].kernel(split), METHODS[method_id].adjoint(split)
 
 
 def _unpack(row):
@@ -853,7 +847,7 @@ def _assert_fused_equals_composed(method_id, z, h, split):
     """z is a Kepler state; a relativistic method steps (0.5, x1, x2, 1.25, v1, v2)."""
     if METHODS[method_id].model == "relativistic" and len(z) == 4:
         z = (0.5, *z[:2], 1.25, *z[2:])
-    for fused, composed in zip(METHODS[method_id].kernels(split), _ref_kernels(method_id, split)):
+    for fused, composed in zip(_kernels(method_id, split), _ref_kernels(method_id, split)):
         assert _outcome(fused, z, h) == _outcome(composed, z, h)
 
 
@@ -908,13 +902,13 @@ class TestFusedKernels:
     @given(z=st.tuples(_COORD, _COORD, _COORD, _COORD), h=st.floats(1e-3, 1.0),
            sign=st.sampled_from([1.0, -1.0]))
     def test_vi2_on_one_part_is_paired_sym_euler(self, z, h, sign):
-        kernel = METHODS["vi2"].kernels(kepler_split((1.0, 0.0)))[0]
-        composed = paired(_ref_sym_euler, _ref_sym_euler_adjoint)
+        kernel = METHODS["vi2"].kernel(SINGLE)
+        composed = _composition(_paired(METHODS["sym-euler"].parts), SINGLE)
         assert _outcome(kernel, z, sign * h) == _outcome(composed, z, sign * h)
 
     def test_vi2_on_one_part_is_paired_sym_euler_at_the_edges(self):
-        kernel = METHODS["vi2"].kernels(kepler_split((1.0, 0.0)))[0]
-        composed = paired(_ref_sym_euler, _ref_sym_euler_adjoint)
+        kernel = METHODS["vi2"].kernel(SINGLE)
+        composed = _composition(_paired(METHODS["sym-euler"].parts), SINGLE)
         for z in _EDGE_STATES:
             for h in (1.0, 2.0, -2.0):
                 assert _outcome(kernel, z, h) == _outcome(composed, z, h), (z, h)
@@ -935,7 +929,7 @@ def _assert_runs_equal(method_id, z, h, split, n):
     """z is a Kepler state; a relativistic method steps (0.5, x1, x2, 1.25, v1, v2)."""
     if METHODS[method_id].model == "relativistic" and len(z) == 4:
         z = (0.5, *z[:2], 1.25, *z[2:])
-    for kernel, ref in zip(METHODS[method_id].kernels(split), _ref_kernels(method_id, split)):
+    for kernel, ref in zip(_kernels(method_id, split), _ref_kernels(method_id, split)):
         assert _run_outcome(kernel, z, h, n) == _run_outcome(_iterate(ref), z, h, n), (z, h, n)
 
 
@@ -980,7 +974,7 @@ class TestMultiStepKernels:
             z = (0.5, *z[:2], 1.25, *z[2:])
         for n in (1023, 1024, 1025, 2049):
             _assert_runs_equal(method_id, z, h, SplitPotential((0.3, 0.7)), n)
-            for kernel in METHODS[method_id].kernels(SplitPotential((0.3, 0.7))):
+            for kernel in _kernels(method_id, SplitPotential((0.3, 0.7))):
                 # the joined chunks are the kernel's rows, each once and in order
                 rows = [struct.pack(f"{len(z)}d", *z), *islice(kernel(z, h), n)]
                 assert trajectory(kernel, z, h, n).tobytes() == b"".join(rows), n
@@ -991,7 +985,7 @@ class TestMultiStepKernels:
         z, h = (1.0, 0.0, 0.1, 1.1), 0.01
         if METHODS[method_id].model == "relativistic":
             z = (0.5, *z[:2], 1.25, *z[2:])
-        kernel = METHODS[method_id].kernels(None)[0]
+        kernel = METHODS[method_id].kernel(None)
         rows = trajectory(kernel, z, h, 1500)
         for k in (1, 2, 1024, 1025, 1500):
             with pytest.raises(GeodynError) as info:
@@ -1100,7 +1094,7 @@ def _assert_skips_only_silent_checks(spy, method_id, z, h, split):
     if METHODS[method_id].model == "relativistic" and len(z) == 4:
         z = (0.5, *z[:2], 1.25, *z[2:])
     coordinate = method_id not in ("sym-euler", "sv")
-    kernels = zip(METHODS[method_id].kernels(split), _ref_kernels(method_id, split))
+    kernels = zip(_kernels(method_id, split), _ref_kernels(method_id, split))
     for j, (fused, composed) in enumerate(kernels):
         got, made = spy.run(fused, z, h)
         want, needed = spy.run(composed, z, h)

@@ -105,7 +105,7 @@ class TestComposedSteps:
         assert abs(back.gamma - S0.gamma) < 1e-13
         assert np.max(np.abs(back.u - S0.u)) < 1e-13
 
-    @pytest.mark.parametrize("pairing", ["adjoint-last"])    # the one pairing paired() builds
+    @pytest.mark.parametrize("pairing", ["adjoint-last"])    # the one pairing _paired builds
     def test_k2_self_adjoint(self, pairing):
         fwd = step_k2(S0, H)
         back = step_k2(fwd, -H)

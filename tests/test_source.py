@@ -2,9 +2,9 @@
 function the benchmark tracer names exists, every forward table kernel is a generator of
 its own, every two-step update steps a TwoStepState through one failure policy, one
 function holds the Newton loop and one the Kepler-equation iteration, two hold the
-closed-form Legendre transforms, only the method table tells the Kepler methods apart,
-every module rounds in plain products, the Kepler force cubes r by products, and each
-input rule has one home."""
+closed-form Legendre transforms, only the method table tells the Kepler methods apart and
+only integrators and perturbation_field read its timed parts, every module rounds in plain
+products, the Kepler force cubes r by products, and each input rule has one home."""
 
 import ast
 import importlib
@@ -96,7 +96,7 @@ def test_table_kernels_are_generators():
     # pay a call per step again (the one-part vi2 collapse, on neither split here, does)
     for m in METHODS.values():
         for split in (None, SplitPotential((0.3, 0.7))):
-            kernel = m.kernels(split)[0]
+            kernel = m.kernel(split)
             assert inspect.isgeneratorfunction(kernel), m.id
             assert kernel.__code__.co_filename == integrators.__file__, m.id
             assert kernel.__code__ is not _iterate(None).__code__, m.id
@@ -161,15 +161,15 @@ def test_solve_rule_sees_through_helpers(tmp_path):
     assert solves_in_loops(tmp_path) == ["mod.iterate"]
 
 
-def functions_reading(name: str, src: Path = SRC) -> list[str]:
-    """``module.function`` for each function of ``src`` that reads the global ``name``,
-    named by the innermost function around the read."""
-    found = set()
+def functions_reading(name: str, src: Path = SRC, attribute: bool = False) -> list[str]:
+    """``module.function`` for each function of ``src`` that reads the global ``name``, or
+    with ``attribute`` an attribute ``name``, named by the innermost function around the read."""
+    found, kind, field = set(), ast.Attribute if attribute else ast.Name, "attr" if attribute else "id"
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            if isinstance(node, kind) and getattr(node, field) == name and isinstance(node.ctx, ast.Load):
                 while node in parent and not isinstance(node, ast.FunctionDef):
                     node = parent[node]
                 found.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
@@ -224,10 +224,13 @@ def test_one_legendre_dispatch():
 
 
 def test_one_method_dispatch():
-    # integrators.METHODS holds what a method is, its kernels and its composition; every
-    # other module reads the table, so a hand-written bracket per method cannot come back
+    # integrators.METHODS holds what a method is, its kernels and its timed parts; every other
+    # module reads the table, so a hand-written bracket per method cannot come back, and only
+    # perturbation_field reads the parts besides integrators, so no second interpreter can grow
     assert [f for f in functions_comparing("method_id", METHOD_IDS)
             if not f.startswith("integrators.")] == []
+    assert [f for f in functions_reading("parts", attribute=True)
+            if not f.startswith("integrators.")] == ["modified.perturbation_field"]
 
 
 def powers_of_r(path: Path) -> list[str]:
